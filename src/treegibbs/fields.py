@@ -5,14 +5,19 @@ h = ((q-1)/q) h'), as coordinate vectors with respect to the first q-1
 simplex spin vectors.  The one-step map F sends the reduced field of a
 direct successor to its contribution at the parent; measure consistency is
 equivalent to h'_x = sum_{y in S(x)} F(h'_y) at every interior vertex.
+
+F is batched: ``recursion_map`` maps any (..., q-1) array of fields at once.
+Propagation runs shell by shell, one map over a whole shell followed by a
+sum over each parent's children, and the fixed-point search iterates all
+starts together as one array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import LambdaModel
 from .topology import Ball
@@ -34,8 +39,7 @@ class ReducedFieldAssignment:
             raise ValueError("field components must be finite")
 
     def on_shell(self, m: int) -> np.ndarray:
-        idx = list(self.ball.shells[m])
-        return self.hprime[idx]
+        return self.hprime[self.ball.shell_slice(m)].copy()
 
 
 def zero_fields(ball: Ball, q: int) -> ReducedFieldAssignment:
@@ -43,19 +47,21 @@ def zero_fields(ball: Ball, q: int) -> ReducedFieldAssignment:
 
 
 def recursion_map(model: LambdaModel, h: np.ndarray) -> np.ndarray:
-    """One-step field map F: R^{q-1} -> R^{q-1}.
+    """One-step field map F: R^{q-1} -> R^{q-1}, applied over the last axis of h.
 
     F_i(h) = log( sum_j e^{-beta*lam[i][j]} e^{h_j} + e^{-beta*lam[i][q-1]} )
-           - (same with the last row), evaluated in the log domain so large
-    couplings and fields stay finite.
+           - (same with the last row), evaluated in the log domain with a
+    max shift so large couplings and fields stay finite.  ``h`` may have any
+    shape (..., q-1); the result has the same shape.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape != (model.q - 1,):
+    if h.ndim == 0 or h.shape[-1] != model.q - 1:
         raise ValueError(f"field must have {model.q - 1} components, got shape {h.shape}")
-    a = -model.beta_float * model.lam_float            # (q, q)
-    h_ext = np.concatenate([h, [0.0]])                 # spin q-1 carries no field
-    row_logs = logsumexp(a + h_ext[None, :], axis=1)
-    return row_logs[:-1] - row_logs[-1]
+    h_ext = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)  # spin q-1 carries no field
+    x = model.log_weights + h_ext[..., None, :]                         # (..., q, q)
+    top = x.max(axis=-1, keepdims=True)
+    row_logs = top[..., 0] + np.log(np.exp(x - top).sum(axis=-1))
+    return row_logs[..., :-1] - row_logs[..., -1:]
 
 
 def check_unordered(model: LambdaModel, tol: float = 1e-12) -> tuple[bool, float]:
@@ -74,7 +80,8 @@ def propagate_fields(model: LambdaModel, ball: Ball, boundary) -> ReducedFieldAs
     """Propagate boundary fields inward: h'_x = sum over successors of F(h'_y).
 
     ``boundary`` gives the reduced fields on the outermost shell, either as
-    an array in shell order or as a mapping vertex index -> vector.
+    an array in shell order or as a mapping vertex index -> vector.  Each
+    shell costs one batched map of the shell outside it.
     """
     qm1 = model.q - 1
     hprime = np.zeros((ball.num_vertices, qm1))
@@ -83,26 +90,34 @@ def propagate_fields(model: LambdaModel, ball: Ball, boundary) -> ReducedFieldAs
         missing = [x for x in outer if x not in boundary]
         if missing:
             raise ValueError(f"boundary fields missing for vertices {missing}")
-        for x in outer:
-            hprime[x] = np.asarray(boundary[x], dtype=float)
-    else:
-        boundary = np.asarray(boundary, dtype=float).reshape(len(outer), qm1)
-        hprime[list(outer)] = boundary
+        boundary = [boundary[x] for x in outer]
+    hprime[ball.shell_slice(ball.n)] = np.asarray(boundary, dtype=float).reshape(len(outer), qm1)
     for m in range(ball.n - 1, -1, -1):
-        for x in ball.shells[m]:
-            acc = np.zeros(qm1)
-            for y in ball.children[x]:
-                acc += recursion_map(model, hprime[y])
-            hprime[x] = acc
+        parents = ball.shell_slice(m)
+        mapped = recursion_map(model, hprime[ball.shell_slice(m + 1)])
+        hprime[parents] = mapped.reshape(parents.stop - parents.start, -1, qm1).sum(axis=1)
     return ReducedFieldAssignment(ball, hprime)
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Deduplicated translation-invariant solutions of h = k*F(h), lexicographically sorted."""
+    """Deduplicated translation-invariant solutions of h = k*F(h), lexicographically sorted.
+
+    The per-start tuples follow start order (the zero start first):
+    ``iterations`` counts the damped updates made before the residual test
+    passed (``max_iter`` when it never did), ``residuals`` holds the last
+    tested ||h - k*F(h)||_inf, and ``converged`` marks the starts whose
+    residual fell below the tolerance.
+    """
 
     solutions: tuple[tuple[float, ...], ...]
-    non_converged: int
+    iterations: tuple[int, ...]
+    residuals: tuple[float, ...]
+    converged: tuple[bool, ...]
+
+    @property
+    def non_converged(self) -> int:
+        return self.converged.count(False)
 
 
 def ti_fixed_points(
@@ -119,29 +134,43 @@ def ti_fixed_points(
     recursion reads h = k*F(h); the root's extra successor makes a nonzero
     constant field only approximately consistent there.  Starts are drawn
     uniformly from [-5, 5]^{q-1} plus the zero start; only iterates whose
-    residual ||h - k*F(h)||_inf falls below ``tol`` are reported.
+    residual ||h - k*F(h)||_inf falls below ``tol`` are reported.  All
+    starts iterate together, and a start leaves the batch once it converges.
     """
     if starts < 1:
         raise ValueError(f"need at least one start, got {starts}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if not 0 < damping <= 1:
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    if max_iter < 1:
+        raise ValueError(f"need at least one iteration, got {max_iter}")
     rng = np.random.default_rng(seed)
     qm1 = model.q - 1
-    k = model.k
-    initial = [np.zeros(qm1)] + [rng.uniform(-5.0, 5.0, size=qm1) for _ in range(starts)]
+    h = np.vstack([np.zeros(qm1), rng.uniform(-5.0, 5.0, size=(starts, qm1))])
+    iterations = np.full(len(h), max_iter)
+    residuals = np.empty(len(h))
+    active = np.arange(len(h))
+    for it in range(max_iter):
+        current = h[active]
+        target = model.k * recursion_map(model, current)
+        residual = np.max(np.abs(current - target), axis=1)
+        residuals[active] = residual
+        done = residual <= tol
+        iterations[active[done]] = it
+        active, current, target = active[~done], current[~done], target[~done]
+        if active.size == 0:
+            break
+        h[active] = (1.0 - damping) * current + damping * target
+    converged = residuals <= tol
     found: list[np.ndarray] = []
-    non_converged = 0
-    for h in initial:
-        h = h.copy()
-        converged = False
-        for _ in range(max_iter):
-            target = k * recursion_map(model, h)
-            if np.max(np.abs(h - target)) <= tol:
-                converged = True
-                break
-            h = (1.0 - damping) * h + damping * target
-        if not converged:
-            non_converged += 1
-            continue
-        if all(np.max(np.abs(h - g)) > 1e-8 for g in found):
-            found.append(h)
-    sols = sorted(tuple(float(c) for c in h) for h in found)
-    return FixedPointResult(solutions=tuple(sols), non_converged=non_converged)
+    for g in h[converged]:
+        if all(np.max(np.abs(g - f)) > 1e-8 for f in found):
+            found.append(g)
+    sols = sorted(tuple(float(c) for c in g) for g in found)
+    return FixedPointResult(
+        solutions=tuple(sols),
+        iterations=tuple(iterations.tolist()),
+        residuals=tuple(residuals.tolist()),
+        converged=tuple(converged.tolist()),
+    )

@@ -11,7 +11,8 @@ lam[sigma(x)][sigma(y)]; for symmetric tables the orientation is immaterial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -100,14 +101,23 @@ class LambdaModel:
     def beta_float(self) -> float:
         return float(self.beta)
 
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """-beta*lam in floating point, computed once per model and read-only."""
+        a = -self.beta_float * self.lam_float
+        a.flags.writeable = False
+        return a
+
 
 def _as_number(x) -> Number:
-    """Coerce ints/Fractions to Fraction, keep floats floating."""
+    """Coerce ints/Fractions to Fraction, keep finite floats floating."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ModelError(f"numeric values must be finite, got {x!r}")
         return x
     raise ModelError(f"unsupported numeric value {x!r}")
 
@@ -249,15 +259,18 @@ def boundary_energy(
 
 
 def edge_potential_diagonal(model: LambdaModel) -> np.ndarray:
-    """Diagonal entries of the edge potential in block order: entry [b][i] = -beta*lam[b][i]."""
-    return -model.beta_float * model.lam_float
+    """Diagonal entries of the edge potential in block order: entry [b][i] = -beta*lam[b][i].
+
+    Returns the model's cached, read-only ``log_weights`` array.
+    """
+    return model.log_weights
 
 
 def potential_norm(model: LambdaModel, d: float) -> float:
     """Weighted interaction norm k * e^{2d} * max |beta*lam|; finite for every model."""
     if not d > 0:
         raise ValueError(f"norm weight d must be positive, got {d}")
-    return model.k * math.exp(2.0 * d) * float(np.max(np.abs(model.beta_float * model.lam_float)))
+    return model.k * math.exp(2.0 * d) * float(np.max(np.abs(model.log_weights)))
 
 
 # --- model file (de)serialization -------------------------------------------
@@ -278,7 +291,7 @@ def _number_from_json(v) -> Number:
     if isinstance(v, bool):
         raise ModelError(f"bad numeric value {v!r}")
     if isinstance(v, (int, float)):
-        return _as_number(v) if isinstance(v, int) else v
+        return _as_number(v)
     raise ModelError(f"bad numeric value {v!r}")
 
 

@@ -36,6 +36,16 @@ class Ball:
     def num_vertices(self) -> int:
         return len(self.parent)
 
+    def shell_slice(self, m: int) -> slice:
+        """Index range of shell m.
+
+        Breadth-first indexing keeps each shell contiguous and lists shell
+        m+1 grouped by parent, in the order of shell m, so the rows of
+        ``shell_slice(m + 1)`` reshape to (parents, children per parent).
+        """
+        shell = self.shells[m]
+        return slice(shell[0], shell[-1] + 1)
+
     def shell_of(self, x: int) -> int:
         """Distance of vertex x from the root."""
         return len(self.words[x])

@@ -119,6 +119,57 @@ def test_solve_fields_report(potts3, capsys):
     assert report["count"] == len(report["solutions"]) >= 1
 
 
+# Report of the per-start, one map call per iteration solver on this model
+# and seed; the batched solver must reproduce it byte for byte.
+SOLVE_FIELDS_POTTS2_J4_SEED7 = """{
+  "schema": 1,
+  "command": "solve-fields",
+  "settings": {
+    "tol": null,
+    "max_den": 1000000,
+    "starts": 8,
+    "seed": 7,
+    "cap": 1048576
+  },
+  "solutions": [
+    [
+      -7.962332548359533
+    ],
+    [
+      0.0
+    ],
+    [
+      7.962332548359965
+    ]
+  ],
+  "count": 3,
+  "non_converged": 0
+}
+"""
+
+
+def test_solve_fields_report_bytes(tmp_path):
+    path = write(tmp_path, "p2.json", {"kind": "potts", "q": 2, "k": 2, "beta": "1/1", "J": "4/1"})
+    out = tmp_path / "report.json"
+    assert main(["solve-fields", "--model", path, "--starts", "8", "--seed", "7", "--out", str(out)]) == 0
+    assert out.read_text() == SOLVE_FIELDS_POTTS2_J4_SEED7
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_solve_fields_bad_tol_exit_3(potts3, tol, capsys):
+    assert main(["solve-fields", "--model", potts3, "--starts", "1", "--tol", tol]) == 3
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["classify", "check-unordered", "solve-fields"])
+def test_non_finite_coupling_exit_3(tmp_path, command, bad, capsys):
+    path = write(tmp_path, "g.json", {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                                      "lambda": [[0.5, bad], [bad, 0.5]]})
+    code, out = run(capsys, [command, "--model", path])
+    assert code == 3 and out == ""
+
+
 def test_spectrum_report(potts3, capsys):
     code, out = run(capsys, ["spectrum", "--model", potts3, "--n", "1"])
     assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from treegibbs import (
     build_ball,
@@ -17,7 +18,24 @@ from treegibbs import (
     zero_fields,
 )
 
-from conftest import random_rational_model, shifted
+from conftest import random_rational_model, random_rational_table, shifted
+
+
+def reference_map(model, h):
+    """F for one field vector, restated with scipy's logsumexp."""
+    a = -model.beta_float * model.lam_float
+    row_logs = logsumexp(a + np.append(h, 0.0)[None, :], axis=1)
+    return row_logs[:-1] - row_logs[-1]
+
+
+def reference_propagate(model, ball, boundary):
+    """Per-vertex inward propagation, one map call per child."""
+    h = np.zeros((ball.num_vertices, model.q - 1))
+    h[list(ball.shells[ball.n])] = boundary
+    for m in range(ball.n - 1, -1, -1):
+        for x in ball.shells[m]:
+            h[x] = sum(reference_map(model, h[y]) for y in ball.children[x])
+    return h
 
 
 def ising_map(beta_jp: float, h: float) -> float:
@@ -155,3 +173,109 @@ def test_fixed_points_satisfy_interior_consistency():
         for x in b.shells[1]:
             resid = np.max(np.abs(h - sum(recursion_map(m, h) for _ in b.children[x])))
             assert resid <= 10 * tol
+
+
+def test_batched_map_matches_rows():
+    rng = np.random.default_rng(5)
+    for q in (2, 3, 5):
+        m = random_rational_model(rng, q, 2)
+        h = rng.uniform(-6, 6, size=(40, q - 1))
+        batched = recursion_map(m, h)
+        assert batched.shape == h.shape
+        rows = np.array([recursion_map(m, row) for row in h])
+        assert np.max(np.abs(batched - rows)) <= 1e-12
+        assert np.max(np.abs(rows - np.array([reference_map(m, row) for row in h]))) <= 1e-12
+        cube = h.reshape(4, 10, q - 1)
+        assert np.max(np.abs(recursion_map(m, cube) - batched.reshape(cube.shape))) <= 1e-12
+
+
+def test_map_rejects_bad_shapes():
+    m = potts_model(3, 1, 1, 2)
+    for bad in (np.zeros(3), np.zeros((4, 1)), np.zeros((2, 0)), np.float64(0.0)):
+        with pytest.raises(ValueError):
+            recursion_map(m, bad)
+
+
+@pytest.mark.parametrize("q,k,n", [(3, 2, 6), (2, 3, 4), (5, 2, 3)])
+def test_propagate_matches_per_vertex_loop(q, k, n):
+    rng = np.random.default_rng(100 * q + 10 * k + n)
+    m = generic_model(random_rational_table(rng, q), k, Fraction(3, 2))
+    b = build_ball(k, n)
+    boundary = rng.uniform(-3, 3, size=(len(b.shells[n]), q - 1))
+    flds = propagate_fields(m, b, boundary)
+    assert np.max(np.abs(flds.hprime - reference_propagate(m, b, boundary))) <= 1e-12
+    as_dict = {x: boundary[i] for i, x in enumerate(b.shells[n])}
+    assert np.array_equal(propagate_fields(m, b, as_dict).hprime, flds.hprime)
+    for r in range(n + 1):
+        assert np.array_equal(flds.on_shell(r), flds.hprime[list(b.shells[r])])
+
+
+@pytest.mark.parametrize(
+    "q,J,expected",
+    [
+        (2, Fraction(1), 1),       # beta*J' = 0.5: k*tanh(beta*J') < 1
+        (2, Fraction(6, 5), 3),    # beta*J' = 0.6: k*tanh(beta*J') > 1
+        (3, Fraction(1, 2), 1),
+        (3, Fraction(3, 2), 4),
+        (3, Fraction(3), 4),
+    ],
+)
+def test_pinned_fixed_point_counts(q, J, expected):
+    result = ti_fixed_points(potts_model(q, J, 1, 2))
+    assert len(result.solutions) == expected
+    assert result.non_converged == 0
+    assert all(result.converged) and max(result.residuals) <= 1e-12
+    assert max(result.iterations) < 10_000 and result.iterations[0] == 0  # zero start
+
+
+def test_fixed_point_diagnostics_on_non_convergence():
+    # beta*J' = 0.55 sits just above the critical atanh(1/2): slow convergence
+    m = potts_model(2, Fraction(11, 10), 1, 2)
+    result = ti_fixed_points(m, starts=5, max_iter=50)
+    assert len(result.converged) == len(result.iterations) == len(result.residuals) == 6
+    assert result.converged[0] and result.iterations[0] == 0 and result.residuals[0] == 0.0
+    assert not any(result.converged[1:])
+    assert result.iterations[1:] == (50,) * 5 and min(result.residuals[1:]) > 1e-12
+    assert result.non_converged == 5
+    assert result.solutions == ((0.0,),)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"damping": 0.0}, {"damping": -0.5}, {"damping": 1.5},
+        {"max_iter": 0}, {"starts": 0},
+    ],
+)
+def test_fixed_points_reject_bad_arguments(kwargs):
+    with pytest.raises(ValueError):
+        ti_fixed_points(potts_model(2, 1, 1, 2), **kwargs)
+
+
+@st.composite
+def weight_tables(draw):
+    """Positive q x q weight tables e^{-beta*lam}, with equal row sums or not."""
+    q = draw(st.integers(2, 5))
+    row = draw(st.lists(st.floats(0.05, 20.0), min_size=q, max_size=q))
+    equal = draw(st.booleans())
+    if equal:
+        # every row a permutation of one row: equal sums
+        perms = draw(st.lists(st.permutations(range(q)), min_size=q, max_size=q))
+        w = np.array([[row[j] for j in p] for p in perms])
+    else:
+        w = np.array([row] * q)
+        i = draw(st.integers(0, q - 1))
+        w[i] *= draw(st.floats(1.01, 3.0))
+    return w, equal
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_tables(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_unordered_iff_equal_row_sums(table, beta):
+    w, equal = table
+    m = generic_model((-np.log(w) / beta).tolist(), 2, beta)
+    ok, residual = check_unordered(m)
+    assert ok == equal
+    sums = np.exp(-beta * m.lam_float).sum(axis=1)
+    assert residual == pytest.approx(np.max(np.abs(np.log(sums[:-1] / sums[-1]))), abs=1e-12)

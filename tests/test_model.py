@@ -162,6 +162,33 @@ def test_edge_potential_diagonal():
     assert np.allclose(edge_potential_diagonal(potts_model(2, 0, 1, 2)), 0.0)
 
 
+def test_log_weights_cached_read_only():
+    m = potts_model(3, Fraction(3, 2), Fraction(1, 2), 2)
+    a = m.log_weights
+    assert a is m.log_weights and edge_potential_diagonal(m) is a
+    assert np.array_equal(a, -m.beta_float * m.lam_float)
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected(bad):
+    with pytest.raises(ModelError, match="finite"):
+        generic_model([[0.5, bad], [0.0, 0.5]], 2, 1.0)
+    with pytest.raises(ModelError, match="finite"):
+        generic_model([[0.5, 0.0], [0.0, 0.5]], 2, bad)
+    with pytest.raises(ModelError, match="finite"):
+        potts_model(3, bad, 1.0, 2)
+    with pytest.raises(ModelError, match="finite"):
+        markov_model([[0.5, 0.5], [bad, 0.5]], 2)
+    with pytest.raises(ModelError, match="finite"):
+        model_from_dict({"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                         "lambda": [[0.5, bad], [0.0, 0.5]]})
+    with pytest.raises(ModelError, match="finite"):
+        model_from_dict({"kind": "markov", "q": 2, "k": 2, "beta": bad,
+                         "P": [["1/2", "1/2"], ["1/2", "1/2"]]})
+
+
 def test_edge_potential_markov_is_log_p():
     P = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3)]]
     m = markov_model(P, 2)
