@@ -361,7 +361,7 @@ def potts_theta(q: int, J, beta) -> float:
     """The Potts lattice base exp(-beta * J' q/(q-1)) with J' = (q-1)J/q (= e^{-beta J})."""
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    jp = Fraction(q - 1, q) * Fraction(J) if not isinstance(J, float) else (q - 1) * J / q
+    jp = (q - 1) * J / q
     return math.exp(-float(beta) * float(jp) * q / (q - 1))
 
 

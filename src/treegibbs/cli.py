@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -37,8 +38,6 @@ EXIT_INVALID = 3
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     if isinstance(x, np.ndarray):
@@ -47,7 +46,7 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    return x
+    return model_mod._number_to_json(x)
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -137,7 +136,8 @@ def _base_report(command: str, args) -> dict:
 
 def _cmd_classify(args) -> int:
     m = parse_model(args.model)
-    result = classifier.classify(m, max_den=args.max_den, tol=args.tol or DEFAULTS["float_tol"])
+    tol = args.tol if args.tol is not None else DEFAULTS["float_tol"]
+    result = classifier.classify(m, max_den=args.max_den, tol=tol)
     report = _base_report("classify", args)
     report.update(
         verdict=result.verdict,
@@ -246,8 +246,8 @@ def _cmd_markov_check(args) -> int:
             report.update(condition_holds=True, alpha=witness.alpha,
                           exponents=[list(r) for r in witness.exponents])
     else:
-        result = classifier.classify(m, max_den=args.max_den,
-                                     tol=args.tol or DEFAULTS["float_tol"])
+        tol = args.tol if args.tol is not None else DEFAULTS["float_tol"]
+        result = classifier.classify(m, max_den=args.max_den, tol=tol)
         report.update(condition_holds=result.verdict == "III_family",
                       generator=result.generator, gamma=result.gamma,
                       note="floating matrix: decided by continued-fraction reconstruction")
@@ -289,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            raise model_mod.ModelError(f"tolerance must be finite and positive, got {args.tol}")
         return args.func(args)
     except (model_mod.ModelError, measures.EnumerationCapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

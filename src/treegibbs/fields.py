@@ -7,9 +7,9 @@ direct successor to its contribution at the parent; measure consistency is
 equivalent to h'_x = sum_{y in S(x)} F(h'_y) at every interior vertex.
 
 F is batched: ``recursion_map`` maps any (..., q-1) array of fields at once.
-Propagation runs shell by shell, one map over a whole shell followed by a
-sum over each parent's children, and the fixed-point search iterates all
-starts together as one array.
+Propagation is one inward sweep (``topology.sweep_up``) with F as the
+message, one map per shell, and the fixed-point search iterates all starts
+together as one array.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LambdaModel
-from .topology import Ball
+from .topology import Ball, sweep_up
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,19 @@ def recursion_map(model: LambdaModel, h: np.ndarray) -> np.ndarray:
     if h.ndim == 0 or h.shape[-1] != model.q - 1:
         raise ValueError(f"field must have {model.q - 1} components, got shape {h.shape}")
     h_ext = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)  # spin q-1 carries no field
-    x = model.log_weights + h_ext[..., None, :]                         # (..., q, q)
-    top = x.max(axis=-1, keepdims=True)
-    row_logs = top[..., 0] + np.log(np.exp(x - top).sum(axis=-1))
+    row_logs = _log_transfer(model, h_ext)
     return row_logs[..., :-1] - row_logs[..., -1:]
+
+
+def _log_transfer(model: LambdaModel, x: np.ndarray) -> np.ndarray:
+    """log sum_j e^{-beta*lam[i][j] + x_j} for each row i, over the last axis of x.
+
+    Max-shifted, so large values stay finite; -inf entries are allowed while
+    each vector keeps a finite one.  F and the two-point elimination share it.
+    """
+    t = model.log_weights + x[..., None, :]                             # (..., q, q)
+    top = t.max(axis=-1, keepdims=True)
+    return top[..., 0] + np.log(np.exp(t - top).sum(axis=-1))
 
 
 def check_unordered(model: LambdaModel, tol: float = 1e-12) -> tuple[bool, float]:
@@ -92,11 +101,7 @@ def propagate_fields(model: LambdaModel, ball: Ball, boundary) -> ReducedFieldAs
             raise ValueError(f"boundary fields missing for vertices {missing}")
         boundary = [boundary[x] for x in outer]
     hprime[ball.shell_slice(ball.n)] = np.asarray(boundary, dtype=float).reshape(len(outer), qm1)
-    for m in range(ball.n - 1, -1, -1):
-        parents = ball.shell_slice(m)
-        mapped = recursion_map(model, hprime[ball.shell_slice(m + 1)])
-        hprime[parents] = mapped.reshape(parents.stop - parents.start, -1, qm1).sum(axis=1)
-    return ReducedFieldAssignment(ball, hprime)
+    return ReducedFieldAssignment(ball, sweep_up(ball, hprime, lambda h: recursion_map(model, h)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Configurations on a ball are indexed as mixed-radix integers over the
 deterministic breadth-first vertex order, root digit most significant, so
 marginalizing to a smaller ball is a reshape.  Everything here enumerates
 exactly (no sampling); operations whose state space exceeds the enumeration
-cap fail loudly.  The two-point correlation uses exact leaf-elimination on
-the tree instead of raw enumeration, so it reaches radii the cap forbids.
+cap fail loudly.  The two-point correlation uses exact leaf elimination,
+one batched inward sweep (``topology.sweep_up``) over all clamped value
+pairs, instead of raw enumeration, so it reaches radii the cap forbids.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .fields import ReducedFieldAssignment
+from .fields import ReducedFieldAssignment, _log_transfer, zero_fields
 from .model import LambdaModel
-from .topology import Ball, build_ball
+from .topology import Ball, build_ball, sweep_up
 
 DEFAULT_CAP = 2**20
 
@@ -156,11 +157,10 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     Conditions the level-(n+1) measure on the spins of shell n and compares,
     in total variation, the laws of the inner ball V_{n-1} across all outer
     boundary configurations.  Vanishes for nearest-neighbor interactions.
+    The pairwise comparison runs in column chunks of at most ``cap`` entries.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    from .fields import zero_fields
-
     ball = build_ball(model.k, n + 1)
     mu = finite_volume_measure(model, zero_fields(ball, model.q), cap=cap)
     q = model.q
@@ -168,62 +168,42 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     nb = len(ball.shells[n])
     nc = len(ball.shells[n + 1])
     p = mu.probabilities().reshape(q**na, q**nb, q**nc)
+    step = max(1, cap // (q**na * q**nc))
+    gaps = np.empty((q**na, min(step, q**nc), q**nc))   # one chunk buffer, reused
     worst = 0.0
     for xi in range(q**nb):
         block = p[:, xi, :]                      # inner configs x outer configs
         cond = block / block.sum(axis=0, keepdims=True)
-        tv = 0.5 * np.max(np.sum(np.abs(cond[:, :, None] - cond[:, None, :]), axis=0))
-        worst = max(worst, float(tv))
+        for c in range(0, q**nc, step):
+            g = gaps[:, :min(step, q**nc - c)]
+            np.abs(np.subtract(cond[:, c:c + step, None], cond[:, None, :], out=g), out=g)
+            worst = max(worst, float(0.5 * np.max(np.sum(g, axis=0))))
     return worst
-
-
-def _pair_marginal(model: LambdaModel, ball: Ball, x0: int, x1: int) -> np.ndarray:
-    """Exact joint law of (sigma(x0), sigma(x1)) under the zero-field measure.
-
-    Leaf elimination in the log domain: for each clamped value pair, sweep
-    the vertices in reverse breadth-first order, folding each child's message
-    into its parent.  Linear in the ball size, independent of the cap.
-    """
-    q = model.q
-    logw = -model.beta_float * model.lam_float       # parent spin indexes rows
-    nv = ball.num_vertices
-
-    def log_z(clamps: dict[int, int]) -> float:
-        loginner = np.zeros((nv, q))
-        for v, a in clamps.items():
-            loginner[v] = -np.inf
-            loginner[v, a] = 0.0
-        for v in range(nv - 1, 0, -1):
-            msg = logsumexp(logw + loginner[v][None, :], axis=1)
-            loginner[ball.parent[v]] += msg
-        return float(logsumexp(loginner[0]))
-
-    out = np.full((q, q), -np.inf)
-    for a0 in range(q):
-        for a1 in range(q):
-            if x0 == x1:
-                if a0 == a1:
-                    out[a0, a1] = log_z({x0: a0})
-            else:
-                out[a0, a1] = log_z({x0: a0, x1: a1})
-    flat = out.reshape(-1)
-    return np.exp(flat - logsumexp(flat)).reshape(q, q)
 
 
 def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.ndarray:
     """Correlation-defect matrix |P(s(x0)=i, s(x1)=j) - P(s(x0)=i) P(s(x1)=j)|.
 
-    Computed under the zero-field measure at radius n, by exact tree
-    elimination.
+    Computed under the zero-field measure at radius n, by exact leaf
+    elimination: every clamped value pair (only the diagonal ones when
+    x0 == x1) is one row of a single inward sweep, linear in the ball size.
     """
     ball = build_ball(model.k, n)
     nv = ball.num_vertices
     if not (0 <= x0 < nv and 0 <= x1 < nv):
         raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
-    joint = _pair_marginal(model, ball, x0, x1)
-    m0 = joint.sum(axis=1)
-    m1 = joint.sum(axis=0)
-    return np.abs(joint - np.outer(m0, m1))
+    q = model.q
+    a0, a1 = np.divmod(np.arange(q * q), q)
+    if x0 == x1:
+        a0, a1 = a0[a0 == a1], a1[a0 == a1]
+    clamped = np.zeros((len(a0), nv, q))
+    clamped[:, x0] = np.where(np.arange(q) == a0[:, None], 0.0, -np.inf)
+    clamped[:, x1] = np.where(np.arange(q) == a1[:, None], 0.0, -np.inf)
+    root = sweep_up(ball, clamped, lambda x: _log_transfer(model, x))[:, 0, :]
+    weights = np.exp(root - root.max()).sum(axis=-1)
+    joint = np.zeros((q, q))
+    joint[a0, a1] = weights / weights.sum()
+    return np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0)))
 
 
 def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:

@@ -158,12 +158,8 @@ def potts_model(q: int, J, beta, k: int) -> LambdaModel:
     beta = _as_number(beta)
     if not beta > 0:
         raise ModelError(f"inverse temperature must be positive, got {beta}")
-    if isinstance(J, Fraction):
-        jp = Fraction(q - 1, q) * J
-        off = jp / (q - 1)
-    else:
-        jp = (q - 1) * J / q
-        off = jp / (q - 1)
+    jp = (q - 1) * J / q
+    off = jp / (q - 1)
     lam = [[(-jp if i == j else off) for j in range(q)] for i in range(q)]
     return LambdaModel(
         spin=simplex_vectors(q),

@@ -1,4 +1,4 @@
-"""Finite balls of the Cayley tree: shells, successors, distances, vertex addressing.
+"""Finite balls of the Cayley tree: shells, successors, the inward sweep, distances, addressing.
 
 The Cayley tree of order k is the infinite cycle-free graph in which every
 vertex lies on k+1 edges.  Only finite balls around a distinguished root are
@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,12 +40,7 @@ class Ball:
         return len(self.parent)
 
     def shell_slice(self, m: int) -> slice:
-        """Index range of shell m.
-
-        Breadth-first indexing keeps each shell contiguous and lists shell
-        m+1 grouped by parent, in the order of shell m, so the rows of
-        ``shell_slice(m + 1)`` reshape to (parents, children per parent).
-        """
+        """Index range of shell m, contiguous under breadth-first indexing."""
         shell = self.shells[m]
         return slice(shell[0], shell[-1] + 1)
 
@@ -105,6 +103,24 @@ def successors(ball: Ball, x: int) -> tuple[int, ...]:
     if ball.shell_of(x) >= ball.n:
         raise ValueError(f"vertex {x} lies on the boundary shell; its successors are outside the ball")
     return ball.children[x]
+
+
+def sweep_up(ball: Ball, values: np.ndarray, message: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Inward sweep: for m = n-1 down to 0, add to each shell-m row the sum of
+    ``message`` over that vertex's children.
+
+    ``values`` has shape (..., num_vertices, d); ``message`` maps a whole
+    shell's rows, (..., shell size, d), to what they send their parents.
+    Returns a new array.
+    """
+    out = np.array(values, dtype=float)
+    for m in range(ball.n - 1, -1, -1):
+        parents = ball.shell_slice(m)
+        sent = message(out[..., ball.shell_slice(m + 1), :])
+        # breadth-first indexing lists shell m+1 grouped by parent, in shell-m order
+        grouped = sent.reshape(sent.shape[:-2] + (parents.stop - parents.start, -1, sent.shape[-1]))
+        out[..., parents, :] += grouped.sum(axis=-2)
+    return out
 
 
 def distance(ball: Ball, x: int, y: int) -> int:

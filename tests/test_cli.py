@@ -161,6 +161,27 @@ def test_solve_fields_bad_tol_exit_3(potts3, tol, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("classify", []),
+    ("check-unordered", []),
+    ("solve-fields", ["--starts", "1"]),
+    ("verify-consistency", ["--n", "1"]),
+    ("spectrum", ["--n", "1"]),
+    ("correlations", ["--n", "1"]),
+    ("markov-check", []),
+])
+def test_bad_tol_exit_3_every_command(tmp_path, command, extra, capsys):
+    if command == "markov-check":
+        spec = {"kind": "markov", "q": 2, "k": 2, "P": [[0.25, 0.75], [0.5, 0.5]]}
+    else:
+        spec = {"kind": "generic", "q": 2, "k": 2, "beta": 1.0, "lambda": [[0.5, 1.25], [0.75, 0.5]]}
+    path = write(tmp_path, "m.json", spec)
+    for tol in ("-1", "0", "nan", "inf"):
+        assert main([command, "--model", path, *extra, "--tol", tol]) == 3, tol
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance" in captured.err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["classify", "check-unordered", "solve-fields"])
 def test_non_finite_coupling_exit_3(tmp_path, command, bad, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -183,25 +184,48 @@ def test_markov_property_free_model_exact():
     assert markov_property_residual(potts_model(2, 0, 1, 2), 1) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_markov_property_cap_bounds_pairwise_block():
+    # Potts q=3, k=2, n=1: 3^10 configurations, inner ball 3 configurations,
+    # outer shell 3^6; the full pairwise TV block would be 3 x 3^6 x 3^6 doubles
+    m = potts_model(3, 1, 1, 2)
+    default = markov_property_residual(m, 1)
+    tracemalloc.start()
+    try:
+        small = markov_property_residual(m, 1, cap=3**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert small == default
+    assert peak < 3 * 3**6 * 3**6 * 8
+
+
 def test_two_point_free_model_uncorrelated():
     m = potts_model(3, 0, 1, 2)
     assert np.max(two_point_correlation(m, 0, 4, 2)) < 1e-14
 
 
 def test_two_point_matches_enumeration():
+    # every ball with at most 11 vertices, every vertex pair (x0 == x1,
+    # parent-child, x1 < x0), asymmetric rational and float tables
     rng = np.random.default_rng(13)
-    m = random_rational_model(rng, 2, 2)
-    b = build_ball(2, 2)
-    flds = zero_fields(b, 2)
-    mu = finite_volume_measure(m, flds)
-    p = mu.probabilities()
-    configs = mu.configs()
-    x0, x1 = 0, b.shells[2][3]
-    joint = np.zeros((2, 2))
-    for prob, sigma in zip(p, configs):
-        joint[sigma[x0], sigma[x1]] += prob
-    defect_oracle = np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0)))
-    assert np.allclose(two_point_correlation(m, x0, x1, 2), defect_oracle, atol=1e-12)
+    radii = {1: range(6), 2: range(3), 3: range(2)}
+    for q in (2, 3):
+        for k, ns in radii.items():
+            floats = rng.uniform(-1.5, 1.5, size=(q, q)).tolist()
+            for m in (random_rational_model(rng, q, k), generic_model(floats, k, 0.7)):
+                for n in ns:
+                    b = build_ball(k, n)
+                    mu = finite_volume_measure(m, zero_fields(b, q))
+                    p = mu.probabilities()
+                    onehot = (mu.configs()[:, :, None] == np.arange(q)).reshape(len(p), -1)
+                    joints = ((onehot.T * p) @ onehot).reshape(b.num_vertices, q, b.num_vertices, q)
+                    for x0 in range(b.num_vertices):
+                        for x1 in range(b.num_vertices):
+                            joint = joints[x0, :, x1, :]
+                            defect_oracle = np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0)))
+                            assert np.allclose(
+                                two_point_correlation(m, x0, x1, n), defect_oracle, atol=1e-12
+                            ), (q, k, n, x0, x1, m.lam)
 
 
 def test_two_point_decay_high_temperature():
