@@ -12,6 +12,10 @@ m * g, m integer.  Three back-ends decide this:
   * floating tables: continued-fraction rational reconstruction of the
     difference ratios.
 
+Every route witnesses its lattice with one q x q integer table m, defined
+by beta*(lam_ij - lam_00) = m_ij * g; the difference of entries (i,j) and
+(k,l) is then (m_ij - m_kl) * g.
+
 A positive generator g corresponds to gamma = e^{-g} in (0, 1); the factor
 belongs to the family {III_{gamma^d} : d >= 1} and the exponent d is not
 determined by this computation.
@@ -230,47 +234,34 @@ class Classification:
 
     ``generator`` is the positive lattice generator g (rational in exact
     mode) and gamma = e^{-g}; both are None unless the verdict is
-    "III_family".  ``multipliers`` witnesses delta(i,j,k,l) = m * g for every
-    index quadruple.
+    "III_family".  ``exponents`` is the lattice witness, the q x q integer
+    table m with beta*(lam_ij - lam_00) = m_ij * g (all zeros for II1, None
+    when no lattice is found); ``multipliers`` expands it to
+    delta(i,j,k,l) = (m_ij - m_kl) * g for every index quadruple.
     """
 
     verdict: str                     # "II1" | "III_family" | "incommensurable"
     generator: Optional[Fraction | float]
     gamma: Optional[float]
-    multipliers: Optional[dict[tuple[int, int, int, int], int]]
+    exponents: Optional[tuple[tuple[int, ...], ...]]
     caveat: str
     confidence: str                  # "exact" | "float"
     evidence: dict = field(default_factory=dict)
 
-
-def _quadruple_multipliers_exact(model: LambdaModel, g: Fraction) -> dict:
-    out = {}
-    q = model.q
-    for i in range(q):
-        for j in range(q):
-            for k in range(q):
-                for l in range(q):
-                    m = model.beta * (model.lam[i][j] - model.lam[k][l]) / g
-                    assert m.denominator == 1
-                    out[(i, j, k, l)] = int(m)
-    return out
+    @property
+    def multipliers(self) -> Optional[dict[tuple[int, int, int, int], int]]:
+        m = self.exponents
+        if m is None:
+            return None
+        q = len(m)
+        return {
+            (i, j, k, l): m[i][j] - m[k][l]
+            for i in range(q) for j in range(q) for k in range(q) for l in range(q)
+        }
 
 
-def _quadruple_multipliers_float(model: LambdaModel, g: float, tol: float) -> Optional[dict]:
-    out = {}
-    lam = model.lam_float
-    beta = model.beta_float
-    q = model.q
-    for i in range(q):
-        for j in range(q):
-            for k in range(q):
-                for l in range(q):
-                    d = beta * (lam[i, j] - lam[k, l])
-                    m = round(d / g)
-                    if abs(d - m * g) > tol * max(1.0, abs(d)):
-                        return None
-                    out[(i, j, k, l)] = m
-    return out
+def _int_table(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(v) for v in row) for row in rows)
 
 
 def classify(
@@ -283,24 +274,23 @@ def classify(
     Constant tables give the tracial II_1 verdict.  Exact rational tables
     always produce a lattice generator.  Rational stochastic matrices are
     decided exactly through prime factorization; everything else goes
-    through floating reconstruction.
+    through floating reconstruction.  Every lattice verdict carries the
+    exponent table m of beta*(lam - lam_00) = m * g.
     """
     ds = difference_set(model)
     q = model.q
-    zero_mult = {
-        (i, j, k, l): 0 for i in range(q) for j in range(q) for k in range(q) for l in range(q)
-    }
     if all(d == 0 for d in ds.deltas):
         return Classification(
-            verdict="II1", generator=None, gamma=None, multipliers=zero_mult,
+            verdict="II1", generator=None, gamma=None, exponents=((0,) * q,) * q,
             caveat="constant coupling table: the state is a trace", confidence="exact",
             evidence={"route": "degenerate", "kind": ds.kind},
         )
     if ds.kind == "exact-rational":
         g = commensurability_exact(ds.deltas)
+        lam, beta = model.lam, model.beta
         return Classification(
             verdict="III_family", generator=g, gamma=math.exp(-float(g)),
-            multipliers=_quadruple_multipliers_exact(model, g),
+            exponents=_int_table([[beta * (v - lam[0][0]) / g for v in row] for row in lam]),
             caveat=CAVEAT_III_FAMILY, confidence="exact",
             evidence={"route": "rational-gcd", "kind": ds.kind},
         )
@@ -308,52 +298,41 @@ def classify(
         witness = commensurability_multiplicative(model.P)
         if witness is None:
             return Classification(
-                verdict="incommensurable", generator=None, gamma=None, multipliers=None,
+                verdict="incommensurable", generator=None, gamma=None, exponents=None,
                 caveat=CAVEAT_INCOMMENSURABLE, confidence="exact",
                 evidence={"route": "prime-exponent-rank", "kind": ds.kind},
             )
-        e = witness.exponents
-        diffs = {
-            e[i][j] - e[k][l]
-            for i in range(q) for j in range(q) for k in range(q) for l in range(q)
-        }
-        t = math.gcd(*(abs(d) for d in diffs))
-        g = t * (-math.log(float(witness.alpha)))
-        mults = {
-            (i, j, k, l): (e[k][l] - e[i][j]) // t
-            for i in range(q) for j in range(q) for k in range(q) for l in range(q)
-        }
+        # p_00/p_ij = alpha^e_ij with alpha in (0, 1), so beta*(lam_ij - lam_00)
+        # = -e_ij * log(1/alpha).  The witness is primitive (gcd of e is 1,
+        # e_00 = 0), so the lattice step over alpha is always 1.
         return Classification(
-            verdict="III_family", generator=g, gamma=float(witness.alpha) ** t,
-            multipliers=mults, caveat=CAVEAT_III_FAMILY, confidence="exact",
+            verdict="III_family", generator=-math.log(float(witness.alpha)),
+            gamma=float(witness.alpha),
+            exponents=_int_table([[-e for e in row] for row in witness.exponents]),
+            caveat=CAVEAT_III_FAMILY, confidence="exact",
             evidence={
                 "route": "prime-exponent-rank", "kind": ds.kind,
-                "alpha": witness.alpha, "lattice_step": t,
+                "alpha": witness.alpha, "lattice_step": 1,
             },
         )
+    evidence = {"route": "continued-fraction", "kind": ds.kind, "max_den": max_den, "tol": tol}
     lattice = commensurability_float(ds.deltas, max_den=max_den, tol=tol)
-    if lattice is None:
-        return Classification(
-            verdict="incommensurable", generator=None, gamma=None, multipliers=None,
-            caveat=CAVEAT_INCOMMENSURABLE, confidence="float",
-            evidence={"route": "continued-fraction", "kind": ds.kind,
-                      "max_den": max_den, "tol": tol},
-        )
-    mults = _quadruple_multipliers_float(model, lattice.generator, tol)
-    if mults is None:
-        return Classification(
-            verdict="incommensurable", generator=None, gamma=None, multipliers=None,
-            caveat=CAVEAT_INCOMMENSURABLE, confidence="float",
-            evidence={"route": "continued-fraction", "kind": ds.kind,
-                      "max_den": max_den, "tol": tol, "note": "lattice refinement failed"},
-        )
+    if lattice is not None:
+        g = lattice.generator
+        beta, lam = model.beta_float, model.lam_float
+        m = np.rint(beta * (lam - lam[0, 0]) / g)
+        d = beta * (lam[:, :, None, None] - lam[None, None, :, :])
+        mult = m[:, :, None, None] - m[None, None, :, :]
+        if np.all(np.abs(d - mult * g) <= tol * np.maximum(1.0, np.abs(d))):
+            return Classification(
+                verdict="III_family", generator=g, gamma=math.exp(-g),
+                exponents=_int_table(m), caveat=CAVEAT_III_FAMILY, confidence="float",
+                evidence={**evidence, "low_confidence": lattice.low_confidence},
+            )
+        evidence["note"] = "lattice refinement failed"
     return Classification(
-        verdict="III_family", generator=lattice.generator,
-        gamma=math.exp(-lattice.generator), multipliers=mults,
-        caveat=CAVEAT_III_FAMILY, confidence="float",
-        evidence={"route": "continued-fraction", "kind": ds.kind,
-                  "max_den": max_den, "tol": tol,
-                  "low_confidence": lattice.low_confidence},
+        verdict="incommensurable", generator=None, gamma=None, exponents=None,
+        caveat=CAVEAT_INCOMMENSURABLE, confidence="float", evidence=evidence,
     )
 
 
@@ -385,14 +364,29 @@ def spectrum_lattice_check(
 
     Returns (ok, generator, max deviation from the nearest multiple).  When
     the verdict has no generator the check passes vacuously on {0} sets and
-    fails otherwise.
+    fails otherwise.  The L x L level differences are compared in row chunks
+    of at most ``cap`` entries.
     """
     levels = np.unique(finite_volume_spectrum(model, ball, cap=cap))
-    diffs = np.unique((levels[:, None] - levels[None, :]).reshape(-1))
+    return _levels_lattice_check(model, levels, tol, cap)
+
+
+def _levels_lattice_check(
+    model: LambdaModel, levels: np.ndarray, tol: float, cap: int
+) -> tuple[bool, Optional[float], float]:
+    """``spectrum_lattice_check`` on sorted unique levels, through two reused chunk buffers."""
     result = classify(model)
-    if result.generator is None:
-        dev = float(np.max(np.abs(diffs)))
-        return dev <= tol, None, dev
-    g = float(result.generator)
-    dev = float(np.max(np.abs(diffs - np.round(diffs / g) * g)))
+    g = None if result.generator is None else float(result.generator)
+    size = len(levels)
+    step = max(1, cap // size)
+    diffs = np.empty((min(step, size), size))
+    near = np.empty_like(diffs)
+    dev = 0.0
+    for r in range(0, size, step):
+        d, m = diffs[:min(step, size - r)], near[:min(step, size - r)]
+        np.subtract(levels[r:r + step, None], levels[None, :], out=d)
+        if g is not None:
+            np.round(np.divide(d, g, out=m), out=m)
+            d -= np.multiply(m, g, out=m)
+        dev = max(dev, float(np.max(np.abs(d, out=d))))
     return dev <= tol, g, dev

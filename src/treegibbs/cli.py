@@ -201,7 +201,7 @@ def _cmd_spectrum(args) -> int:
     tol = args.tol if args.tol is not None else DEFAULTS["lattice_tol"]
     spec = classifier.finite_volume_spectrum(m, ball, cap=args.cap)
     levels, counts = np.unique(spec, return_counts=True)
-    ok, generator, deviation = classifier.spectrum_lattice_check(m, ball, tol=tol, cap=args.cap)
+    ok, generator, deviation = classifier._levels_lattice_check(m, levels, tol, args.cap)
     report = _base_report("spectrum", args)
     report.update(
         n=args.n,
@@ -291,6 +291,8 @@ def main(argv=None) -> int:
     try:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise model_mod.ModelError(f"tolerance must be finite and positive, got {args.tol}")
+        if args.max_den < 1:
+            raise model_mod.ModelError(f"--max-den must be >= 1, got {args.max_den}")
         return args.func(args)
     except (model_mod.ModelError, measures.EnumerationCapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -229,3 +230,106 @@ def test_spectrum_lattice_containment():
     b = build_ball(2, 2)
     ok, g, dev = spectrum_lattice_check(m, b, tol=1e-9)
     assert ok and g == pytest.approx(1.0) and dev < 1e-9
+
+
+def test_spectrum_cap_bounds_difference_block():
+    # q=6, k=2, n=1: 6^4 configurations but hundreds of distinct levels, so
+    # the full L x L block of level differences dwarfs the enumeration
+    rng = np.random.default_rng(5)
+    m = generic_model([[Fraction(int(rng.integers(-10**4, 10**4)), 7) for _ in range(6)]
+                       for _ in range(6)], 2, 1)
+    b = build_ball(2, 1)
+    levels = np.unique(finite_volume_spectrum(m, b))
+    default = spectrum_lattice_check(m, b)
+    tracemalloc.start()
+    try:
+        small = spectrum_lattice_check(m, b, cap=6**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert small == default and default[0]
+    assert peak < len(levels) ** 2 * 8
+
+
+# --- the lattice witness: the q x q exponent table --------------------------
+
+def assert_witness(model, c, tol=None):
+    """m_00 = 0, beta*(lam_ij - lam_00) = m_ij * g, and the q^4 expansion."""
+    m, q = c.exponents, model.q
+    g = c.generator if c.generator is not None else 0
+    assert m[0][0] == 0
+    for i in range(q):
+        for j in range(q):
+            d = model.beta * (model.lam[i][j] - model.lam[0][0])
+            if tol is None:
+                assert d == m[i][j] * g
+            else:
+                assert abs(float(d) - m[i][j] * g) <= tol * max(1.0, abs(float(d)))
+    assert c.multipliers == {
+        (i, j, k, l): m[i][j] - m[k][l]
+        for i in range(q) for j in range(q) for k in range(q) for l in range(q)
+    }
+
+
+def relabeled_table(m, perm):
+    """The exponent table of the model relabelled by ``perm``."""
+    base = m[perm[0]][perm[0]]
+    return tuple(tuple(m[a][b] - base for b in perm) for a in perm)
+
+
+def sqrt2_model(rng, q):
+    ints = rng.integers(-6, 7, size=(q, q))
+    scale = int(rng.integers(1, 4))
+    beta = float(rng.choice([0.5, 1.0, 2.0]))
+    return generic_model([[math.sqrt(2) * scale * int(v) for v in row] for row in ints], 2, beta)
+
+
+def lattice_stochastic(rng, q):
+    """Rows are permutations of alpha^{e_1..e_q}, normalised."""
+    alpha = Fraction(*[(1, 2), (1, 3), (2, 3), (2, 5), (3, 7)][int(rng.integers(5))])
+    weights = [alpha ** int(e) for e in rng.integers(0, 5, size=q)]
+    return [[weights[p] / sum(weights) for p in rng.permutation(q)] for _ in range(q)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_witness_exact_tables(seed, q):
+    rng = np.random.default_rng(seed)
+    m = random_rational_model(rng, q, 2)
+    c = classify(m)
+    assert_witness(m, c)
+    assert classify(shifted(m, Fraction(int(rng.integers(-9, 10)), 4))).exponents == c.exponents
+    perm = [int(p) for p in rng.permutation(q)]
+    assert classify(relabeled(m, perm)).exponents == relabeled_table(c.exponents, perm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_witness_sqrt2_float_tables(seed, q):
+    rng = np.random.default_rng(seed)
+    m = sqrt2_model(rng, q)
+    c = classify(m)
+    assert c.verdict != "incommensurable"
+    assert_witness(m, c, tol=1e-9)
+    assert classify(shifted(m, float(rng.uniform(-1, 1)))).exponents == c.exponents
+    perm = [int(p) for p in rng.permutation(q)]
+    assert classify(relabeled(m, perm)).exponents == relabeled_table(c.exponents, perm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_witness_rational_lattice_matrices(seed, q):
+    rng = np.random.default_rng(seed)
+    P = lattice_stochastic(rng, q)
+    m = markov_model(P, 2)
+    c = classify(m)
+    assert c.verdict != "incommensurable" and c.confidence == "exact"
+    assert_witness(m, c, tol=1e-12)
+    if c.verdict == "III_family":
+        # exactly: p_00 / p_ij = gamma^{-m_ij} with gamma = alpha rational
+        alpha = c.evidence["alpha"]
+        assert all(P[0][0] / P[i][j] == alpha ** -c.exponents[i][j]
+                   for i in range(q) for j in range(q))
+    perm = [int(p) for p in rng.permutation(q)]
+    relabeled_P = [[P[a][b] for b in perm] for a in perm]
+    assert classify(markov_model(relabeled_P, 2)).exponents == relabeled_table(c.exponents, perm)

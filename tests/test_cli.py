@@ -1,8 +1,13 @@
 import json
+import math
+import pathlib
 
 import pytest
 
+from treegibbs import measures
 from treegibbs.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, obj):
@@ -155,13 +160,39 @@ def test_solve_fields_report_bytes(tmp_path):
     assert out.read_text() == SOLVE_FIELDS_POTTS2_J4_SEED7
 
 
+# One model per classifier route with a lattice, and the q^4 classify report
+# each produced before the classifier stored its q x q exponent table.
+CLASSIFY_GOLDEN_MODELS = {
+    "classify_exact_q3": {
+        "kind": "generic", "q": 3, "k": 2, "beta": "3/2",
+        "lambda": [["1/2", "-1/3", "5/6"], ["0/1", "2/3", "-1/2"], ["7/6", "1/6", "-5/6"]],
+    },
+    "classify_markov_q3": {
+        "kind": "markov", "q": 3, "k": 2,
+        "P": [["4/7", "2/7", "1/7"], ["1/7", "4/7", "2/7"], ["2/7", "1/7", "4/7"]],
+    },
+    "classify_sqrt2_q3": {
+        "kind": "generic", "q": 3, "k": 2, "beta": 1.0,
+        "lambda": [[math.sqrt(2) * 2 * v for v in row] for row in [[0, 1, -2], [3, -1, 2], [1, 0, -3]]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDEN_MODELS))
+def test_classify_report_bytes(tmp_path, name):
+    path = write(tmp_path, "m.json", CLASSIFY_GOLDEN_MODELS[name])
+    out = tmp_path / "report.json"
+    assert main(["classify", "--model", path, "--out", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / f"{name}.json").read_text()
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_solve_fields_bad_tol_exit_3(potts3, tol, capsys):
     assert main(["solve-fields", "--model", potts3, "--starts", "1", "--tol", tol]) == 3
     assert "tolerance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,extra", [
+EVERY_COMMAND = [
     ("classify", []),
     ("check-unordered", []),
     ("solve-fields", ["--starts", "1"]),
@@ -169,17 +200,33 @@ def test_solve_fields_bad_tol_exit_3(potts3, tol, capsys):
     ("spectrum", ["--n", "1"]),
     ("correlations", ["--n", "1"]),
     ("markov-check", []),
-])
-def test_bad_tol_exit_3_every_command(tmp_path, command, extra, capsys):
+]
+
+
+def write_command_model(tmp_path, command):
     if command == "markov-check":
         spec = {"kind": "markov", "q": 2, "k": 2, "P": [[0.25, 0.75], [0.5, 0.5]]}
     else:
         spec = {"kind": "generic", "q": 2, "k": 2, "beta": 1.0, "lambda": [[0.5, 1.25], [0.75, 0.5]]}
-    path = write(tmp_path, "m.json", spec)
+    return write(tmp_path, "m.json", spec)
+
+
+@pytest.mark.parametrize("command,extra", EVERY_COMMAND)
+def test_bad_tol_exit_3_every_command(tmp_path, command, extra, capsys):
+    path = write_command_model(tmp_path, command)
     for tol in ("-1", "0", "nan", "inf"):
         assert main([command, "--model", path, *extra, "--tol", tol]) == 3, tol
         captured = capsys.readouterr()
         assert captured.out == "" and "tolerance" in captured.err
+
+
+@pytest.mark.parametrize("command,extra", EVERY_COMMAND)
+def test_bad_max_den_exit_3_every_command(tmp_path, command, extra, capsys):
+    path = write_command_model(tmp_path, command)
+    for max_den in ("0", "-1"):
+        assert main([command, "--model", path, *extra, "--max-den", max_den]) == 3, max_den
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-den" in captured.err
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -197,6 +244,20 @@ def test_spectrum_report(potts3, capsys):
     report = json.loads(out)
     assert report["lattice_ok"] is True
     assert sum(l["multiplicity"] for l in report["levels"]) == 3**4
+
+
+def test_spectrum_enumerates_once(potts3, monkeypatch, capsys):
+    calls = []
+    enumerate_configs = measures._enumerate_configs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_configs(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "_enumerate_configs", counting)
+    code, _ = run(capsys, ["spectrum", "--model", potts3, "--n", "1"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_correlations_csv(potts3, capsys):
