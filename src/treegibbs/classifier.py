@@ -351,10 +351,9 @@ def finite_volume_spectrum(model: LambdaModel, ball: Ball, cap: int = 2**20) -> 
     so the operator spectrum is the mirror image of this set; the difference
     set, which drives classification, is the same for both conventions.
     """
-    from .measures import _edge_energies, _enumerate_configs
+    from .measures import _edge_energies
 
-    configs = _enumerate_configs(model.q, ball.num_vertices, cap)
-    return np.sort(model.beta_float * _edge_energies(model, ball, configs))
+    return np.sort(model.beta_float * _edge_energies(model, ball, cap))
 
 
 def spectrum_lattice_check(
@@ -368,14 +367,15 @@ def spectrum_lattice_check(
     of at most ``cap`` entries.
     """
     levels = np.unique(finite_volume_spectrum(model, ball, cap=cap))
-    return _levels_lattice_check(model, levels, tol, cap)
+    return _levels_lattice_check(model, levels, tol, cap, DEFAULT_MAX_DEN)
 
 
 def _levels_lattice_check(
-    model: LambdaModel, levels: np.ndarray, tol: float, cap: int
+    model: LambdaModel, levels: np.ndarray, tol: float, cap: int, max_den: int
 ) -> tuple[bool, Optional[float], float]:
-    """``spectrum_lattice_check`` on sorted unique levels, through two reused chunk buffers."""
-    result = classify(model)
+    """``spectrum_lattice_check`` on sorted unique levels, with the generator of
+    ``classify(model, max_den=max_den)``, through two reused chunk buffers."""
+    result = classify(model, max_den=max_den)
     g = None if result.generator is None else float(result.generator)
     size = len(levels)
     step = max(1, cap // size)

@@ -82,6 +82,17 @@ def _word_key(word: tuple[int, ...]) -> str:
     return ".".join(str(g) for g in word)
 
 
+def _vertex_of_key(ball: topology.Ball, key: str) -> int:
+    """Vertex addressed by a fields-file key such as "1.3.2" (the root's key is "")."""
+    try:
+        word = tuple(int(g) for g in key.split(".")) if key else ()
+        if _word_key(word) == key:
+            return topology.vertex_from_word(ball, word)
+    except ValueError:
+        pass
+    raise model_mod.ModelError(f"word {key!r} does not address a vertex of the ball")
+
+
 def _load_field_assignment(
     model, ball: topology.Ball, fields_path: str | None
 ) -> fields.ReducedFieldAssignment:
@@ -102,14 +113,12 @@ def _load_field_assignment(
                 raise model_mod.ModelError(f"{fields_path}: not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise model_mod.ModelError("fields file must map vertex words to vectors")
-        word_index = {_word_key(w): i for i, w in enumerate(ball.words)}
         for key, vec in raw.items():
-            if key not in word_index:
-                raise model_mod.ModelError(f"word {key!r} does not address a vertex of the ball")
+            x = _vertex_of_key(ball, key)
             arr = np.asarray(vec, dtype=float)
             if arr.shape != (qm1,):
                 raise model_mod.ModelError(f"field for {key!r} must have {qm1} components")
-            given[word_index[key]] = arr
+            given[x] = arr
     boundary = {
         x: given.get(x, np.zeros(qm1)) for x in ball.shells[ball.n]
     }
@@ -201,7 +210,7 @@ def _cmd_spectrum(args) -> int:
     tol = args.tol if args.tol is not None else DEFAULTS["lattice_tol"]
     spec = classifier.finite_volume_spectrum(m, ball, cap=args.cap)
     levels, counts = np.unique(spec, return_counts=True)
-    ok, generator, deviation = classifier._levels_lattice_check(m, levels, tol, args.cap)
+    ok, generator, deviation = classifier._levels_lattice_check(m, levels, tol, args.cap, args.max_den)
     report = _base_report("spectrum", args)
     report.update(
         n=args.n,

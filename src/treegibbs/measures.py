@@ -4,9 +4,13 @@ Configurations on a ball are indexed as mixed-radix integers over the
 deterministic breadth-first vertex order, root digit most significant, so
 marginalizing to a smaller ball is a reshape.  Everything here enumerates
 exactly (no sampling); operations whose state space exceeds the enumeration
-cap fail loudly.  The two-point correlation uses exact leaf elimination,
-one batched inward sweep (``topology.sweep_up``) over all clamped value
-pairs, instead of raw enumeration, so it reaches radii the cap forbids.
+cap fail loudly.  Enumeration builds no configuration matrix: the flat
+q^|V| energy vector is filled by broadcasting each edge's q x q table into
+a (q^u, q, q^(v-u-1), q, rest) view of it, and each boundary or
+conditioning term's per-value table into a (q^x, q, rest) view.  The
+two-point correlation uses exact leaf elimination, one batched inward
+sweep (``topology.sweep_up``) over all clamped value pairs, instead of raw
+enumeration, so it reaches radii the cap forbids.
 """
 
 from __future__ import annotations
@@ -28,23 +32,42 @@ class EnumerationCapError(RuntimeError):
     """State space too large for exact enumeration."""
 
 
-def _enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
+def _check_cap(q: int, num_vertices: int, cap: int) -> int:
     total = q**num_vertices
     if total > cap:
         raise EnumerationCapError(
             f"{q}^{num_vertices} = {total} configurations exceed the enumeration cap {cap}"
         )
-    idx = np.arange(total)
+    return total
+
+
+def _enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
+    """The (q^|V|, |V|) configuration matrix; only ``FiniteVolumeMeasure.configs`` needs it."""
+    idx = np.arange(_check_cap(q, num_vertices, cap))
     place = q ** np.arange(num_vertices - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // place[None, :]) % q
 
 
-def _edge_energies(model: LambdaModel, ball: Ball, configs: np.ndarray) -> np.ndarray:
-    lam = model.lam_float
-    e = np.zeros(configs.shape[0])
+def _edge_energies(model: LambdaModel, ball: Ball, cap: int) -> np.ndarray:
+    """H(sigma) = sum of lam(sigma_u, sigma_v) over the edges, for every configuration index.
+
+    Edges are added in ``ball.edges`` order, each through a 5-axis view of
+    the flat vector, so every entry gets the same float additions in the
+    same order as a per-configuration gather would give it.
+    """
+    q = model.q
+    e = np.zeros(_check_cap(q, ball.num_vertices, cap))
+    lam = model.lam_float[:, None, :, None]
     for u, v in ball.edges:
-        e += lam[configs[:, u], configs[:, v]]
+        view = e.reshape(q**u, q, q ** (v - u - 1), q, -1)
+        view += lam
     return e
+
+
+def _add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None:
+    """Add table[sigma_x] to every entry of a flat configuration vector, in place."""
+    view = flat.reshape(q**x, q, -1)
+    view += table[:, None]
 
 
 @dataclass(frozen=True)
@@ -58,7 +81,8 @@ class FiniteVolumeMeasure:
 
     def probabilities(self) -> np.ndarray:
         p = np.exp(self.logweights - self.logZ)
-        assert np.all(p >= 0)
+        if not np.all(p >= 0):
+            raise ValueError("probabilities are NaN or negative: the log-weights are not finite")
         return p
 
     def configs(self) -> np.ndarray:
@@ -82,13 +106,12 @@ def finite_volume_measure(
         raise ValueError(f"requested level {n} exceeds the field assignment's radius {fields.ball.n}")
     ball = build_ball(fields.ball.k, n)
     q = model.q
-    configs = _enumerate_configs(q, ball.num_vertices, cap)
-    logw = -model.beta_float * _edge_energies(model, ball, configs)
+    logw = -model.beta_float * _edge_energies(model, ball, cap)
     gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
     scale = (q - 1) / q
     for x in ball.shells[n]:
         pair = scale * (fields.hprime[x] @ gram_part)  # weight per spin value
-        logw += pair[configs[:, x]]
+        _add_vertex_term(logw, q, x, pair)
     return FiniteVolumeMeasure(ball=ball, q=q, logweights=logw, logZ=float(logsumexp(logw)))
 
 
@@ -141,12 +164,10 @@ def dlr_conditional(
     if any(not (0 <= s < q) for s in omega):
         raise ValueError(f"boundary spins outside 0..{q - 1}")
     inner = build_ball(ball.k, ball.n - 1)
-    configs = _enumerate_configs(q, inner.num_vertices, cap)
+    e = _edge_energies(model, inner, cap)
     lam = model.lam_float
-    e = _edge_energies(model, inner, configs)
     for pos, y in enumerate(outer):
-        x = ball.parent[y]
-        e += lam[configs[:, x], omega[pos]]
+        _add_vertex_term(e, q, ball.parent[y], lam[:, omega[pos]])
     logw = -model.beta_float * e
     return np.exp(logw - logsumexp(logw))
 
@@ -157,7 +178,7 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     Conditions the level-(n+1) measure on the spins of shell n and compares,
     in total variation, the laws of the inner ball V_{n-1} across all outer
     boundary configurations.  Vanishes for nearest-neighbor interactions.
-    The pairwise comparison runs in column chunks of at most ``cap`` entries.
+    The pairwise comparison runs in row chunks of at most ``cap`` entries.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -168,16 +189,28 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     nb = len(ball.shells[n])
     nc = len(ball.shells[n + 1])
     p = mu.probabilities().reshape(q**na, q**nb, q**nc)
-    step = max(1, cap // (q**na * q**nc))
-    gaps = np.empty((q**na, min(step, q**nc), q**nc))   # one chunk buffer, reused
+    cond = p / p.sum(axis=0, keepdims=True)      # law of V_{n-1} per (shell n, shell n+1) config
+    return _max_column_tv(cond, max(1, cap // (q**na * q**nc)))
+
+
+def _max_column_tv(cond: np.ndarray, step: int) -> float:
+    """Largest total variation between two columns of any slice cond[:, b, :].
+
+    TV is symmetric, so row chunk c:c+step is compared only with columns c:.
+    The chunk's differences and their per-pair sums go through two reused
+    buffers of (rows, step, columns) and (step, columns) entries.
+    """
+    rows, slices, cols = cond.shape
+    gaps = np.empty((rows, min(step, cols), cols))
+    sums = np.empty((min(step, cols), cols))
     worst = 0.0
-    for xi in range(q**nb):
-        block = p[:, xi, :]                      # inner configs x outer configs
-        cond = block / block.sum(axis=0, keepdims=True)
-        for c in range(0, q**nc, step):
-            g = gaps[:, :min(step, q**nc - c)]
-            np.abs(np.subtract(cond[:, c:c + step, None], cond[:, None, :], out=g), out=g)
-            worst = max(worst, float(0.5 * np.max(np.sum(g, axis=0))))
+    for b in range(slices):
+        block = cond[:, b, :]                    # inner configs x outer configs
+        for c in range(0, cols, step):
+            r = min(step, cols - c)
+            g, s = gaps[:, :r, :cols - c], sums[:r, :cols - c]
+            np.abs(np.subtract(block[:, c:c + r, None], block[:, None, c:], out=g), out=g)
+            worst = max(worst, float(0.5 * np.max(np.sum(g, axis=0, out=s))))
     return worst
 
 

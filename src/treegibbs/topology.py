@@ -9,7 +9,7 @@ generator labels, so two builds with the same (k, n) are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,11 @@ class Ball:
     def shell_of(self, x: int) -> int:
         """Distance of vertex x from the root."""
         return len(self.words[x])
+
+    @cached_property
+    def word_index(self) -> dict[tuple[int, ...], int]:
+        """Vertex of each reduced word: the inverse of ``words``, built once per ball."""
+        return {w: x for x, w in enumerate(self.words)}
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +151,6 @@ def vertex_word(ball: Ball, x: int) -> tuple[int, ...]:
 def vertex_from_word(ball: Ball, word: tuple[int, ...]) -> int:
     """Inverse of vertex_word; raises for words not addressing a ball vertex."""
     try:
-        return ball.words.index(tuple(word))
-    except ValueError:
+        return ball.word_index[tuple(word)]
+    except KeyError:
         raise ValueError(f"word {word} does not address a vertex of the ball") from None

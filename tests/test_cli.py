@@ -248,16 +248,53 @@ def test_spectrum_report(potts3, capsys):
 
 def test_spectrum_enumerates_once(potts3, monkeypatch, capsys):
     calls = []
-    enumerate_configs = measures._enumerate_configs
+    edge_energies = measures._edge_energies
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return enumerate_configs(*args, **kwargs)
+        return edge_energies(*args, **kwargs)
 
-    monkeypatch.setattr(measures, "_enumerate_configs", counting)
+    monkeypatch.setattr(measures, "_edge_energies", counting)
     code, _ = run(capsys, ["spectrum", "--model", potts3, "--n", "1"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_spectrum_uses_max_den(tmp_path, capsys):
+    # lam = [[0, 2r], [2r, 5r]] with r = sqrt(2): a lattice of step r, which
+    # --max-den 1 cannot reconstruct from the float differences
+    r = math.sqrt(2)
+    path = write(tmp_path, "g.json", {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                                      "lambda": [[0.0, 2 * r], [2 * r, 5 * r]]})
+    code, out = run(capsys, ["classify", "--model", path, "--max-den", "1"])
+    assert code == 0 and json.loads(out)["verdict"] == "incommensurable"
+    code, out = run(capsys, ["spectrum", "--model", path, "--n", "1"])
+    report = json.loads(out)
+    assert code == 0 and report["lattice_ok"] is True
+    assert report["generator"] == pytest.approx(r)
+    code, out = run(capsys, ["spectrum", "--model", path, "--n", "1", "--max-den", "1"])
+    report = json.loads(out)
+    assert code == 2
+    assert report["settings"]["max_den"] == 1
+    assert report["lattice_ok"] is False and report["generator"] is None
+
+
+@pytest.mark.parametrize("key", ["", "1", "3.1"])
+def test_fields_file_words_address_vertices(potts3, tmp_path, key, capsys):
+    # the root's key is the empty word; an all-zero file is consistent
+    fields_path = write(tmp_path, "fields.json", {key: [0.0, 0.0]})
+    code, out = run(capsys, ["verify-consistency", "--model", potts3, "--n", "2",
+                             "--fields", fields_path])
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("key", ["1.1", "4", "1.2.3", "01", "1.", ".1", "1..2", " 1", "+1", "a"])
+def test_fields_file_malformed_word_rejected(potts3, tmp_path, key, capsys):
+    fields_path = write(tmp_path, "fields.json", {key: [0.0, 0.0]})
+    code = main(["verify-consistency", "--model", potts3, "--n", "2", "--fields", fields_path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "does not address a vertex" in captured.err
 
 
 def test_correlations_csv(potts3, capsys):

@@ -1,11 +1,16 @@
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
+import treegibbs
 from treegibbs import (
     build_ball,
     consistency_residual,
@@ -20,8 +25,9 @@ from treegibbs import (
     two_point_correlation,
     zero_fields,
 )
+from treegibbs.classifier import finite_volume_spectrum
 from treegibbs.fields import ReducedFieldAssignment
-from treegibbs.measures import EnumerationCapError, _enumerate_configs
+from treegibbs.measures import EnumerationCapError, _enumerate_configs, _max_column_tv
 
 from conftest import random_rational_model, relabeled, shifted
 
@@ -43,6 +49,103 @@ def brute_force_probs(model, ball, fields):
         weights.append(math.exp(-beta * e + boundary))
     w = np.array(weights)
     return w / w.sum()
+
+
+def gather_energies(model, ball):
+    """Configuration-matrix enumeration: one lam gather per edge, in edge order."""
+    configs = _enumerate_configs(model.q, ball.num_vertices, 2**22)
+    lam = model.lam_float
+    e = np.zeros(len(configs))
+    for u, v in ball.edges:
+        e += lam[configs[:, u], configs[:, v]]
+    return configs, e
+
+
+def all_pairs_tv(cond):
+    """Largest TV between two columns of any cond[:, b, :], every ordered pair at once."""
+    worst = 0.0
+    for b in range(cond.shape[1]):
+        block = cond[:, b, :]
+        tv = np.sum(np.abs(block[:, :, None] - block[:, None, :]), axis=0)
+        worst = max(worst, float(0.5 * np.max(tv)))
+    return worst
+
+
+def test_broadcast_enumeration_matches_gather():
+    # every ball with at most 12 vertices, rational and asymmetric float
+    # tables, random boundary fields: bit-identical to the gather version
+    rng = np.random.default_rng(29)
+    radii = {1: range(6), 2: range(3), 3: range(2)}
+    for q in (2, 3):
+        for k, ns in radii.items():
+            floats = rng.uniform(-1.5, 1.5, size=(q, q)).tolist()
+            for m in (random_rational_model(rng, q, k), generic_model(floats, k, 0.7)):
+                lam = m.lam_float
+                for n in ns:
+                    b = build_ball(k, n)
+                    configs, e = gather_energies(m, b)
+                    flds = ReducedFieldAssignment(b, rng.uniform(-2, 2, size=(b.num_vertices, q - 1)))
+                    logw = -m.beta_float * e
+                    gram_part = m.spin.gram[: q - 1, :]
+                    for x in b.shells[n]:
+                        logw += ((q - 1) / q * (flds.hprime[x] @ gram_part))[configs[:, x]]
+                    mu = finite_volume_measure(m, flds)
+                    assert np.array_equal(mu.logweights, logw), (q, k, n, m.lam)
+                    assert mu.logZ == float(logsumexp(logw))
+                    assert np.array_equal(finite_volume_spectrum(m, b), np.sort(m.beta_float * e))
+                    big = build_ball(k, n + 1)
+                    for omega in rng.integers(0, q, size=(3, len(big.shells[n + 1]))):
+                        eo = e.copy()
+                        for pos, y in enumerate(big.shells[n + 1]):
+                            eo += lam[configs[:, big.parent[y]], omega[pos]]
+                        lw = -m.beta_float * eo
+                        want = np.exp(lw - logsumexp(lw))
+                        assert np.array_equal(dlr_conditional(m, big, list(omega)), want)
+
+
+def test_markov_residual_matches_all_pairs():
+    rng = np.random.default_rng(31)
+    cases = [
+        (potts_model(3, 1, 1, 2), 1),
+        (generic_model(rng.uniform(-1.5, 1.5, size=(2, 2)).tolist(), 2, 0.7), 1),
+        (random_rational_model(rng, 2, 1), 2),
+        (random_rational_model(rng, 3, 1), 3),
+    ]
+    for m, n in cases:
+        q = m.q
+        ball = build_ball(m.k, n + 1)
+        p = finite_volume_measure(m, zero_fields(ball, q)).probabilities()
+        na = build_ball(m.k, n - 1).num_vertices
+        p = p.reshape(q**na, q ** len(ball.shells[n]), -1)
+        want = all_pairs_tv(p / p.sum(axis=0, keepdims=True))
+        assert markov_property_residual(m, n) == want
+        # the smallest cap that admits the measure: chunks of q^|shell n| rows
+        assert markov_property_residual(m, n, cap=q**ball.num_vertices) == want
+    # chunked comparison on non-trivial conditionals, down to one-row chunks
+    cond = rng.random((4, 3, 37))
+    cond /= cond.sum(axis=0, keepdims=True)
+    want = all_pairs_tv(cond)
+    for step in (1, 2, 5, 36, 37, 100):
+        assert _max_column_tv(cond, step) == want
+
+
+def test_probabilities_reject_nan_under_python_O():
+    # an explicit check, not an assert, so it survives ``python -O``
+    script = (
+        "import numpy as np\n"
+        "from treegibbs import build_ball\n"
+        "from treegibbs.measures import FiniteVolumeMeasure\n"
+        "mu = FiniteVolumeMeasure(build_ball(1, 0), 2, np.array([0.0, np.nan]), float('nan'))\n"
+        "try:\n"
+        "    mu.probabilities()\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(pathlib.Path(treegibbs.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_free_model_is_uniform():

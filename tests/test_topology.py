@@ -114,6 +114,16 @@ def test_vertex_words_are_reduced_and_bijective():
     assert {words[x] for x in b.shells[1]} == {(g,) for g in range(1, b.k + 2)}
 
 
+def test_vertex_from_word_rejects_words_outside_the_ball():
+    b = build_ball(2, 2)
+    assert b.word_index == {w: x for x, w in enumerate(b.words)}
+    assert b.word_index is b.word_index  # built once per ball
+    assert vertex_from_word(b, [1, 2]) == b.word_index[(1, 2)]
+    for w in [(1, 1), (4,), (0,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="does not address"):
+            vertex_from_word(b, w)
+
+
 def test_build_is_deterministic():
     assert build_ball(3, 2) is build_ball(3, 2)  # cached
     a = build_ball.__wrapped__(3, 2)
