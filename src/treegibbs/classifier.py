@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 import sympy
 
+from . import measures
 from .model import LambdaModel
 from .topology import Ball
 
@@ -344,20 +345,18 @@ def potts_theta(q: int, J, beta) -> float:
     return math.exp(-float(beta) * float(jp) * q / (q - 1))
 
 
-def finite_volume_spectrum(model: LambdaModel, ball: Ball, cap: int = 2**20) -> np.ndarray:
+def finite_volume_spectrum(model: LambdaModel, ball: Ball, cap: int = measures.DEFAULT_CAP) -> np.ndarray:
     """Multiset of configuration energy levels beta*H over a ball, sorted.
 
     The edge potential carries the opposite sign (its diagonal is -beta*lam),
     so the operator spectrum is the mirror image of this set; the difference
     set, which drives classification, is the same for both conventions.
     """
-    from .measures import _edge_energies
-
-    return np.sort(model.beta_float * _edge_energies(model, ball, cap))
+    return np.sort(model.beta_float * measures._edge_energies(model, ball, cap))
 
 
 def spectrum_lattice_check(
-    model: LambdaModel, ball: Ball, tol: float = 1e-9, cap: int = 2**20
+    model: LambdaModel, ball: Ball, tol: float = 1e-9, cap: int = measures.DEFAULT_CAP
 ) -> tuple[bool, Optional[float], float]:
     """Verify every spectrum self-difference is an integer multiple of the classify generator.
 

@@ -1,19 +1,31 @@
 """Command-line front end: model files in, JSON/CSV reports out.
 
+Every command is one entry of ``COMMANDS``: its handler, its default
+``--tol`` and its radius rule.  ``main`` is the one front door and does the
+shared work once, in this order: parse the command line (the parser is
+built on first use), validate every option, read the model, bound the ball
+a radius-reading command would build, resolve the tolerance, run the
+handler, and write its JSON report or CSV text to ``--out`` or stdout.
+Handlers take ``(model, args, tol)`` and return the command's report
+fields (or CSV text) and an exit code.
+
 Exit codes: 0 success, 2 a requested check failed, 3 invalid input (bad
-file, schema violation, enumeration cap exceeded).  Reports are
-deterministic for a fixed configuration and seed: keys are emitted in a
-fixed order and floats use Python's shortest round-trip representation
-(<= 17 significant digits).
+file, schema violation, an option out of range, enumeration cap exceeded).
+Reports are deterministic for a fixed configuration and seed: keys are
+emitted in a fixed order and floats use Python's shortest round-trip
+representation (<= 17 significant digits).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,51 +33,18 @@ from . import classifier, fields, measures, model as model_mod, topology
 
 SCHEMA_VERSION = 1
 
-DEFAULTS = {
-    "consistency_tol": 1e-10,
-    "unordered_tol": 1e-12,
-    "float_tol": 1e-9,
-    "max_den": 10**6,
-    "starts": 32,
-    "seed": 42,
-    "cap": 2**20,
-    "lattice_tol": 1e-9,
-}
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_INVALID = 3
 
 
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return model_mod._number_to_json(x)
-
-
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=False) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(rows, header: str, out_path: str | None) -> None:
-    lines = [header] + [",".join(str(v) for v in row) for row in rows] + [""]
-    text = "\n".join(lines)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_default(x):
+    """What ``json`` cannot encode itself: Fractions as "p/q", numpy values as Python ones."""
+    if isinstance(x, Fraction):
+        return model_mod._number_to_json(x)
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def parse_model(path: str) -> model_mod.LambdaModel:
@@ -129,26 +108,9 @@ def _load_field_assignment(
     return fields.ReducedFieldAssignment(ball, hprime)
 
 
-def _base_report(command: str, args) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "settings": {
-            "tol": args.tol,
-            "max_den": args.max_den,
-            "starts": args.starts,
-            "seed": args.seed,
-            "cap": args.cap,
-        },
-    }
-
-
-def _cmd_classify(args) -> int:
-    m = parse_model(args.model)
-    tol = args.tol if args.tol is not None else DEFAULTS["float_tol"]
+def _cmd_classify(m, args, tol):
     result = classifier.classify(m, max_den=args.max_den, tol=tol)
-    report = _base_report("classify", args)
-    report.update(
+    return dict(
         verdict=result.verdict,
         generator=result.generator,
         gamma=result.gamma,
@@ -158,151 +120,162 @@ def _cmd_classify(args) -> int:
         caveat=result.caveat,
         confidence=result.confidence,
         evidence=result.evidence,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    ), EXIT_OK
 
 
-def _cmd_check_unordered(args) -> int:
-    m = parse_model(args.model)
-    tol = args.tol if args.tol is not None else DEFAULTS["unordered_tol"]
+def _cmd_check_unordered(m, args, tol):
     ok, residual = fields.check_unordered(m, tol=tol)
-    report = _base_report("check-unordered", args)
-    report.update(passed=ok, residual=residual, tol=tol)
-    _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return dict(passed=ok, residual=residual, tol=tol), EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_solve_fields(args) -> int:
-    m = parse_model(args.model)
-    tol = args.tol if args.tol is not None else 1e-12
+def _cmd_solve_fields(m, args, tol):
     result = fields.ti_fixed_points(m, starts=args.starts, tol=tol, seed=args.seed)
-    report = _base_report("solve-fields", args)
-    report.update(
+    return dict(
         solutions=[list(s) for s in result.solutions],
         count=len(result.solutions),
         non_converged=result.non_converged,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    ), EXIT_OK
 
 
-def _cmd_verify_consistency(args) -> int:
-    m = parse_model(args.model)
-    if args.n is None or args.n < 1:
-        raise model_mod.ModelError("verify-consistency needs --n >= 1")
-    tol = args.tol if args.tol is not None else DEFAULTS["consistency_tol"]
-    ball = topology.build_ball(m.k, args.n)
-    assignment = _load_field_assignment(m, ball, args.fields)
+def _cmd_verify_consistency(m, args, tol):
+    assignment = _load_field_assignment(m, topology.build_ball(m.k, args.n), args.fields)
     residual = measures.consistency_residual(m, assignment, cap=args.cap)
     ok = residual <= tol
-    report = _base_report("verify-consistency", args)
-    report.update(n=args.n, residual=residual, tol=tol, passed=ok)
-    _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return dict(n=args.n, residual=residual, tol=tol, passed=ok), EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_spectrum(args) -> int:
-    m = parse_model(args.model)
-    if args.n is None or args.n < 0:
-        raise model_mod.ModelError("spectrum needs --n >= 0")
-    ball = topology.build_ball(m.k, args.n)
-    tol = args.tol if args.tol is not None else DEFAULTS["lattice_tol"]
-    spec = classifier.finite_volume_spectrum(m, ball, cap=args.cap)
+def _cmd_spectrum(m, args, tol):
+    spec = classifier.finite_volume_spectrum(m, topology.build_ball(m.k, args.n), cap=args.cap)
     levels, counts = np.unique(spec, return_counts=True)
     ok, generator, deviation = classifier._levels_lattice_check(m, levels, tol, args.cap, args.max_den)
-    report = _base_report("spectrum", args)
-    report.update(
+    return dict(
         n=args.n,
         levels=[{"value": float(v), "multiplicity": int(c)} for v, c in zip(levels, counts)],
         sign_note="levels are beta*H; the edge-potential convention is the mirror image",
         generator=generator,
         lattice_ok=ok,
         max_lattice_deviation=deviation,
-    )
-    _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    ), EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_correlations(args) -> int:
-    m = parse_model(args.model)
-    if args.n is None or args.n < 1:
-        raise model_mod.ModelError("correlations needs --n >= 1")
+def _cmd_correlations(m, args, tol):
     rows = measures.correlation_decay(m, args.n)
     if args.format == "csv":
-        _emit_csv(rows, "distance,max_defect", args.out)
-    else:
-        report = _base_report("correlations", args)
-        report.update(n=args.n, rows=[{"distance": d, "max_defect": v} for d, v in rows])
-        _emit(report, args.out)
-    return EXIT_OK
+        return "\n".join(["distance,max_defect", *(f"{d},{v}" for d, v in rows), ""]), EXIT_OK
+    return dict(n=args.n, rows=[{"distance": d, "max_defect": v} for d, v in rows]), EXIT_OK
 
 
-def _cmd_markov_check(args) -> int:
-    m = parse_model(args.model)
+def _cmd_markov_check(m, args, tol):
     if m.provenance != "markov":
         raise model_mod.ModelError("markov-check needs a model of kind 'markov'")
-    report = _base_report("markov-check", args)
-    if all(isinstance(v, Fraction) for row in m.P for v in row):
-        witness = classifier.commensurability_multiplicative(m.P)
-        if witness is None:
-            report.update(condition_holds=False, alpha=None, exponents=None,
-                          note="entry ratios span a multiplicative lattice of rank >= 2")
-        elif witness.alpha is None:
-            report.update(condition_holds=True, alpha=None, exponents=list(witness.exponents),
-                          note="constant matrix: the state is a trace (II1)")
-        else:
-            report.update(condition_holds=True, alpha=witness.alpha,
-                          exponents=[list(r) for r in witness.exponents])
-    else:
-        tol = args.tol if args.tol is not None else DEFAULTS["float_tol"]
+    if not all(isinstance(v, Fraction) for row in m.P for v in row):
         result = classifier.classify(m, max_den=args.max_den, tol=tol)
-        report.update(condition_holds=result.verdict == "III_family",
-                      generator=result.generator, gamma=result.gamma,
-                      note="floating matrix: decided by continued-fraction reconstruction")
-    _emit(report, args.out)
-    return EXIT_OK
+        return dict(condition_holds=result.verdict == "III_family",
+                    generator=result.generator, gamma=result.gamma,
+                    note="floating matrix: decided by continued-fraction reconstruction"), EXIT_OK
+    witness = classifier.commensurability_multiplicative(m.P)
+    if witness is None:
+        return dict(condition_holds=False, alpha=None, exponents=None,
+                    note="entry ratios span a multiplicative lattice of rank >= 2"), EXIT_OK
+    if witness.alpha is None:
+        return dict(condition_holds=True, alpha=None, exponents=list(witness.exponents),
+                    note="constant matrix: the state is a trace (II1)"), EXIT_OK
+    return dict(condition_holds=True, alpha=witness.alpha,
+                exponents=[list(r) for r in witness.exponents]), EXIT_OK
 
 
+def _default(fn, name: str):
+    """A library function's default for one parameter, read rather than copied."""
+    return inspect.signature(fn).parameters[name].default
+
+
+class Command(NamedTuple):
+    handler: Callable   # (model, args, tol) -> (report fields or CSV text, exit code)
+    tol: float | None   # the tolerance when --tol is not given
+    min_n: int | None = None   # --n is required and at least this; None: --n is not read
+
+
+COMMANDS = {
+    "classify": Command(_cmd_classify, classifier.DEFAULT_FLOAT_TOL),
+    "check-unordered": Command(_cmd_check_unordered, _default(fields.check_unordered, "tol")),
+    "solve-fields": Command(_cmd_solve_fields, _default(fields.ti_fixed_points, "tol")),
+    "verify-consistency": Command(_cmd_verify_consistency, 1e-10, min_n=1),
+    "spectrum": Command(_cmd_spectrum, 1e-9, min_n=0),
+    "correlations": Command(_cmd_correlations, None, min_n=1),
+    "markov-check": Command(_cmd_markov_check, classifier.DEFAULT_FLOAT_TOL),
+}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treegibbs",
         description="Gibbs measures on Cayley trees and factor-type classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "classify": _cmd_classify,
-        "check-unordered": _cmd_check_unordered,
-        "solve-fields": _cmd_solve_fields,
-        "verify-consistency": _cmd_verify_consistency,
-        "spectrum": _cmd_spectrum,
-        "correlations": _cmd_correlations,
-        "markov-check": _cmd_markov_check,
-    }
-    for name, func in commands.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="model definition file (JSON)")
         p.add_argument("--n", type=int, default=None, help="ball radius")
         p.add_argument("--tol", type=float, default=None, help="tolerance for the command's check")
-        p.add_argument("--max-den", dest="max_den", type=int, default=DEFAULTS["max_den"])
-        p.add_argument("--starts", type=int, default=DEFAULTS["starts"])
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        p.add_argument("--cap", type=int, default=DEFAULTS["cap"])
+        p.add_argument("--max-den", dest="max_den", type=int, default=classifier.DEFAULT_MAX_DEN)
+        p.add_argument("--starts", type=int, default=_default(fields.ti_fixed_points, "starts"))
+        p.add_argument("--seed", type=int, default=_default(fields.ti_fixed_points, "seed"))
+        p.add_argument("--cap", type=int, default=measures.DEFAULT_CAP)
         p.add_argument("--fields", default=None, help="field assignment file (JSON, vertex words)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.set_defaults(func=func)
     return parser
+
+
+def _validate(args, command: Command) -> None:
+    """Reject option values out of range, before any file is read."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise model_mod.ModelError(f"tolerance must be finite and positive, got {args.tol}")
+    for flag, value in (("--max-den", args.max_den), ("--starts", args.starts), ("--cap", args.cap)):
+        if value < 1:
+            raise model_mod.ModelError(f"{flag} must be >= 1, got {value}")
+    if args.n is not None and args.n < 0:
+        raise model_mod.ModelError(f"--n must be >= 0, got {args.n}")
+    if command.min_n is not None and (args.n is None or args.n < command.min_n):
+        raise model_mod.ModelError(f"{args.command} needs --n >= {command.min_n}")
+
+
+def _ball_exceeds(k: int, n: int, cap: int) -> bool:
+    """Does the radius-n ball of the order-k tree hold more than ``cap`` vertices?
+
+    Counted in closed form, without building the ball.  For k >= 2 shell m
+    holds at least 2**m vertices, so radii past ``cap.bit_length()`` are
+    all over the cap and n is clipped there before k**n is formed.
+    """
+    if k == 1:
+        return 1 + 2 * n > cap
+    n = min(n, cap.bit_length())
+    return 1 + (k + 1) * (k**n - 1) // (k - 1) > cap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-            raise model_mod.ModelError(f"tolerance must be finite and positive, got {args.tol}")
-        if args.max_den < 1:
-            raise model_mod.ModelError(f"--max-den must be >= 1, got {args.max_den}")
-        return args.func(args)
+        _validate(args, command)
+        m = parse_model(args.model)
+        if command.min_n is not None and _ball_exceeds(m.k, args.n, args.cap):
+            raise model_mod.ModelError(
+                f"the radius-{args.n} ball of the order-{m.k} tree has more than --cap {args.cap} vertices"
+            )
+        tol = command.tol if args.tol is None else args.tol
+        payload, code = command.handler(m, args, tol)
+        if not isinstance(payload, str):
+            settings = {name: getattr(args, name) for name in ("tol", "max_den", "starts", "seed", "cap")}
+            report = {"schema": SCHEMA_VERSION, "command": args.command, "settings": settings, **payload}
+            payload = json.dumps(report, indent=2, default=_json_default) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        return code
     except (model_mod.ModelError, measures.EnumerationCapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,11 +1,13 @@
 import json
 import math
 import pathlib
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from treegibbs import measures
-from treegibbs.cli import main
+from treegibbs import measures, topology
+from treegibbs.cli import _ball_exceeds, _json_default, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -186,6 +188,55 @@ def test_classify_report_bytes(tmp_path, name):
     assert out.read_text() == (GOLDEN / f"{name}.json").read_text()
 
 
+POTTS3 = {"kind": "potts", "q": 3, "k": 2, "beta": "1/1", "J": "1/1"}
+
+# The other commands, one case per report shape: command, model, extra
+# arguments, fields file (or None) and exit code.  Each golden file holds the
+# report the per-command CLI wrote before it became one table-driven front door.
+REPORT_GOLDEN_CASES = {
+    "check_unordered_pass": ("check-unordered", POTTS3, [], None, 0),
+    "check_unordered_fail": ("check-unordered", {
+        "kind": "generic", "q": 2, "k": 2, "beta": "1/1",
+        "lambda": [["0/1", "0/1"], ["0/1", "1/1"]]}, [], None, 2),
+    "verify_consistency_fields": ("verify-consistency", POTTS3, ["--n", "2"],
+                                  {"1.2": [0.5, -0.25], "1.3": [1.0, 0.0], "2.1": [-0.7, 0.3]}, 0),
+    "verify_consistency_corrupt": ("verify-consistency", POTTS3, ["--n", "2", "--tol", "1e-6"],
+                                   {"1": [0.3, 0.0], "2.3": [0.25, -0.5]}, 2),
+    "spectrum_n1": ("spectrum", POTTS3, ["--n", "1"], None, 0),
+    "correlations_n3": ("correlations", POTTS3, ["--n", "3"], None, 0),
+    "correlations_n3_csv": ("correlations", POTTS3, ["--n", "3", "--format", "csv"], None, 0),
+    "markov_check_rational": ("markov-check", CLASSIFY_GOLDEN_MODELS["classify_markov_q3"], [], None, 0),
+    "markov_check_float": ("markov-check", {
+        "kind": "markov", "q": 2, "k": 2, "P": [[0.8, 0.2], [0.2, 0.8]]}, [], None, 0),
+    "markov_check_float_free": ("markov-check", {
+        "kind": "markov", "q": 2, "k": 2, "P": [[0.25, 0.75], [0.5, 0.5]]}, [], None, 0),
+}
+
+
+def golden_path(name: str) -> pathlib.Path:
+    return GOLDEN / (name + (".csv" if name.endswith("_csv") else ".json"))
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN_CASES))
+def test_command_report_bytes(tmp_path, name):
+    command, spec, extra, field_values, code = REPORT_GOLDEN_CASES[name]
+    argv = [command, "--model", write(tmp_path, "m.json", spec), *extra]
+    if field_values is not None:
+        argv += ["--fields", write(tmp_path, "fields.json", field_values)]
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_text() == golden_path(name).read_text()
+
+
+def test_report_encoder_numpy_and_fractions():
+    report = {"i": np.int64(3), "b": np.bool_(True), "f": np.float64(0.1),
+              "a": np.array([[1.5, 2.0]]), "r": Fraction(1, 3), "t": (Fraction(2), None)}
+    assert json.dumps(report, default=_json_default) == (
+        '{"i": 3, "b": true, "f": 0.1, "a": [[1.5, 2.0]], "r": "1/3", "t": ["2/1", null]}')
+    with pytest.raises(TypeError):
+        json.dumps({"s": {1, 2}}, default=_json_default)
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_solve_fields_bad_tol_exit_3(potts3, tol, capsys):
     assert main(["solve-fields", "--model", potts3, "--starts", "1", "--tol", tol]) == 3
@@ -227,6 +278,68 @@ def test_bad_max_den_exit_3_every_command(tmp_path, command, extra, capsys):
         assert main([command, "--model", path, *extra, "--max-den", max_den]) == 3, max_den
         captured = capsys.readouterr()
         assert captured.out == "" and "--max-den" in captured.err
+
+
+def assert_rejected(argv, flag, capsys):
+    assert main(argv) == 3, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err, captured.err
+
+
+@pytest.mark.parametrize("flag", ["--starts", "--cap"])
+@pytest.mark.parametrize("command,extra", EVERY_COMMAND)
+def test_bad_count_option_exit_3_every_command(tmp_path, command, extra, flag, capsys):
+    path = write_command_model(tmp_path, command)
+    for value in ("0", "-1"):
+        assert_rejected([command, "--model", path, *extra, flag, value], flag, capsys)
+
+
+@pytest.mark.parametrize("command,extra", EVERY_COMMAND)
+def test_negative_n_exit_3_every_command(tmp_path, command, extra, capsys):
+    path = write_command_model(tmp_path, command)
+    assert_rejected([command, "--model", path, *extra, "--n", "-1"], "--n", capsys)
+
+
+# The commands that read --n, with the smallest radius each accepts.
+RADIUS_FLOORS = [("verify-consistency", 1), ("spectrum", 0), ("correlations", 1)]
+
+
+@pytest.mark.parametrize("command,floor", RADIUS_FLOORS)
+def test_missing_or_small_n_exit_3(tmp_path, command, floor, capsys):
+    path = write_command_model(tmp_path, command)
+    assert_rejected([command, "--model", path], "--n", capsys)
+    assert_rejected([command, "--model", path, "--n", str(floor - 1)], "--n", capsys)
+    assert main([command, "--model", path, "--n", str(floor)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [command for command, _ in RADIUS_FLOORS])
+def test_ball_over_cap_exit_3_before_building(tmp_path, command, capsys, monkeypatch):
+    # a radius this large would build ~10^3010 vertices; the bound must not build it
+    built = []
+    monkeypatch.setattr(topology, "build_ball", lambda *a: built.append(a))
+    monkeypatch.setattr(measures, "build_ball", lambda *a: built.append(a))
+    path = write_command_model(tmp_path, command)
+    assert_rejected([command, "--model", path, "--n", "10000"], "--cap", capsys)
+    k1 = write(tmp_path, "k1.json", {"kind": "potts", "q": 2, "k": 1, "beta": "1/1", "J": "1/1"})
+    assert_rejected([command, "--model", k1, "--n", str(10**12)], "--cap", capsys)
+    assert built == []
+
+
+def test_correlations_ball_bounded_by_cap(tmp_path, capsys):
+    # k = 2, n = 12: 12,286 vertices, more than --cap 1000 but not a large build
+    path = write_command_model(tmp_path, "correlations")
+    assert_rejected(["correlations", "--model", path, "--n", "12", "--cap", "1000"], "--cap", capsys)
+    assert main(["correlations", "--model", path, "--n", "12", "--cap", "12286", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ball_bound_counts_vertices(k):
+    for n in range(6):
+        size = topology.build_ball(k, n).num_vertices
+        assert not _ball_exceeds(k, n, size)
+        assert _ball_exceeds(k, n, size - 1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
