@@ -1,16 +1,18 @@
 """Command-line front end: model files in, JSON/CSV reports out.
 
 Every command is one entry of ``COMMANDS``: its handler, its default
-``--tol`` and its radius rule.  ``main`` is the one front door and does the
-shared work once, in this order: parse the command line (the parser is
-built on first use), validate every option, read the model, bound the ball
-a radius-reading command would build, resolve the tolerance, run the
-handler, and write its JSON report or CSV text to ``--out`` or stdout.
-Handlers take ``(model, args, tol)`` and return the command's report
-fields (or CSV text) and an exit code.
+``--tol``, the options it reads and its radius rule.  ``main`` is the one
+front door and does the shared work once, in this order: parse the command
+line (the parser is built on first use), validate every option and reject
+those the command does not read, read the model, bound the ball a
+radius-reading command would build, resolve the tolerance, run the handler,
+and write its JSON report or CSV text to ``--out`` or stdout.  Handlers
+take ``(model, args, tol)`` and return the command's report fields (or CSV
+text) and an exit code.
 
 Exit codes: 0 success, 2 a requested check failed, 3 invalid input (bad
-file, schema violation, an option out of range, enumeration cap exceeded).
+file, schema violation, an option out of range or not read by the command,
+enumeration cap exceeded).
 Reports are deterministic for a fixed configuration and seed: keys are
 emitted in a fixed order and floats use Python's shortest round-trip
 representation (<= 17 significant digits).
@@ -192,18 +194,26 @@ def _default(fn, name: str):
 class Command(NamedTuple):
     handler: Callable   # (model, args, tol) -> (report fields or CSV text, exit code)
     tol: float | None   # the tolerance when --tol is not given
+    reads: str          # the options read besides --model and --out, by dest
     min_n: int | None = None   # --n is required and at least this; None: --n is not read
 
 
 COMMANDS = {
-    "classify": Command(_cmd_classify, classifier.DEFAULT_FLOAT_TOL),
-    "check-unordered": Command(_cmd_check_unordered, _default(fields.check_unordered, "tol")),
-    "solve-fields": Command(_cmd_solve_fields, _default(fields.ti_fixed_points, "tol")),
-    "verify-consistency": Command(_cmd_verify_consistency, 1e-10, min_n=1),
-    "spectrum": Command(_cmd_spectrum, 1e-9, min_n=0),
-    "correlations": Command(_cmd_correlations, None, min_n=1),
-    "markov-check": Command(_cmd_markov_check, classifier.DEFAULT_FLOAT_TOL),
+    "classify": Command(_cmd_classify, classifier.DEFAULT_FLOAT_TOL, "tol max_den"),
+    "check-unordered": Command(_cmd_check_unordered, _default(fields.check_unordered, "tol"), "tol"),
+    "solve-fields": Command(_cmd_solve_fields, _default(fields.ti_fixed_points, "tol"),
+                            "tol starts seed"),
+    "verify-consistency": Command(_cmd_verify_consistency, 1e-10, "n tol cap fields", min_n=1),
+    "spectrum": Command(_cmd_spectrum, 1e-9, "n tol max_den cap", min_n=0),
+    "correlations": Command(_cmd_correlations, None, "n cap format", min_n=1),
+    "markov-check": Command(_cmd_markov_check, classifier.DEFAULT_FLOAT_TOL, "tol max_den"),
 }
+
+# What a command reads for an option it was not given.
+DEFAULTS = dict(n=None, tol=None, max_den=classifier.DEFAULT_MAX_DEN,
+                starts=_default(fields.ti_fixed_points, "starts"),
+                seed=_default(fields.ti_fixed_points, "seed"),
+                cap=measures.DEFAULT_CAP, fields=None, format="json")
 
 
 @cache
@@ -216,20 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="model definition file (JSON)")
-        p.add_argument("--n", type=int, default=None, help="ball radius")
-        p.add_argument("--tol", type=float, default=None, help="tolerance for the command's check")
-        p.add_argument("--max-den", dest="max_den", type=int, default=classifier.DEFAULT_MAX_DEN)
-        p.add_argument("--starts", type=int, default=_default(fields.ti_fixed_points, "starts"))
-        p.add_argument("--seed", type=int, default=_default(fields.ti_fixed_points, "seed"))
-        p.add_argument("--cap", type=int, default=measures.DEFAULT_CAP)
-        p.add_argument("--fields", default=None, help="field assignment file (JSON, vertex words)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        # None marks an option as not given; main fills in DEFAULTS
+        p.add_argument("--n", type=int, help="ball radius")
+        p.add_argument("--tol", type=float, help="tolerance for the command's check")
+        p.add_argument("--max-den", dest="max_den", type=int)
+        p.add_argument("--starts", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--cap", type=int)
+        p.add_argument("--fields", help="field assignment file (JSON, vertex words)")
+        p.add_argument("--format", choices=["json", "csv"])
     return parser
 
 
-def _validate(args, command: Command) -> None:
-    """Reject option values out of range, before any file is read."""
+def _validate(args, command: Command, given: set[str]) -> None:
+    """Reject option values out of range, then options the command does not read."""
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         raise model_mod.ModelError(f"tolerance must be finite and positive, got {args.tol}")
     for flag, value in (("--max-den", args.max_den), ("--starts", args.starts), ("--cap", args.cap)):
@@ -239,6 +250,9 @@ def _validate(args, command: Command) -> None:
         raise model_mod.ModelError(f"--n must be >= 0, got {args.n}")
     if command.min_n is not None and (args.n is None or args.n < command.min_n):
         raise model_mod.ModelError(f"{args.command} needs --n >= {command.min_n}")
+    stray = ", ".join("--" + name.replace("_", "-") for name in sorted(given - set(command.reads.split())))
+    if stray:
+        raise model_mod.ModelError(f"{args.command} does not read {stray}")
 
 
 def _ball_exceeds(k: int, n: int, cap: int) -> bool:
@@ -257,8 +271,11 @@ def _ball_exceeds(k: int, n: int, cap: int) -> bool:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
+    given = {name for name in DEFAULTS if getattr(args, name) is not None}
+    for name in DEFAULTS.keys() - given:
+        setattr(args, name, DEFAULTS[name])
     try:
-        _validate(args, command)
+        _validate(args, command, given)
         m = parse_model(args.model)
         if command.min_n is not None and _ball_exceeds(m.k, args.n, args.cap):
             raise model_mod.ModelError(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from treegibbs import measures, topology
-from treegibbs.cli import _ball_exceeds, _json_default, main
+from treegibbs.cli import COMMANDS, _ball_exceeds, _json_default, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -298,6 +298,36 @@ def test_bad_count_option_exit_3_every_command(tmp_path, command, extra, flag, c
 def test_negative_n_exit_3_every_command(tmp_path, command, extra, capsys):
     path = write_command_model(tmp_path, command)
     assert_rejected([command, "--model", path, *extra, "--n", "-1"], "--n", capsys)
+
+
+# One valid value for every option a command may or may not read.
+OPTION_VALUES = {"--n": "1", "--tol": "1e-3", "--max-den": "10", "--starts": "2", "--seed": "1",
+                 "--cap": "100000", "--fields": None, "--format": "json"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_option_not_read_exit_3_every_command(tmp_path, command, capsys):
+    path = write_command_model(tmp_path, command)
+    reads = {"--" + name.replace("_", "-") for name in COMMANDS[command].reads.split()}
+    assert ("--n" in reads) == (COMMANDS[command].min_n is not None)
+    extra = ["--n", "1"] if "--n" in reads else []
+    values = {**OPTION_VALUES, "--fields": write(tmp_path, "f.json", {})}
+    for flag in sorted(values.keys() - reads):
+        assert_rejected([command, "--model", path, *extra, flag, values[flag]], flag, capsys)
+    # the options a command reads, all given at once, are accepted
+    argv = [command, "--model", path]
+    for flag in sorted(reads):
+        argv += [flag, values[flag]]
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+
+
+def test_classify_format_and_spectrum_fields_rejected(potts3, tmp_path, capsys):
+    assert_rejected(["classify", "--model", potts3, "--format", "csv"],
+                    "classify does not read --format", capsys)
+    fields_path = write(tmp_path, "f.json", {"9.9": [0.0, 0.0]})
+    assert_rejected(["spectrum", "--model", potts3, "--n", "1", "--fields", fields_path],
+                    "spectrum does not read --fields", capsys)
 
 
 # The commands that read --n, with the smallest radius each accepts.

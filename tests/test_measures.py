@@ -27,7 +27,7 @@ from treegibbs import (
 )
 from treegibbs.classifier import finite_volume_spectrum
 from treegibbs.fields import ReducedFieldAssignment
-from treegibbs.measures import EnumerationCapError, _enumerate_configs, _max_column_tv
+from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _enumerate_configs, _max_column_tv
 
 from conftest import random_rational_model, relabeled, shifted
 
@@ -69,6 +69,16 @@ def all_pairs_tv(cond):
         tv = np.sum(np.abs(block[:, :, None] - block[:, None, :]), axis=0)
         worst = max(worst, float(0.5 * np.max(tv)))
     return worst
+
+
+def markov_conditional(model, n):
+    """Law of the inner ball V_{n-1} per (shell n, shell n+1) configuration, zero fields."""
+    q = model.q
+    ball = build_ball(model.k, n + 1)
+    p = finite_volume_measure(model, zero_fields(ball, q)).probabilities()
+    na = build_ball(model.k, n - 1).num_vertices
+    p = p.reshape(q**na, q ** len(ball.shells[n]), -1)
+    return p / p.sum(axis=0, keepdims=True)
 
 
 def test_broadcast_enumeration_matches_gather():
@@ -114,10 +124,7 @@ def test_markov_residual_matches_all_pairs():
     for m, n in cases:
         q = m.q
         ball = build_ball(m.k, n + 1)
-        p = finite_volume_measure(m, zero_fields(ball, q)).probabilities()
-        na = build_ball(m.k, n - 1).num_vertices
-        p = p.reshape(q**na, q ** len(ball.shells[n]), -1)
-        want = all_pairs_tv(p / p.sum(axis=0, keepdims=True))
+        want = all_pairs_tv(markov_conditional(m, n))
         assert markov_property_residual(m, n) == want
         # the smallest cap that admits the measure: chunks of q^|shell n| rows
         assert markov_property_residual(m, n, cap=q**ball.num_vertices) == want
@@ -127,6 +134,48 @@ def test_markov_residual_matches_all_pairs():
     want = all_pairs_tv(cond)
     for step in (1, 2, 5, 36, 37, 100):
         assert _max_column_tv(cond, step) == want
+
+
+def test_max_column_tv_duplicate_and_one_ulp_columns():
+    # tiled and permuted duplicates are compared once; columns one ulp apart
+    # stay distinct, so a slice holding only a column and its neighbour
+    # still reports that one-ulp gap.  The inputs are C-ordered, as the
+    # residual's conditionals are: all_pairs_tv then sums rows in order (on
+    # another layout numpy may sum 8 or more rows pairwise, off by an ulp)
+    rng = np.random.default_rng(37)
+    for rows in (1, 2, 3, 9):
+        base = rng.random((rows, 4, 6))
+        base /= base.sum(axis=0, keepdims=True)
+        near = base.copy()
+        near[0] = np.nextafter(near[0], 2.0)
+        cond = np.concatenate([np.tile(base, 5), near, base[:, ::-1]], axis=2)
+        pair = np.concatenate([np.tile(base[:, :, :1], 7), np.tile(near[:, :, :1], 3)], axis=2)
+        for c in (cond, pair):
+            c = np.ascontiguousarray(c[:, :, rng.permutation(c.shape[2])])
+            want = all_pairs_tv(c)
+            assert want > 0
+            for step in (1, 2, 5, c.shape[2], c.shape[2] + 7):
+                assert _max_column_tv(c, step) == want, (rows, step)
+
+
+def test_markov_residual_compares_distinct_columns_in_little_memory():
+    # Potts q=2, k=3, n=1: 16 slices of 4,096 outer configurations, all
+    # the same law in exact arithmetic; chunk buffers over every column at
+    # the cap-derived step of 128 rows would hold (2 + 1) x 128 x 4,096
+    # doubles, 12.6 MB
+    m = potts_model(2, 1, Fraction(3, 2), 3)
+    cond = markov_conditional(m, 1)
+    step = DEFAULT_CAP // (cond.shape[0] * cond.shape[2])
+    assert cond.shape == (2, 16, 4096) and step == 128
+    tracemalloc.start()
+    try:
+        residual = _max_column_tv(cond, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-12
+    assert residual == markov_property_residual(m, 1)
+    assert peak < 2**20
 
 
 def test_probabilities_reject_nan_under_python_O():
@@ -218,6 +267,22 @@ def test_consistency_forward_and_converse():
     h = flds.hprime.copy()
     h[b.shells[1][0], 0] += 0.1
     assert consistency_residual(m, ReducedFieldAssignment(b, h)) > 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.sampled_from([1, 2]),
+       st.sampled_from([1, 2]), st.sampled_from([-1.0, -0.25, 0.25, 1.0]))
+def test_consistency_iff_recursion_holds(seed, q, k, n, delta):
+    # propagated fields obey the recursion on shell n-1 and the residual
+    # vanishes; moving one shell-(n-1) field off it makes the residual show
+    rng = np.random.default_rng(seed)
+    m = random_rational_model(rng, q, k)
+    b = build_ball(k, n)
+    flds = propagate_fields(m, b, rng.uniform(-2, 2, size=(len(b.shells[n]), q - 1)))
+    assert consistency_residual(m, flds) <= 1e-10
+    h = flds.hprime.copy()
+    h[rng.choice(b.shells[n - 1]), rng.integers(q - 1)] += delta
+    assert consistency_residual(m, ReducedFieldAssignment(b, h)) > 1e-10
 
 
 def test_zero_fields_consistent_under_assumption_a():
