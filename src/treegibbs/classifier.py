@@ -12,6 +12,11 @@ m * g, m integer.  Three back-ends decide this:
   * floating tables: continued-fraction rational reconstruction of the
     difference ratios.
 
+The pairwise differences generate the same Z-module as the q^2 base
+differences beta*(lam_ij - lam_00), so the two exact routes work on those
+q^2 values (the ratios p_00/p_ij for stochastic matrices); only the float
+route builds the q^4 ``difference_set``.
+
 Every route witnesses its lattice with one q x q integer table m, defined
 by beta*(lam_ij - lam_00) = m_ij * g; the difference of entries (i,j) and
 (k,l) is then (m_ij - m_kl) * g.
@@ -67,20 +72,28 @@ def _table_values(model: LambdaModel) -> list:
     return [v for row in model.lam for v in row]
 
 
+def _kind(model: LambdaModel) -> str:
+    """The difference-set kind of a model, which is also its classifier route."""
+    if model.is_exact:
+        return "exact-rational"
+    if model.provenance == "markov" and all(isinstance(v, Fraction) for row in model.P for v in row):
+        return "symbolic-log-rational"
+    return "float"
+
+
 def difference_set(model: LambdaModel) -> DifferenceSet:
     """All beta-scaled pairwise differences of coupling-table entries."""
-    if model.is_exact:
+    kind = _kind(model)
+    if kind == "exact-rational":
         vals = _table_values(model)
         deltas = sorted({model.beta * (a - b) for a in vals for b in vals})
-        return DifferenceSet(deltas=tuple(deltas), kind="exact-rational")
-    if model.provenance == "markov" and all(
-        isinstance(v, Fraction) for row in model.P for v in row
-    ):
+        return DifferenceSet(deltas=tuple(deltas), kind=kind)
+    if kind == "symbolic-log-rational":
         entries = [v for row in model.P for v in row]
         # delta = -log p + log p' = log(p'/p); keep the rational ratio
         ratios = sorted({b / a for a in entries for b in entries})
         deltas = tuple(math.log(float(r)) for r in ratios)
-        return DifferenceSet(deltas=deltas, kind="symbolic-log-rational", ratios=tuple(ratios))
+        return DifferenceSet(deltas=deltas, kind=kind, ratios=tuple(ratios))
     vals = [float(v) for v in _table_values(model)]
     beta = model.beta_float
     raw = sorted({beta * (a - b) for a in vals for b in vals})
@@ -88,7 +101,7 @@ def difference_set(model: LambdaModel) -> DifferenceSet:
     for d in raw:
         if not deltas or abs(d - deltas[-1]) > 1e-12:
             deltas.append(d)
-    return DifferenceSet(deltas=tuple(deltas), kind="float")
+    return DifferenceSet(deltas=tuple(deltas), kind=kind)
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -273,35 +286,46 @@ def classify(
     """Route the model to the appropriate commensurability back-end.
 
     Constant tables give the tracial II_1 verdict.  Exact rational tables
-    always produce a lattice generator.  Rational stochastic matrices are
-    decided exactly through prime factorization; everything else goes
-    through floating reconstruction.  Every lattice verdict carries the
-    exponent table m of beta*(lam - lam_00) = m * g.
+    always produce a lattice generator, the rational gcd of the q^2 base
+    differences beta*(lam_ij - lam_00): they generate the same Z-module as
+    all pairwise differences.  Rational stochastic matrices are decided
+    exactly through prime factorization of the q^2 ratios p_00/p_ij.  Only
+    floating tables build the difference set, for continued-fraction
+    reconstruction.  Every lattice verdict carries the exponent table m of
+    beta*(lam - lam_00) = m * g.
     """
-    ds = difference_set(model)
     q = model.q
-    if all(d == 0 for d in ds.deltas):
+    kind = _kind(model)
+    if kind == "exact-rational":
+        lam, beta = model.lam, model.beta
+        base = [[beta * (v - lam[0][0]) for v in row] for row in lam]
+        g = commensurability_exact([d for row in base for d in row])
+        constant = g is None
+    elif kind == "symbolic-log-rational":
+        constant = len({v for row in model.P for v in row}) == 1
+    else:
+        ds = difference_set(model)
+        constant = all(d == 0 for d in ds.deltas)
+    if constant:
         return Classification(
             verdict="II1", generator=None, gamma=None, exponents=((0,) * q,) * q,
             caveat="constant coupling table: the state is a trace", confidence="exact",
-            evidence={"route": "degenerate", "kind": ds.kind},
+            evidence={"route": "degenerate", "kind": kind},
         )
-    if ds.kind == "exact-rational":
-        g = commensurability_exact(ds.deltas)
-        lam, beta = model.lam, model.beta
+    if kind == "exact-rational":
         return Classification(
             verdict="III_family", generator=g, gamma=math.exp(-float(g)),
-            exponents=_int_table([[beta * (v - lam[0][0]) / g for v in row] for row in lam]),
+            exponents=_int_table([[d / g for d in row] for row in base]),
             caveat=CAVEAT_III_FAMILY, confidence="exact",
-            evidence={"route": "rational-gcd", "kind": ds.kind},
+            evidence={"route": "rational-gcd", "kind": kind},
         )
-    if ds.kind == "symbolic-log-rational":
+    if kind == "symbolic-log-rational":
         witness = commensurability_multiplicative(model.P)
         if witness is None:
             return Classification(
                 verdict="incommensurable", generator=None, gamma=None, exponents=None,
                 caveat=CAVEAT_INCOMMENSURABLE, confidence="exact",
-                evidence={"route": "prime-exponent-rank", "kind": ds.kind},
+                evidence={"route": "prime-exponent-rank", "kind": kind},
             )
         # p_00/p_ij = alpha^e_ij with alpha in (0, 1), so beta*(lam_ij - lam_00)
         # = -e_ij * log(1/alpha).  The witness is primitive (gcd of e is 1,
@@ -312,11 +336,11 @@ def classify(
             exponents=_int_table([[-e for e in row] for row in witness.exponents]),
             caveat=CAVEAT_III_FAMILY, confidence="exact",
             evidence={
-                "route": "prime-exponent-rank", "kind": ds.kind,
+                "route": "prime-exponent-rank", "kind": kind,
                 "alpha": witness.alpha, "lattice_step": 1,
             },
         )
-    evidence = {"route": "continued-fraction", "kind": ds.kind, "max_den": max_den, "tol": tol}
+    evidence = {"route": "continued-fraction", "kind": kind, "max_den": max_den, "tol": tol}
     lattice = commensurability_float(ds.deltas, max_den=max_den, tol=tol)
     if lattice is not None:
         g = lattice.generator

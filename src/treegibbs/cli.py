@@ -8,7 +8,13 @@ those the command does not read, read the model, bound the ball a
 radius-reading command would build, resolve the tolerance, run the handler,
 and write its JSON report or CSV text to ``--out`` or stdout.  Handlers
 take ``(model, args, tol)`` and return the command's report fields (or CSV
-text) and an exit code.
+text) and an exit code.  ``<command> --help`` lists only the options the
+command reads.
+
+Reports are encoded by ``json.dumps(indent=2)``, except the classify
+report's q^4 ``multipliers`` list: it is rendered as text from the q x q
+exponent table, one (i, j) row of entries at a time, and spliced in
+(``_encode``), with the same bytes.
 
 Exit codes: 0 success, 2 a requested check failed, 3 invalid input (bad
 file, schema violation, an option out of range or not read by the command,
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -40,13 +47,56 @@ EXIT_CHECK_FAILED = 2
 EXIT_INVALID = 3
 
 
+class _Rendered:
+    """A top-level report value whose JSON text is already written; ``_encode`` splices it in."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+# What json.dumps writes for the placeholder _json_default puts in a _Rendered's place.
+_PLACEHOLDER = "\x00rendered"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+
+
 def _json_default(x):
     """What ``json`` cannot encode itself: Fractions as "p/q", numpy values as Python ones."""
+    if isinstance(x, _Rendered):
+        return _PLACEHOLDER
     if isinstance(x, Fraction):
         return model_mod._number_to_json(x)
     if isinstance(x, (np.generic, np.ndarray)):
         return x.tolist()
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _encode(report: dict) -> str:
+    """``json.dumps(report, indent=2)`` plus a newline, each _Rendered value in place."""
+    text = json.dumps(report, indent=2, default=_json_default)
+    for value in report.values():
+        if isinstance(value, _Rendered):
+            text = text.replace(_PLACEHOLDER_JSON, value.text, 1)
+    return text + "\n"
+
+
+def _rendered_multipliers(exponents) -> _Rendered:
+    """The q^4 multipliers m_ij - m_kl of an exponent table, as the report writes them.
+
+    That is the text json.dumps(indent=2) gives the list of entries
+    {"quad": [i, j, k, l], "m": m_ij - m_kl}, in itertools.product order, at
+    report depth.  An entry's text is that of (i, j) followed by that of
+    (k, l), so each (i, j) row of q^2 entries is one template of 2 q^2 pieces,
+    filled with the row's values.  (One q^4 template, cached or not, raised
+    the classify-batch benchmark's peak RSS by 1-2 MB; rows do not.)
+    """
+    m = np.array(exponents, dtype=np.int64)
+    q = len(m)
+    pairs = list(itertools.product(range(q), repeat=2))
+    heads = ['    {\n      "quad": [\n        %d,\n        %d,\n' % ij for ij in pairs]
+    tails = ['        %d,\n        %d\n      ],\n      "m": %%d\n    }' % kl for kl in pairs]
+    rows = (m[:, :, None, None] - m).reshape(q * q, q * q).tolist()
+    filled = ((head + (",\n" + head).join(tails)) % tuple(row) for head, row in zip(heads, rows))
+    return _Rendered("[\n" + ",\n".join(filled) + "\n  ]")
 
 
 def parse_model(path: str) -> model_mod.LambdaModel:
@@ -116,9 +166,7 @@ def _cmd_classify(m, args, tol):
         verdict=result.verdict,
         generator=result.generator,
         gamma=result.gamma,
-        multipliers=None
-        if result.multipliers is None
-        else [{"quad": list(k), "m": v} for k, v in sorted(result.multipliers.items())],
+        multipliers=None if result.exponents is None else _rendered_multipliers(result.exponents),
         caveat=result.caveat,
         confidence=result.confidence,
         evidence=result.evidence,
@@ -209,11 +257,20 @@ COMMANDS = {
     "markov-check": Command(_cmd_markov_check, classifier.DEFAULT_FLOAT_TOL, "tol max_den"),
 }
 
-# What a command reads for an option it was not given.
-DEFAULTS = dict(n=None, tol=None, max_den=classifier.DEFAULT_MAX_DEN,
-                starts=_default(fields.ti_fixed_points, "starts"),
-                seed=_default(fields.ti_fixed_points, "seed"),
-                cap=measures.DEFAULT_CAP, fields=None, format="json")
+# The options besides --model and --out, by dest: what a command reads when
+# the option is not given, its type or choices, and its help text.
+OPTIONS = dict(
+    n=(None, dict(type=int, help="ball radius")),
+    tol=(None, dict(type=float, help="tolerance for the command's check")),
+    max_den=(classifier.DEFAULT_MAX_DEN,
+             dict(type=int, help="largest denominator in float lattice reconstruction")),
+    starts=(_default(fields.ti_fixed_points, "starts"),
+            dict(type=int, help="random starts of the fixed-point search")),
+    seed=(_default(fields.ti_fixed_points, "seed"), dict(type=int, help="seed of the random starts")),
+    cap=(measures.DEFAULT_CAP, dict(type=int, help="most configurations or ball vertices to build")),
+    fields=(None, dict(help="field assignment file (JSON, vertex words)")),
+    format=("json", dict(choices=["json", "csv"], help="report format")),
+)
 
 
 @cache
@@ -223,19 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gibbs measures on Cayley trees and factor-type classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="model definition file (JSON)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        # None marks an option as not given; main fills in DEFAULTS
-        p.add_argument("--n", type=int, help="ball radius")
-        p.add_argument("--tol", type=float, help="tolerance for the command's check")
-        p.add_argument("--max-den", dest="max_den", type=int)
-        p.add_argument("--starts", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--cap", type=int)
-        p.add_argument("--fields", help="field assignment file (JSON, vertex words)")
-        p.add_argument("--format", choices=["json", "csv"])
+        # None marks an option as not given; main fills in the defaults.  Options
+        # the command does not read are parsed (main rejects them) but not listed.
+        reads = command.reads.split()
+        for dest, (_, kwargs) in OPTIONS.items():
+            shown = kwargs["help"] if dest in reads else argparse.SUPPRESS
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **{**kwargs, "help": shown})
     return parser
 
 
@@ -271,9 +325,9 @@ def _ball_exceeds(k: int, n: int, cap: int) -> bool:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
-    given = {name for name in DEFAULTS if getattr(args, name) is not None}
-    for name in DEFAULTS.keys() - given:
-        setattr(args, name, DEFAULTS[name])
+    given = {name for name in OPTIONS if getattr(args, name) is not None}
+    for name in OPTIONS.keys() - given:
+        setattr(args, name, OPTIONS[name][0])
     try:
         _validate(args, command, given)
         m = parse_model(args.model)
@@ -286,7 +340,7 @@ def main(argv=None) -> int:
         if not isinstance(payload, str):
             settings = {name: getattr(args, name) for name in ("tol", "max_den", "starts", "seed", "cap")}
             report = {"schema": SCHEMA_VERSION, "command": args.command, "settings": settings, **payload}
-            payload = json.dumps(report, indent=2, default=_json_default) + "\n"
+            payload = _encode(report)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload)

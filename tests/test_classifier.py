@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from treegibbs import classifier
 from treegibbs import (
     build_ball,
     classify,
@@ -333,3 +334,57 @@ def test_witness_rational_lattice_matrices(seed, q):
     perm = [int(p) for p in rng.permutation(q)]
     relabeled_P = [[P[a][b] for b in perm] for a in perm]
     assert classify(markov_model(relabeled_P, 2)).exponents == relabeled_table(c.exponents, perm)
+
+
+def exact_tables(q):
+    entry = st.fractions(Fraction(-3), Fraction(3), max_denominator=12)
+    return st.lists(st.lists(entry, min_size=q, max_size=q), min_size=q, max_size=q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(exact_tables), st.fractions(Fraction(1, 6), Fraction(4), max_denominator=6))
+@example([[Fraction(2, 3)] * 3] * 3, Fraction(3, 2))
+@example([[Fraction(0), Fraction(1, 6)], [Fraction(-1, 4), Fraction(0)]], Fraction(1))
+def test_exact_generator_from_base_differences(table, beta):
+    # the q^2 base differences beta*(lam_ij - lam_00) and all q^4 pairwise
+    # differences generate the same Z-module, hence the same rational gcd
+    m = generic_model(table, 2, beta)
+    want = commensurability_exact(difference_set(m).deltas)
+    c = classify(m)
+    assert c.generator == want
+    assert c.verdict == ("II1" if want is None else "III_family")
+    assert_witness(m, c)
+
+
+def test_classify_builds_no_difference_set_on_exact_routes(monkeypatch):
+    calls = []
+    real = classifier.difference_set
+    monkeypatch.setattr(classifier, "difference_set", lambda model: calls.append(model) or real(model))
+    rng = np.random.default_rng(41)
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    models = [
+        potts_model(3, 1, 1, 2),
+        random_rational_model(rng, 4, 2),
+        generic_model([[Fraction(2, 3)] * 3] * 3, 2, Fraction(3, 2)),
+        markov_model(lattice_stochastic(rng, 3), 2),
+        markov_model([[half, third, sixth], [third, sixth, half], [sixth, half, third]], 2),
+        markov_model([[half, half], [half, half]], 2),
+    ]
+    verdicts = [classify(m).verdict for m in models]
+    assert verdicts == ["III_family", "III_family", "II1", "III_family", "incommensurable", "II1"]
+    assert calls == []
+    # the float route still reconstructs from the difference set
+    assert classify(generic_model([[0.0, 0.5], [0.25, 1.0]], 2, 1.0)).verdict == "III_family"
+    assert len(calls) == 1
+
+
+def test_near_constant_rational_matrix_is_not_a_trace():
+    # every ratio p'/p is within 2^-53 of 1, so its float log is 0; the
+    # entries themselves differ, and their ratios span a rank-2 lattice
+    e = Fraction(1, 10**20)
+    half = Fraction(1, 2)
+    P = [[half, half], [half - e, half + e]]
+    assert all(d == 0 for d in difference_set(markov_model(P, 2)).deltas)
+    c = classify(markov_model(P, 2))
+    assert c.verdict == "incommensurable" and c.confidence == "exact"
+    assert commensurability_multiplicative(P) is None

@@ -1,13 +1,17 @@
+import itertools
 import json
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from treegibbs import measures, topology
-from treegibbs.cli import COMMANDS, _ball_exceeds, _json_default, main
+from treegibbs.cli import (
+    COMMANDS, _ball_exceeds, _encode, _json_default, _rendered_multipliers, main,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -163,7 +167,9 @@ def test_solve_fields_report_bytes(tmp_path):
 
 
 # One model per classifier route with a lattice, and the q^4 classify report
-# each produced before the classifier stored its q x q exponent table.
+# each produced before the classifier stored its q x q exponent table; then a
+# constant exact table (II1) and a rank-2 rational stochastic matrix, whose
+# reports were written before classify moved to the q^2 base differences.
 CLASSIFY_GOLDEN_MODELS = {
     "classify_exact_q3": {
         "kind": "generic", "q": 3, "k": 2, "beta": "3/2",
@@ -176,6 +182,13 @@ CLASSIFY_GOLDEN_MODELS = {
     "classify_sqrt2_q3": {
         "kind": "generic", "q": 3, "k": 2, "beta": 1.0,
         "lambda": [[math.sqrt(2) * 2 * v for v in row] for row in [[0, 1, -2], [3, -1, 2], [1, 0, -3]]],
+    },
+    "classify_ii1_q3": {
+        "kind": "generic", "q": 3, "k": 2, "beta": "3/2", "lambda": [["2/3", "2/3", "2/3"]] * 3,
+    },
+    "classify_incommensurable_q3": {
+        "kind": "markov", "q": 3, "k": 2,
+        "P": [["1/2", "1/3", "1/6"], ["1/3", "1/6", "1/2"], ["1/6", "1/2", "1/3"]],
     },
 }
 
@@ -226,6 +239,39 @@ def test_command_report_bytes(tmp_path, name):
     out = tmp_path / "report"
     assert main([*argv, "--out", str(out)]) == code
     assert out.read_text() == golden_path(name).read_text()
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_rendered_multipliers_match_json_dumps(q):
+    # the all-zero II1 table and tables with negative entries, spliced in at
+    # report depth between json.dumps-encoded fields
+    rng = np.random.default_rng(q)
+    tables = [np.zeros((q, q), dtype=int), rng.integers(-9, 10, size=(q, q)), rng.integers(-3, 1, size=(q, q))]
+    for table in tables:
+        table[0, 0] = 0
+        m = tuple(tuple(int(v) for v in row) for row in table)
+        quads = itertools.product(range(q), repeat=4)
+        mults = {(i, j, k, l): m[i][j] - m[k][l] for i, j, k, l in quads}
+        report = {"schema": 1, "settings": {"tol": None}, "gamma": 0.5, "multipliers": None,
+                  "caveat": "c", "evidence": {"alpha": Fraction(1, 2)}}
+        listed = [{"quad": list(k), "m": v} for k, v in sorted(mults.items())]
+        want = json.dumps({**report, "multipliers": listed}, indent=2, default=_json_default) + "\n"
+        assert _encode({**report, "multipliers": _rendered_multipliers(m)}) == want
+        assert _encode(report) == json.dumps(report, indent=2, default=_json_default) + "\n"
+
+
+def test_help_lists_only_read_options(capsys):
+    for name, command in COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        reads = {"--" + dest.replace("_", "-") for dest in command.reads.split()}
+        assert listed == {"--help", "--model", "--out"} | reads, name
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--help"])
+    out = capsys.readouterr().out
+    assert "--n" in out and "--starts" not in out and "--format" not in out
 
 
 def test_report_encoder_numpy_and_fractions():

@@ -62,11 +62,16 @@ def gather_energies(model, ball):
 
 
 def all_pairs_tv(cond):
-    """Largest TV between two columns of any cond[:, b, :], every ordered pair at once."""
+    """Largest TV between two columns of any cond[:, b, :], over every ordered pair.
+
+    Each pair's |differences| are added one row at a time in row order, as a
+    comparison of that one pair would add them, whatever the memory layout
+    of ``cond`` (np.sum along an axis may add pairwise on some layouts).
+    """
     worst = 0.0
     for b in range(cond.shape[1]):
         block = cond[:, b, :]
-        tv = np.sum(np.abs(block[:, :, None] - block[:, None, :]), axis=0)
+        tv = sum(np.abs(row[:, None] - row[None, :]) for row in block)
         worst = max(worst, float(0.5 * np.max(tv)))
     return worst
 
@@ -139,9 +144,8 @@ def test_markov_residual_matches_all_pairs():
 def test_max_column_tv_duplicate_and_one_ulp_columns():
     # tiled and permuted duplicates are compared once; columns one ulp apart
     # stay distinct, so a slice holding only a column and its neighbour
-    # still reports that one-ulp gap.  The inputs are C-ordered, as the
-    # residual's conditionals are: all_pairs_tv then sums rows in order (on
-    # another layout numpy may sum 8 or more rows pairwise, off by an ulp)
+    # still reports that one-ulp gap.  Column-permuted views (not C-ordered)
+    # are compared as well as C-ordered copies
     rng = np.random.default_rng(37)
     for rows in (1, 2, 3, 9):
         base = rng.random((rows, 4, 6))
@@ -151,11 +155,13 @@ def test_max_column_tv_duplicate_and_one_ulp_columns():
         cond = np.concatenate([np.tile(base, 5), near, base[:, ::-1]], axis=2)
         pair = np.concatenate([np.tile(base[:, :, :1], 7), np.tile(near[:, :, :1], 3)], axis=2)
         for c in (cond, pair):
-            c = np.ascontiguousarray(c[:, :, rng.permutation(c.shape[2])])
-            want = all_pairs_tv(c)
-            assert want > 0
-            for step in (1, 2, 5, c.shape[2], c.shape[2] + 7):
-                assert _max_column_tv(c, step) == want, (rows, step)
+            permuted = c[:, :, rng.permutation(c.shape[2])]
+            assert rows == 1 or not permuted.flags.c_contiguous
+            for laid_out in (permuted, np.ascontiguousarray(permuted)):
+                want = all_pairs_tv(laid_out)
+                assert want > 0
+                for step in (1, 2, 5, c.shape[2], c.shape[2] + 7):
+                    assert _max_column_tv(laid_out, step) == want, (rows, step)
 
 
 def test_markov_residual_compares_distinct_columns_in_little_memory():
