@@ -87,15 +87,17 @@ def _rendered_multipliers(exponents) -> _Rendered:
     report depth.  An entry's text is that of (i, j) followed by that of
     (k, l), so each (i, j) row of q^2 entries is one template of 2 q^2 pieces,
     filled with the row's values.  (One q^4 template, cached or not, raised
-    the classify-batch benchmark's peak RSS by 1-2 MB; rows do not.)
+    the classify-batch benchmark's peak RSS by 1-2 MB; rows do not.)  The
+    differences are taken in Python ints: exact exponents are unbounded.
     """
-    m = np.array(exponents, dtype=np.int64)
-    q = len(m)
-    pairs = list(itertools.product(range(q), repeat=2))
+    flat = [v for row in exponents for v in row]
+    pairs = list(itertools.product(range(len(exponents)), repeat=2))
     heads = ['    {\n      "quad": [\n        %d,\n        %d,\n' % ij for ij in pairs]
     tails = ['        %d,\n        %d\n      ],\n      "m": %%d\n    }' % kl for kl in pairs]
-    rows = (m[:, :, None, None] - m).reshape(q * q, q * q).tolist()
-    filled = ((head + (",\n" + head).join(tails)) % tuple(row) for head, row in zip(heads, rows))
+    filled = (
+        (head + (",\n" + head).join(tails)) % tuple([a - b for b in flat])
+        for head, a in zip(heads, flat)
+    )
     return _Rendered("[\n" + ",\n".join(filled) + "\n  ]")
 
 

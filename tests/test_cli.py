@@ -169,7 +169,9 @@ def test_solve_fields_report_bytes(tmp_path):
 # One model per classifier route with a lattice, and the q^4 classify report
 # each produced before the classifier stored its q x q exponent table; then a
 # constant exact table (II1) and a rank-2 rational stochastic matrix, whose
-# reports were written before classify moved to the q^2 base differences.
+# reports were written before classify moved to the q^2 base differences;
+# then two exact tables whose multipliers pass 2**63, with reports written
+# by that same earlier classifier.
 CLASSIFY_GOLDEN_MODELS = {
     "classify_exact_q3": {
         "kind": "generic", "q": 3, "k": 2, "beta": "3/2",
@@ -189,6 +191,15 @@ CLASSIFY_GOLDEN_MODELS = {
     "classify_incommensurable_q3": {
         "kind": "markov", "q": 3, "k": 2,
         "P": [["1/2", "1/3", "1/6"], ["1/3", "1/6", "1/2"], ["1/6", "1/2", "1/3"]],
+    },
+    # exact exponents past int64: m_ij - m_kl reaches 2**63, and m reaches 10**22
+    "classify_wide_exponents_q2": {
+        "kind": "generic", "q": 2, "k": 2, "beta": "1/1",
+        "lambda": [["0/1", "1/1"], [f"{2**62}/1", f"-{2**62}/1"]],
+    },
+    "classify_huge_exponents_q2": {
+        "kind": "generic", "q": 2, "k": 2, "beta": "1/1",
+        "lambda": [["0/1", "1/1"], [f"1/{10**22}", "0/1"]],
     },
 }
 
@@ -247,7 +258,9 @@ def test_rendered_multipliers_match_json_dumps(q):
     # report depth between json.dumps-encoded fields
     rng = np.random.default_rng(q)
     tables = [np.zeros((q, q), dtype=int), rng.integers(-9, 10, size=(q, q)), rng.integers(-3, 1, size=(q, q))]
-    for table in tables:
+    # exact exponents are unbounded Python ints: near, at and past 2**63
+    wide = rng.choice([2**62, -2**62, 2**63 - 1, -2**63, 10**22, -10**22], size=(q, q)).astype(object)
+    for table in [*tables, wide]:
         table[0, 0] = 0
         m = tuple(tuple(int(v) for v in row) for row in table)
         quads = itertools.product(range(q), repeat=4)
