@@ -8,14 +8,16 @@ m * g, m integer.  Three back-ends decide this:
 
   * exact-rational tables: gcd of rationals (always succeeds);
   * stochastic-matrix models with rational entries: multiplicative
-    dependence of the entry ratios, decided exactly by prime factorization;
+    dependence of the entry ratios, decided exactly from the prime
+    factorization of each distinct entry;
   * floating tables: continued-fraction rational reconstruction of the
     difference ratios.
 
 The pairwise differences generate the same Z-module as the q^2 base
 differences beta*(lam_ij - lam_00), so the two exact routes work on those
 q^2 values (the ratios p_00/p_ij for stochastic matrices); only the float
-route builds the q^4 ``difference_set``.
+route builds the q^4 ``difference_set``.  ``classify`` is the one place that
+picks the route; the CLI's markov-check report is a view of its result.
 
 Every route witnesses its lattice with one q x q integer table m, defined
 by beta*(lam_ij - lam_00) = m_ij * g; the difference of entries (i,j) and
@@ -147,53 +149,34 @@ class MultiplicativeWitness:
 def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
     """Decide condition p_00/p_ij = alpha^{m_ij} for a rational stochastic matrix.
 
-    Each ratio is factored into a prime-exponent vector; the condition holds
-    exactly when the vectors span a lattice of rank at most one.  Returns
-    None when the rank is two or more.
+    Each distinct entry is factored once.  For each prime p the integer
+    column c_p[ij] = v_p(p_00) - v_p(p_ij) holds the exponents of p in the
+    ratios; the condition holds exactly when all columns are multiples of
+    one primitive column m, c_p = t_p * m, and then alpha = prod p^{t_p}.
+    Returns None when the columns span a lattice of rank two or more.
     """
     rows = [list(r) for r in P]
     if any(not isinstance(v, Fraction) for row in rows for v in row):
         raise TypeError("multiplicative commensurability needs rational matrix entries")
     q = len(rows)
-    vecs = {}
-    for i in range(q):
-        for j in range(q):
-            vecs[(i, j)] = _prime_exponents(rows[0][0] / rows[i][j])
-    nonzero = [key for key, v in vecs.items() if v]
-    if not nonzero:
-        return MultiplicativeWitness(alpha=None, exponents=tuple((0,) * q for _ in range(q)))
-    base = vecs[nonzero[0]]
-    g0 = math.gcd(*(abs(e) for e in base.values())) if len(base) > 1 else abs(next(iter(base.values())))
-    base = {p: e // g0 for p, e in base.items()}
-
-    def multiple_of_base(vec: dict[int, int]) -> Optional[int]:
-        if not vec:
-            return 0
-        if set(vec) != set(base):
-            return None
-        ms = {vec[p] / base[p] for p in vec}
-        if len(ms) != 1:
-            return None
-        m = ms.pop()
-        return int(m) if m == int(m) else None
-
-    mults = {}
-    for key in vecs:
-        m = multiple_of_base(vecs[key])
-        if m is None:
-            return None
-        mults[key] = m
-    g = math.gcd(*(abs(m) for m in mults.values()))
-    gen = {p: e * g for p, e in base.items()}
+    vecs = {v: _prime_exponents(v) for v in set().union(*rows)}
+    flat = [vecs[v] for row in rows for v in row]
+    cols = {p: [flat[0].get(p, 0) - vec.get(p, 0) for vec in flat] for p in set().union(*flat)}
+    first = next((c for c in cols.values() if any(c)), None)
+    if first is None:
+        return MultiplicativeWitness(alpha=None, exponents=((0,) * q,) * q)
+    g = math.gcd(*first)
+    m = [e // g for e in first]
+    lead = next(i for i, e in enumerate(m) if e)
     alpha = Fraction(1)
-    for p, e in gen.items():
-        alpha *= Fraction(p) ** e
-    mults = {key: m // g for key, m in mults.items()}
+    for p, c in cols.items():
+        t = c[lead] // m[lead]
+        if c != [t * e for e in m]:
+            return None
+        alpha *= Fraction(p) ** t
     if alpha > 1:
-        alpha = 1 / alpha
-        mults = {key: -m for key, m in mults.items()}
-    exponents = tuple(tuple(mults[(i, j)] for j in range(q)) for i in range(q))
-    return MultiplicativeWitness(alpha=alpha, exponents=exponents)
+        alpha, m = 1 / alpha, [-e for e in m]
+    return MultiplicativeWitness(alpha=alpha, exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
 
 
 @dataclass(frozen=True)
@@ -289,76 +272,65 @@ def classify(
     always produce a lattice generator, the rational gcd of the q^2 base
     differences beta*(lam_ij - lam_00): they generate the same Z-module as
     all pairwise differences.  Rational stochastic matrices are decided
-    exactly through prime factorization of the q^2 ratios p_00/p_ij.  Only
+    exactly by the multiplicative witness of the ratios p_00/p_ij, which is
+    degenerate (II_1) exactly when all entries are equal.  Only
     floating tables build the difference set, for continued-fraction
     reconstruction.  Every lattice verdict carries the exponent table m of
     beta*(lam - lam_00) = m * g.
     """
     q = model.q
     kind = _kind(model)
+    confidence, lattice = "exact", None     # lattice: (generator, gamma, exponents)
     if kind == "exact-rational":
         lam, beta = model.lam, model.beta
         base = [[beta * (v - lam[0][0]) for v in row] for row in lam]
         g = commensurability_exact([d for row in base for d in row])
         constant = g is None
+        evidence = {"route": "rational-gcd", "kind": kind}
+        if not constant:
+            lattice = g, math.exp(-float(g)), _int_table([[d / g for d in row] for row in base])
     elif kind == "symbolic-log-rational":
-        constant = len({v for row in model.P for v in row}) == 1
+        witness = commensurability_multiplicative(model.P)
+        constant = witness is not None and witness.alpha is None
+        evidence = {"route": "prime-exponent-rank", "kind": kind}
+        if witness is not None and not constant:
+            # p_00/p_ij = alpha^e_ij with alpha in (0, 1), so beta*(lam_ij - lam_00)
+            # = -e_ij * log(1/alpha).  The witness is primitive (gcd of e is 1,
+            # e_00 = 0), so the lattice step over alpha is always 1.
+            alpha = witness.alpha
+            lattice = (-math.log(float(alpha)), float(alpha),
+                       _int_table([[-e for e in row] for row in witness.exponents]))
+            evidence.update(alpha=alpha, lattice_step=1)
     else:
         ds = difference_set(model)
         constant = all(d == 0 for d in ds.deltas)
+        confidence = "float"
+        evidence = {"route": "continued-fraction", "kind": kind, "max_den": max_den, "tol": tol}
+        found = None if constant else commensurability_float(ds.deltas, max_den=max_den, tol=tol)
+        if found is not None:
+            g = found.generator
+            beta, lam = model.beta_float, model.lam_float
+            m = np.rint(beta * (lam - lam[0, 0]) / g)
+            d = beta * (lam[:, :, None, None] - lam[None, None, :, :])
+            mult = m[:, :, None, None] - m[None, None, :, :]
+            if np.all(np.abs(d - mult * g) <= tol * np.maximum(1.0, np.abs(d))):
+                lattice = g, math.exp(-g), _int_table(m)
+                evidence["low_confidence"] = found.low_confidence
+            else:
+                evidence["note"] = "lattice refinement failed"
     if constant:
         return Classification(
             verdict="II1", generator=None, gamma=None, exponents=((0,) * q,) * q,
             caveat="constant coupling table: the state is a trace", confidence="exact",
             evidence={"route": "degenerate", "kind": kind},
         )
-    if kind == "exact-rational":
+    if lattice is None:
         return Classification(
-            verdict="III_family", generator=g, gamma=math.exp(-float(g)),
-            exponents=_int_table([[d / g for d in row] for row in base]),
-            caveat=CAVEAT_III_FAMILY, confidence="exact",
-            evidence={"route": "rational-gcd", "kind": kind},
+            verdict="incommensurable", generator=None, gamma=None, exponents=None,
+            caveat=CAVEAT_INCOMMENSURABLE, confidence=confidence, evidence=evidence,
         )
-    if kind == "symbolic-log-rational":
-        witness = commensurability_multiplicative(model.P)
-        if witness is None:
-            return Classification(
-                verdict="incommensurable", generator=None, gamma=None, exponents=None,
-                caveat=CAVEAT_INCOMMENSURABLE, confidence="exact",
-                evidence={"route": "prime-exponent-rank", "kind": kind},
-            )
-        # p_00/p_ij = alpha^e_ij with alpha in (0, 1), so beta*(lam_ij - lam_00)
-        # = -e_ij * log(1/alpha).  The witness is primitive (gcd of e is 1,
-        # e_00 = 0), so the lattice step over alpha is always 1.
-        return Classification(
-            verdict="III_family", generator=-math.log(float(witness.alpha)),
-            gamma=float(witness.alpha),
-            exponents=_int_table([[-e for e in row] for row in witness.exponents]),
-            caveat=CAVEAT_III_FAMILY, confidence="exact",
-            evidence={
-                "route": "prime-exponent-rank", "kind": kind,
-                "alpha": witness.alpha, "lattice_step": 1,
-            },
-        )
-    evidence = {"route": "continued-fraction", "kind": kind, "max_den": max_den, "tol": tol}
-    lattice = commensurability_float(ds.deltas, max_den=max_den, tol=tol)
-    if lattice is not None:
-        g = lattice.generator
-        beta, lam = model.beta_float, model.lam_float
-        m = np.rint(beta * (lam - lam[0, 0]) / g)
-        d = beta * (lam[:, :, None, None] - lam[None, None, :, :])
-        mult = m[:, :, None, None] - m[None, None, :, :]
-        if np.all(np.abs(d - mult * g) <= tol * np.maximum(1.0, np.abs(d))):
-            return Classification(
-                verdict="III_family", generator=g, gamma=math.exp(-g),
-                exponents=_int_table(m), caveat=CAVEAT_III_FAMILY, confidence="float",
-                evidence={**evidence, "low_confidence": lattice.low_confidence},
-            )
-        evidence["note"] = "lattice refinement failed"
-    return Classification(
-        verdict="incommensurable", generator=None, gamma=None, exponents=None,
-        caveat=CAVEAT_INCOMMENSURABLE, confidence="float", evidence=evidence,
-    )
+    return Classification("III_family", *lattice, caveat=CAVEAT_III_FAMILY,
+                          confidence=confidence, evidence=evidence)
 
 
 def potts_theta(q: int, J, beta) -> float:

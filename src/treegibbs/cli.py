@@ -9,7 +9,8 @@ radius-reading command would build, resolve the tolerance, run the handler,
 and write its JSON report or CSV text to ``--out`` or stdout.  Handlers
 take ``(model, args, tol)`` and return the command's report fields (or CSV
 text) and an exit code.  ``<command> --help`` lists only the options the
-command reads.
+command reads.  ``markov-check`` decides nothing itself: its report is a
+view of the one ``classifier.classify`` call that ``classify`` also makes.
 
 Reports are encoded by ``json.dumps(indent=2)``, except the classify
 report's q^4 ``multipliers`` list: it is rendered as text from the q x q
@@ -220,20 +221,19 @@ def _cmd_correlations(m, args, tol):
 def _cmd_markov_check(m, args, tol):
     if m.provenance != "markov":
         raise model_mod.ModelError("markov-check needs a model of kind 'markov'")
-    if not all(isinstance(v, Fraction) for row in m.P for v in row):
-        result = classifier.classify(m, max_den=args.max_den, tol=tol)
-        return dict(condition_holds=result.verdict == "III_family",
-                    generator=result.generator, gamma=result.gamma,
+    result = classifier.classify(m, max_den=args.max_den, tol=tol)
+    holds = result.exponents is not None
+    if result.evidence["kind"] == "float":
+        return dict(condition_holds=holds, generator=result.generator, gamma=result.gamma,
                     note="floating matrix: decided by continued-fraction reconstruction"), EXIT_OK
-    witness = classifier.commensurability_multiplicative(m.P)
-    if witness is None:
-        return dict(condition_holds=False, alpha=None, exponents=None,
-                    note="entry ratios span a multiplicative lattice of rank >= 2"), EXIT_OK
-    if witness.alpha is None:
-        return dict(condition_holds=True, alpha=None, exponents=list(witness.exponents),
-                    note="constant matrix: the state is a trace (II1)"), EXIT_OK
-    return dict(condition_holds=True, alpha=witness.alpha,
-                exponents=[list(r) for r in witness.exponents]), EXIT_OK
+    # classify's table is the witness table negated: p_00/p_ij = alpha^{-m_ij}
+    report = dict(condition_holds=holds, alpha=result.evidence.get("alpha"),
+                  exponents=[[-e for e in row] for row in result.exponents] if holds else None)
+    note = {"incommensurable": "entry ratios span a multiplicative lattice of rank >= 2",
+            "II1": "constant matrix: the state is a trace (II1)"}.get(result.verdict)
+    if note is not None:
+        report["note"] = note
+    return report, EXIT_OK
 
 
 def _default(fn, name: str):

@@ -41,13 +41,6 @@ def _check_cap(q: int, num_vertices: int, cap: int) -> int:
     return total
 
 
-def _enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
-    """The (q^|V|, |V|) configuration matrix; only ``FiniteVolumeMeasure.configs`` needs it."""
-    idx = np.arange(_check_cap(q, num_vertices, cap))
-    place = q ** np.arange(num_vertices - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // place[None, :]) % q
-
-
 def _edge_energies(model: LambdaModel, ball: Ball, cap: int) -> np.ndarray:
     """H(sigma) = sum of lam(sigma_u, sigma_v) over the edges, for every configuration index.
 
@@ -84,9 +77,6 @@ class FiniteVolumeMeasure:
         if not np.all(p >= 0):
             raise ValueError("probabilities are NaN or negative: the log-weights are not finite")
         return p
-
-    def configs(self) -> np.ndarray:
-        return _enumerate_configs(self.q, self.ball.num_vertices, len(self.logweights))
 
 
 def finite_volume_measure(

@@ -313,10 +313,10 @@ def model_from_dict(data: dict) -> LambdaModel:
     if kind not in ("generic", "potts", "markov"):
         errors.append(f"kind must be one of generic/potts/markov, got {kind!r}")
     q = data.get("q")
-    if not isinstance(q, int) or q < 2:
+    if type(q) is not int or q < 2:
         errors.append(f"q must be an integer >= 2, got {q!r}")
     k = data.get("k")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         errors.append(f"k must be an integer >= 1, got {k!r}")
     beta = Fraction(1)
     if "beta" in data:

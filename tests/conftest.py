@@ -3,6 +3,14 @@ from fractions import Fraction
 import numpy as np
 
 from treegibbs import generic_model
+from treegibbs.measures import _check_cap
+
+
+def enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
+    """The (q^|V|, |V|) configuration matrix, rows in the library's configuration-index order."""
+    idx = np.arange(_check_cap(q, num_vertices, cap))
+    place = q ** np.arange(num_vertices - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] // place[None, :]) % q
 
 
 def random_rational_table(rng: np.random.Generator, q: int):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from treegibbs import classifier
@@ -107,6 +108,59 @@ def test_multiplicative_lattice_found():
     for i in range(2):
         for j in range(2):
             assert P[0][0] / P[i][j] == w.alpha ** w.exponents[i][j]
+
+
+def test_multiplicative_factors_each_distinct_entry_once(monkeypatch):
+    # a q=4 lattice matrix: 16 positions, 4 distinct entries
+    calls = []
+    real = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda n: calls.append(n) or real(n))
+    w = [Fraction(2, 3) ** e for e in (0, 1, 3, 4)]
+    P = [[w[p] / sum(w) for p in perm] for perm in ((0, 1, 2, 3), (1, 2, 3, 0), (3, 0, 2, 1), (2, 3, 1, 0))]
+    assert commensurability_multiplicative(P).alpha == Fraction(2, 3)
+    assert 0 < len(calls) <= 2 * len({v for row in P for v in row})
+
+
+@st.composite
+def rational_stochastic(draw):
+    """Rows that are permutations of alpha^{e_1..e_q}, or of free integer weights, normalised."""
+    q = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        alpha = draw(st.fractions(Fraction(1, 9), Fraction(8, 9), max_denominator=9))
+        weights = [alpha**e for e in draw(st.lists(st.integers(0, 4), min_size=q, max_size=q))]
+        rows = [[weights[p] for p in draw(st.permutations(range(q)))] for _ in range(q)]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(1, 12), min_size=q, max_size=q), min_size=q, max_size=q))
+    return [[Fraction(v) / sum(row) for v in row] for row in rows]
+
+
+def prime_exponent_rank(P):
+    """Oracle: rank of the matrix of prime exponents of the ratios p_00/p_ij."""
+    ratios = [P[0][0] / v for row in P for v in row]
+    vecs = [sympy.factorrat(sympy.Rational(r.numerator, r.denominator)) for r in ratios]
+    primes = sorted(set().union(*vecs))
+    return sympy.Matrix([[v.get(p, 0) for p in primes] for v in vecs]).rank() if primes else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_stochastic())
+@example([[Fraction(1, 2)] * 2] * 2)
+@example([[Fraction(1, 4), Fraction(3, 4)], [Fraction(3, 4), Fraction(1, 4)]])
+def test_multiplicative_witness_matches_rank_oracle(P):
+    w = commensurability_multiplicative(P)
+    rank = prime_exponent_rank(P)
+    assert (w is None) == (rank >= 2)
+    if w is None:
+        return
+    q = len(P)
+    e = w.exponents
+    assert len(e) == q and all(len(row) == q for row in e) and e[0][0] == 0
+    if rank == 0:
+        assert w.alpha is None and all(v == 0 for row in e for v in row)
+        return
+    assert 0 < w.alpha < 1
+    assert math.gcd(*(v for row in e for v in row)) == 1
+    assert all(P[0][0] / P[i][j] == w.alpha ** e[i][j] for i in range(q) for j in range(q))
 
 
 def test_float_lattice_recovers_log_multiples():

@@ -62,6 +62,16 @@ def test_markov_check_uniform(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "II1"
 
 
+@pytest.mark.parametrize("half", [0.5, "1/2"])
+def test_markov_check_constant_matrix_float_or_rational(tmp_path, capsys, half):
+    # both spellings take classify's II1 verdict, and the condition holds
+    path = write(tmp_path, "m.json", {"kind": "markov", "q": 2, "k": 2, "P": [[half, half], [half, half]]})
+    code, out = run(capsys, ["markov-check", "--model", path])
+    assert code == 0 and json.loads(out)["condition_holds"] is True
+    code, out = run(capsys, ["classify", "--model", path])
+    assert code == 0 and json.loads(out)["verdict"] == "II1"
+
+
 def test_markov_check_refutation(tmp_path, capsys):
     path = write(tmp_path, "m.json", {"kind": "markov", "q": 2, "k": 2,
                                       "P": [["1/2", "1/2"], ["1/3", "2/3"]]})
@@ -109,6 +119,13 @@ def test_invalid_model_exit_3(tmp_path, capsys):
     assert main(["classify", "--model", path]) == 3
     err = capsys.readouterr().err
     assert "row 0" in err
+
+
+@pytest.mark.parametrize("key", ["q", "k"])
+def test_boolean_q_or_k_exit_3(tmp_path, key, capsys):
+    spec = {"kind": "potts", "q": 2, "k": 2, "beta": "1/1", "J": "1/1", key: True}
+    assert main(["solve-fields", "--model", write(tmp_path, "b.json", spec)]) == 3
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 def test_missing_file_exit_3(capsys):

@@ -27,9 +27,9 @@ from treegibbs import (
 )
 from treegibbs.classifier import finite_volume_spectrum
 from treegibbs.fields import ReducedFieldAssignment
-from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _enumerate_configs, _max_column_tv
+from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _max_column_tv
 
-from conftest import random_rational_model, relabeled, shifted
+from conftest import enumerate_configs, random_rational_model, relabeled, shifted
 
 
 def brute_force_probs(model, ball, fields):
@@ -38,7 +38,7 @@ def brute_force_probs(model, ball, fields):
     eta = model.spin.eta
     lam = model.lam_float
     beta = model.beta_float
-    configs = _enumerate_configs(q, ball.num_vertices, 2**22)
+    configs = enumerate_configs(q, ball.num_vertices, 2**22)
     weights = []
     for sigma in configs:
         e = sum(lam[sigma[u], sigma[v]] for u, v in ball.edges)
@@ -53,7 +53,7 @@ def brute_force_probs(model, ball, fields):
 
 def gather_energies(model, ball):
     """Configuration-matrix enumeration: one lam gather per edge, in edge order."""
-    configs = _enumerate_configs(model.q, ball.num_vertices, 2**22)
+    configs = enumerate_configs(model.q, ball.num_vertices, 2**22)
     lam = model.lam_float
     e = np.zeros(len(configs))
     for u, v in ball.edges:
@@ -336,7 +336,7 @@ def test_dlr_self_consistency():
     p = mu.probabilities().reshape(2**inner, 2**outer)
     shell_marginal = p.sum(axis=0)
     mixed = np.zeros(2**inner)
-    omegas = _enumerate_configs(2, outer, 2**20)
+    omegas = enumerate_configs(2, outer, 2**20)
     for w_idx, omega in enumerate(omegas):
         mixed += shell_marginal[w_idx] * dlr_conditional(m, big, list(omega))
     assert np.allclose(mixed, p.sum(axis=1), atol=1e-10)
@@ -391,7 +391,8 @@ def test_two_point_matches_enumeration():
                     b = build_ball(k, n)
                     mu = finite_volume_measure(m, zero_fields(b, q))
                     p = mu.probabilities()
-                    onehot = (mu.configs()[:, :, None] == np.arange(q)).reshape(len(p), -1)
+                    configs = enumerate_configs(q, b.num_vertices, len(p))
+                    onehot = (configs[:, :, None] == np.arange(q)).reshape(len(p), -1)
                     joints = ((onehot.T * p) @ onehot).reshape(b.num_vertices, q, b.num_vertices, q)
                     for x0 in range(b.num_vertices):
                         for x1 in range(b.num_vertices):
@@ -430,7 +431,7 @@ def test_spin_relabel_equivariance(seed):
     b = build_ball(2, 1)
     p = finite_volume_measure(m, zero_fields(b, 3)).probabilities()
     pr = finite_volume_measure(mr, zero_fields(b, 3)).probabilities()
-    configs = _enumerate_configs(3, b.num_vertices, 2**20)
+    configs = enumerate_configs(3, b.num_vertices, 2**20)
     place = 3 ** np.arange(b.num_vertices - 1, -1, -1)
     mapped = np.array([[perm[s] for s in sigma] for sigma in configs]) @ place
     assert np.allclose(pr, p[mapped], atol=1e-13)
