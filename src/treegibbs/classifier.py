@@ -218,6 +218,8 @@ def commensurability_float(
             low_confidence = True
         fracs.append(approx)
     g = base * float(reduce(_frac_gcd, fracs))
+    if not (math.isfinite(g) and g > 0):       # a gcd with a huge denominator underflows g to 0
+        return None
     for d in mags:
         m = round(d / g)
         if abs(d - m * g) > tol * d:

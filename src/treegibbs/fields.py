@@ -8,8 +8,10 @@ equivalent to h'_x = sum_{y in S(x)} F(h'_y) at every interior vertex.
 
 F is batched: ``recursion_map`` maps any (..., q-1) array of fields at once.
 Propagation is one inward sweep (``topology.sweep_up``) with F as the
-message, one map per shell, and the fixed-point search iterates all starts
-together as one array.
+message, one map per shell.  The fixed-point search iterates all starts
+together as one array, by damped iteration that switches to Newton steps
+(with the Jacobian F' from the same softmax rows as F) where the damped map
+contracts.
 """
 
 from __future__ import annotations
@@ -57,9 +59,20 @@ def recursion_map(model: LambdaModel, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim == 0 or h.shape[-1] != model.q - 1:
         raise ValueError(f"field must have {model.q - 1} components, got shape {h.shape}")
-    h_ext = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)  # spin q-1 carries no field
-    row_logs = _log_transfer(model, h_ext)
+    row_logs = _log_transfer(model, _extend(h))
     return row_logs[..., :-1] - row_logs[..., -1:]
+
+
+def _extend(h: np.ndarray) -> np.ndarray:
+    """Append the zero field of spin q-1, which carries none."""
+    return np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
+
+
+def _shifted_terms(model: LambdaModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima and e^{t - max} of t_ij = -beta*lam[i][j] + x_j, over the last axis of x."""
+    t = model.log_weights + x[..., None, :]                             # (..., q, q)
+    top = t.max(axis=-1, keepdims=True)
+    return top, np.exp(t - top)
 
 
 def _log_transfer(model: LambdaModel, x: np.ndarray) -> np.ndarray:
@@ -68,9 +81,18 @@ def _log_transfer(model: LambdaModel, x: np.ndarray) -> np.ndarray:
     Max-shifted, so large values stay finite; -inf entries are allowed while
     each vector keeps a finite one.  F and the two-point elimination share it.
     """
-    t = model.log_weights + x[..., None, :]                             # (..., q, q)
-    top = t.max(axis=-1, keepdims=True)
-    return top[..., 0] + np.log(np.exp(t - top).sum(axis=-1))
+    top, terms = _shifted_terms(model, x)
+    return top[..., 0] + np.log(terms.sum(axis=-1))
+
+
+def _map_jacobian(model: LambdaModel, h: np.ndarray) -> np.ndarray:
+    """F'(h), shape (..., q-1, q-1): dF_i/dh_j = P_ij - P_{q-1,j}.
+
+    P holds the softmax rows behind ``_log_transfer`` at (h, 0).
+    """
+    _, terms = _shifted_terms(model, _extend(h))
+    p = terms / terms.sum(axis=-1, keepdims=True)
+    return p[..., :-1, :-1] - p[..., -1:, :-1]
 
 
 def check_unordered(model: LambdaModel, tol: float = 1e-12) -> tuple[bool, float]:
@@ -106,13 +128,15 @@ def propagate_fields(model: LambdaModel, ball: Ball, boundary) -> ReducedFieldAs
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Deduplicated translation-invariant solutions of h = k*F(h), lexicographically sorted.
+    """Deduplicated translation-invariant solutions of h = k*F(h), sorted.
 
     The per-start tuples follow start order (the zero start first):
-    ``iterations`` counts the damped updates made before the residual test
-    passed (``max_iter`` when it never did), ``residuals`` holds the last
-    tested ||h - k*F(h)||_inf, and ``converged`` marks the starts whose
-    residual fell below the tolerance.
+    ``iterations`` counts the updates, damped or Newton, made before the
+    residual test passed (``max_iter`` when it never did), ``residuals``
+    holds the last tested ||h - k*F(h)||_inf, and ``converged`` marks the
+    starts whose residual fell below the tolerance.  The sort rounds each
+    component to 8 decimals (the dedupe scale) first, so noise below it does
+    not decide the order.
     """
 
     solutions: tuple[tuple[float, ...], ...]
@@ -133,7 +157,7 @@ def ti_fixed_points(
     seed: int = 42,
     damping: float = 0.5,
 ) -> FixedPointResult:
-    """Constant-field solutions of h = k*F(h) by damped fixed-point iteration.
+    """Constant-field solutions of h = k*F(h) by damped iteration with Newton steps.
 
     A generic (non-root) vertex has k successors, so the translation-invariant
     recursion reads h = k*F(h); the root's extra successor makes a nonzero
@@ -141,6 +165,15 @@ def ti_fixed_points(
     uniformly from [-5, 5]^{q-1} plus the zero start; only iterates whose
     residual ||h - k*F(h)||_inf falls below ``tol`` are reported.  All
     starts iterate together, and a start leaves the batch once it converges.
+
+    Each update is the damped step h <- (1-d)*h + d*k*F(h), d = ``damping``,
+    except that a start takes the Newton step h - (I - k*F'(h))^{-1}(h - k*F(h))
+    when its residual is below every earlier one, the damped map contracts
+    at h (||(1-d)*I + d*k*F'(h)||_inf < 1) and the Newton step is finite and
+    at most 1 long in the inf-norm.  Newton thus runs only where the damped
+    map contracts and reaches the attractors of the damped iteration, in far
+    fewer updates near a critical point.  Each update makes one
+    ``recursion_map`` call.
     """
     if starts < 1:
         raise ValueError(f"need at least one start, got {starts}")
@@ -155,7 +188,9 @@ def ti_fixed_points(
     h = np.vstack([np.zeros(qm1), rng.uniform(-5.0, 5.0, size=(starts, qm1))])
     iterations = np.full(len(h), max_iter)
     residuals = np.empty(len(h))
+    lowest = np.full(len(h), 2.0 / damping)   # per active start: lowest residual so far, capped at 2/d
     active = np.arange(len(h))
+    eye = np.eye(qm1)
     for it in range(max_iter):
         current = h[active]
         target = model.k * recursion_map(model, current)
@@ -163,16 +198,34 @@ def ti_fixed_points(
         residuals[active] = residual
         done = residual <= tol
         iterations[active[done]] = it
-        active, current, target = active[~done], current[~done], target[~done]
+        keep = ~done
+        active, current, target = active[keep], current[keep], target[keep]
+        residual, lowest = residual[keep], lowest[keep]
         if active.size == 0:
             break
-        h[active] = (1.0 - damping) * current + damping * target
+        # Newton is tried only on a new lowest residual (so oscillating starts
+        # pay no Jacobian) and below 2/d: where the damped map contracts,
+        # ||I - k*F'||_inf < 2/d, so a larger residual means a step longer than 1.
+        rows = (residual < lowest).nonzero()[0]
+        lowest = np.minimum(lowest, residual)
+        moved = (1.0 - damping) * current + damping * target
+        if rows.size:
+            kjac = model.k * _map_jacobian(model, current[rows])
+            contracts = np.abs((1.0 - damping) * eye + damping * kjac).sum(axis=-1).max(axis=-1) < 1.0
+            rows, kjac = rows[contracts], kjac[contracts]
+        if rows.size:
+            # The damped map contracts, so 1 is no eigenvalue of k*F' and I - k*F' is invertible.
+            delta = np.linalg.solve(eye - kjac, (target - current)[rows][..., None])[..., 0]
+            short = np.all(np.isfinite(delta), axis=1) & (np.max(np.abs(delta), axis=1) <= 1.0)
+            moved[rows[short]] = current[rows[short]] + delta[short]
+        h[active] = moved
     converged = residuals <= tol
     found: list[np.ndarray] = []
     for g in h[converged]:
         if all(np.max(np.abs(g - f)) > 1e-8 for f in found):
             found.append(g)
-    sols = sorted(tuple(float(c) for c in g) for g in found)
+    sols = sorted((tuple(float(c) for c in g) for g in found),
+                  key=lambda s: (tuple(round(c, 8) for c in s), s))
     return FixedPointResult(
         solutions=tuple(sols),
         iterations=tuple(iterations.tolist()),

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 
 from treegibbs import generic_model
+from treegibbs.fields import FixedPointResult, recursion_map
 from treegibbs.measures import _check_cap
 
 
@@ -33,3 +34,47 @@ def shifted(model, c):
     """Model with a constant added to every coupling."""
     lam = [[v + c for v in row] for row in model.lam]
     return generic_model(lam, model.k, model.beta)
+
+
+def damped_fixed_points(
+    model,
+    starts: int = 32,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+    seed: int = 42,
+    damping: float = 0.5,
+) -> FixedPointResult:
+    """Oracle for ``ti_fixed_points``: the damped iteration h <- (1-d)h + d*k*F(h) alone.
+
+    The library's search before it took Newton steps, kept as written then
+    (starts, convergence test, dedupe and plain lexicographic sort).
+    """
+    rng = np.random.default_rng(seed)
+    qm1 = model.q - 1
+    h = np.vstack([np.zeros(qm1), rng.uniform(-5.0, 5.0, size=(starts, qm1))])
+    iterations = np.full(len(h), max_iter)
+    residuals = np.empty(len(h))
+    active = np.arange(len(h))
+    for it in range(max_iter):
+        current = h[active]
+        target = model.k * recursion_map(model, current)
+        residual = np.max(np.abs(current - target), axis=1)
+        residuals[active] = residual
+        done = residual <= tol
+        iterations[active[done]] = it
+        active, current, target = active[~done], current[~done], target[~done]
+        if active.size == 0:
+            break
+        h[active] = (1.0 - damping) * current + damping * target
+    converged = residuals <= tol
+    found: list[np.ndarray] = []
+    for g in h[converged]:
+        if all(np.max(np.abs(g - f)) > 1e-8 for f in found):
+            found.append(g)
+    sols = sorted(tuple(float(c) for c in g) for g in found)
+    return FixedPointResult(
+        solutions=tuple(sols),
+        iterations=tuple(iterations.tolist()),
+        residuals=tuple(residuals.tolist()),
+        converged=tuple(converged.tolist()),
+    )

@@ -180,6 +180,12 @@ def test_float_lattice_exact_multiples():
     assert found.generator == pytest.approx(0.7, abs=1e-12)
 
 
+def test_float_lattice_underflowing_generator_is_incommensurable():
+    # Loosely accepted approximations whose rational gcd makes the generator 0.0.
+    m = generic_model(np.random.default_rng(5).uniform(-1, 1, (4, 4)).tolist(), 2, 1.0)
+    assert commensurability_float(difference_set(m).deltas, tol=1e-3) is None
+
+
 def test_float_lattice_empty_and_validation():
     assert commensurability_float([0.0]) is None
     with pytest.raises(ValueError):

@@ -147,8 +147,10 @@ def test_solve_fields_report(potts3, capsys):
     assert report["count"] == len(report["solutions"]) >= 1
 
 
-# Report of the per-start, one map call per iteration solver on this model
-# and seed; the batched solver must reproduce it byte for byte.
+# Report of the Newton-accelerated solver on this model and seed, pinned
+# byte for byte.  The damped-only solver before it printed the two nonzero
+# solutions below; the pinned ones must stay within 1e-9 of them.
+SOLVE_FIELDS_DAMPED_ONLY = (-7.962332548359533, 7.962332548359965)
 SOLVE_FIELDS_POTTS2_J4_SEED7 = """{
   "schema": 1,
   "command": "solve-fields",
@@ -161,13 +163,13 @@ SOLVE_FIELDS_POTTS2_J4_SEED7 = """{
   },
   "solutions": [
     [
-      -7.962332548359533
+      -7.962332548360522
     ],
     [
       0.0
     ],
     [
-      7.962332548359965
+      7.9623325483605365
     ]
   ],
   "count": 3,
@@ -181,6 +183,9 @@ def test_solve_fields_report_bytes(tmp_path):
     out = tmp_path / "report.json"
     assert main(["solve-fields", "--model", path, "--starts", "8", "--seed", "7", "--out", str(out)]) == 0
     assert out.read_text() == SOLVE_FIELDS_POTTS2_J4_SEED7
+    sols = json.loads(SOLVE_FIELDS_POTTS2_J4_SEED7)["solutions"]
+    for new, old in zip((sols[0][0], sols[2][0]), SOLVE_FIELDS_DAMPED_ONLY):
+        assert abs(new - old) <= 1e-9
 
 
 # One model per classifier route with a lattice, and the q^4 classify report
@@ -537,3 +542,11 @@ def test_round_trip_rational_model(tmp_path, capsys):
 
 def test_enumeration_cap_exit_3(potts3, capsys):
     assert main(["verify-consistency", "--model", potts3, "--n", "2", "--cap", "100"]) == 3
+
+
+def test_classify_underflowing_float_generator_exit_0(tmp_path, capsys):
+    # A noise table whose loose --tol match gave a zero generator and a ZeroDivisionError
+    lam = np.random.default_rng(5).uniform(-1, 1, (4, 4)).tolist()
+    path = write(tmp_path, "noise.json", {"kind": "generic", "q": 4, "k": 2, "beta": 1.0, "lambda": lam})
+    code, out = run(capsys, ["classify", "--model", path, "--tol", "1e-3"])
+    assert code == 0 and json.loads(out)["verdict"] == "incommensurable"

@@ -1,4 +1,6 @@
 import math
+import statistics
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,9 @@ from treegibbs import (
     zero_fields,
 )
 
-from conftest import random_rational_model, random_rational_table, shifted
+from treegibbs.fields import _map_jacobian
+
+from conftest import damped_fixed_points, random_rational_model, random_rational_table, shifted
 
 
 def reference_map(model, h):
@@ -229,15 +233,94 @@ def test_pinned_fixed_point_counts(q, J, expected):
 
 
 def test_fixed_point_diagnostics_on_non_convergence():
-    # beta*J' = 0.55 sits just above the critical atanh(1/2): slow convergence
+    # beta*J' = 0.55 sits just above the critical atanh(1/2): no random start
+    # converges within 5 updates
     m = potts_model(2, Fraction(11, 10), 1, 2)
-    result = ti_fixed_points(m, starts=5, max_iter=50)
+    result = ti_fixed_points(m, starts=5, max_iter=5)
     assert len(result.converged) == len(result.iterations) == len(result.residuals) == 6
     assert result.converged[0] and result.iterations[0] == 0 and result.residuals[0] == 0.0
     assert not any(result.converged[1:])
-    assert result.iterations[1:] == (50,) * 5 and min(result.residuals[1:]) > 1e-12
+    assert result.iterations[1:] == (5,) * 5 and min(result.residuals[1:]) > 1e-12
     assert result.non_converged == 5
     assert result.solutions == ((0.0,),)
+
+
+def assert_same_solutions(result, oracle):
+    assert len(result.solutions) == len(oracle.solutions)
+    for s in result.solutions:
+        assert min(max(abs(a - b) for a, b in zip(s, t)) for t in oracle.solutions) <= 1e-8
+
+
+def test_map_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    for q in (2, 3, 5):
+        m = random_rational_model(rng, q, 2)
+        h = rng.uniform(-4, 4, size=(6, q - 1))
+        eps = 1e-6
+        steps = eps * np.eye(q - 1)
+        numeric = np.stack([(recursion_map(m, h + e) - recursion_map(m, h - e)) / (2 * eps)
+                            for e in steps], axis=-1)
+        assert np.max(np.abs(_map_jacobian(m, h) - numeric)) <= 1e-8
+
+
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    k=st.sampled_from([1, 2, 3]),
+    entries=st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
+)
+@settings(max_examples=100, deadline=None)
+def test_newton_search_matches_damped_oracle(q, k, entries):
+    lam = [entries[q * i:q * i + q] for i in range(q)]
+    m = generic_model(lam, k, 1.0)
+    oracle = damped_fixed_points(m, starts=16, max_iter=2000)
+    if oracle.non_converged:
+        return
+    assert_same_solutions(ti_fixed_points(m, starts=16, max_iter=2000), oracle)
+
+
+# The seven solve-fields models of the fields-sweep benchmark (beta = 1).
+SWEEP_MODELS = [(2, 2 * Fraction(b)) for b in ("3/10", "1/2", "3/5", "9/10")]
+SWEEP_MODELS += [(3, Fraction(j)) for j in ("1/2", "3/2", "3")]
+
+
+@pytest.mark.parametrize("q,J", SWEEP_MODELS)
+def test_newton_search_matches_damped_oracle_on_sweep_models(q, J):
+    m = potts_model(q, J, 1, 2)
+    result, oracle = ti_fixed_points(m), damped_fixed_points(m)
+    assert all(oracle.converged) and all(result.converged)
+    assert_same_solutions(result, oracle)
+    sols = np.array(result.solutions)
+    assert np.max(np.abs(sols - m.k * recursion_map(m, sols))) <= 1e-12
+    assert 5 * sum(result.iterations) < sum(oracle.iterations)
+
+
+def test_solution_order_ignores_sub_tolerance_noise():
+    # The damped-only solver sorted (-5e-17, 2.03) before (0, 0) on this model.
+    m = potts_model(3, Fraction(3, 2), 1, 2)
+    g = 2.027560
+    for seed in (42, 1, 7):
+        sols = ti_fixed_points(m, seed=seed).solutions
+        assert [tuple(round(c, 6) for c in s) for s in sols] == [(-g, -g), (0, 0), (0, g), (g, 0)]
+
+
+def test_non_converging_starts_pay_no_newton_cost():
+    # Antiferromagnetic Potts: every random start settles on a cycle of the
+    # damped map, so no Jacobian or solve may slow the search down.
+    m = potts_model(2, -8, 1, 4)
+    result = ti_fixed_points(m, max_iter=2000)
+    assert not any(result.converged[1:])
+    assert result.solutions == ((0.0,),)
+    # Median over alternating back-to-back pairs: a shared machine's slow
+    # spells hit both runs of a pair alike.
+    ratios = []
+    for i in range(9):
+        seconds = {}
+        for solve in (ti_fixed_points, damped_fixed_points)[::1 if i % 2 else -1]:
+            start = time.perf_counter()
+            solve(m, max_iter=2000)
+            seconds[solve] = time.perf_counter() - start
+        ratios.append(seconds[ti_fixed_points] / seconds[damped_fixed_points])
+    assert statistics.median(ratios) <= 1.25
 
 
 @pytest.mark.parametrize(
