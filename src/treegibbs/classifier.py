@@ -218,7 +218,7 @@ def commensurability_float(
             low_confidence = True
         fracs.append(approx)
     g = base * float(reduce(_frac_gcd, fracs))
-    if not (math.isfinite(g) and g > 0):       # a gcd with a huge denominator underflows g to 0
+    if not (g > 0 and math.isfinite(mags[-1] / g)):   # a gcd with a huge denominator underflows g
         return None
     for d in mags:
         m = round(d / g)

@@ -10,8 +10,8 @@ F is batched: ``recursion_map`` maps any (..., q-1) array of fields at once.
 Propagation is one inward sweep (``topology.sweep_up``) with F as the
 message, one map per shell.  The fixed-point search iterates all starts
 together as one array, by damped iteration that switches to Newton steps
-(with the Jacobian F' from the same softmax rows as F) where the damped map
-contracts.
+(with the Jacobian F' from the same softmax rows as F) where the linearised
+damped map contracts.
 """
 
 from __future__ import annotations
@@ -168,12 +168,14 @@ def ti_fixed_points(
 
     Each update is the damped step h <- (1-d)*h + d*k*F(h), d = ``damping``,
     except that a start takes the Newton step h - (I - k*F'(h))^{-1}(h - k*F(h))
-    when its residual is below every earlier one, the damped map contracts
-    at h (||(1-d)*I + d*k*F'(h)||_inf < 1) and the Newton step is finite and
-    at most 1 long in the inf-norm.  Newton thus runs only where the damped
-    map contracts and reaches the attractors of the damped iteration, in far
-    fewer updates near a critical point.  Each update makes one
-    ``recursion_map`` call.
+    when its residual is below its bar, the linearised damped map
+    (1-d)*I + d*k*F'(h) has spectral radius below 1, and the Newton step is
+    finite and at most 1 long in the inf-norm.  The bar starts at 2/d and
+    drops to half the residual at each try, so a start forms at most
+    log2(4/(d*tol)) Jacobians.  Newton thus runs only where the damped map
+    contracts locally; that it ends on the fixed points the damped iteration
+    reaches is not proved (the tests compare both on random tables).  Each
+    update makes one ``recursion_map`` call.
     """
     if starts < 1:
         raise ValueError(f"need at least one start, got {starts}")
@@ -188,37 +190,45 @@ def ti_fixed_points(
     h = np.vstack([np.zeros(qm1), rng.uniform(-5.0, 5.0, size=(starts, qm1))])
     iterations = np.full(len(h), max_iter)
     residuals = np.empty(len(h))
-    lowest = np.full(len(h), 2.0 / damping)   # per active start: lowest residual so far, capped at 2/d
     active = np.arange(len(h))
+    current = h.copy()
+    # Per active start, the residual below which Newton is tried.  It starts at
+    # 2/d: along an eigenvector of a k*F' where the damped map contracts, a
+    # larger residual gives a Newton step longer than 1.
+    bar = np.full(len(h), 2.0 / damping)
     eye = np.eye(qm1)
     for it in range(max_iter):
-        current = h[active]
         target = model.k * recursion_map(model, current)
         residual = np.max(np.abs(current - target), axis=1)
-        residuals[active] = residual
         done = residual <= tol
-        iterations[active[done]] = it
-        keep = ~done
-        active, current, target = active[keep], current[keep], target[keep]
-        residual, lowest = residual[keep], lowest[keep]
-        if active.size == 0:
-            break
-        # Newton is tried only on a new lowest residual (so oscillating starts
-        # pay no Jacobian) and below 2/d: where the damped map contracts,
-        # ||I - k*F'||_inf < 2/d, so a larger residual means a step longer than 1.
-        rows = (residual < lowest).nonzero()[0]
-        lowest = np.minimum(lowest, residual)
+        if done.any():
+            finished = active[done]
+            h[finished], residuals[finished], iterations[finished] = current[done], residual[done], it
+            keep = ~done
+            active, current, target = active[keep], current[keep], target[keep]
+            residual, bar = residual[keep], bar[keep]
+            if active.size == 0:
+                break
         moved = (1.0 - damping) * current + damping * target
+        rows = (residual < bar).nonzero()[0]
         if rows.size:
+            # Each try halves the bar, so a start forms at most log2(4/(d*tol)) Jacobians.
+            bar[rows] = residual[rows] / 2
             kjac = model.k * _map_jacobian(model, current[rows])
-            contracts = np.abs((1.0 - damping) * eye + damping * kjac).sum(axis=-1).max(axis=-1) < 1.0
+            lin = (1.0 - damping) * eye + damping * kjac
+            # The inf-norm bounds the spectral radius; eigenvalues only where it is not below 1.
+            contracts = np.abs(lin).sum(axis=-1).max(axis=-1) < 1.0
+            unsure = ~contracts
+            if unsure.any():
+                contracts[unsure] = np.abs(np.linalg.eigvals(lin[unsure])).max(axis=-1) < 1.0
             rows, kjac = rows[contracts], kjac[contracts]
         if rows.size:
-            # The damped map contracts, so 1 is no eigenvalue of k*F' and I - k*F' is invertible.
+            # The linearised damped map contracts, so 1 is no eigenvalue of k*F' and I - k*F' is invertible.
             delta = np.linalg.solve(eye - kjac, (target - current)[rows][..., None])[..., 0]
             short = np.all(np.isfinite(delta), axis=1) & (np.max(np.abs(delta), axis=1) <= 1.0)
             moved[rows[short]] = current[rows[short]] + delta[short]
-        h[active] = moved
+        current = moved
+    residuals[active] = residual
     converged = residuals <= tol
     found: list[np.ndarray] = []
     for g in h[converged]:

@@ -186,6 +186,15 @@ def test_float_lattice_underflowing_generator_is_incommensurable():
     assert commensurability_float(difference_set(m).deltas, tol=1e-3) is None
 
 
+def test_float_lattice_subnormal_generator_is_incommensurable():
+    # Ratios 1 + 1/p for 62 primes p above 10^5: the rational gcd is 1/prod(p),
+    # about 1e-310, so the generator is subnormal and d/g would overflow.
+    primes = [sympy.nextprime(10**5)]
+    while math.prod(primes) < 10**310:
+        primes.append(sympy.nextprime(primes[-1]))
+    assert commensurability_float([1.0] + [1 + 1 / p for p in primes]) is None
+
+
 def test_float_lattice_empty_and_validation():
     assert commensurability_float([0.0]) is None
     with pytest.raises(ValueError):
