@@ -2,7 +2,7 @@
 """Classify the worked example models and show the supporting evidence.
 
 Covers the exact Potts route, the degenerate trace case, the exact
-prime-factorization route (commensurable and incommensurable stochastic
+coprime-base valuation route (commensurable and incommensurable stochastic
 matrices), and the floating continued-fraction route (golden-mean matrix).
 """
 

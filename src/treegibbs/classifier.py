@@ -8,8 +8,8 @@ m * g, m integer.  Three back-ends decide this:
 
   * exact-rational tables: gcd of rationals (always succeeds);
   * stochastic-matrix models with rational entries: multiplicative
-    dependence of the entry ratios, decided exactly from the prime
-    factorization of each distinct entry;
+    dependence of the entry ratios, decided exactly from the coprime-base
+    valuations of each distinct entry;
   * floating tables: continued-fraction rational reconstruction of the
     difference ratios.
 
@@ -37,7 +37,6 @@ from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 
 from . import measures
 from .model import LambdaModel
@@ -126,11 +125,33 @@ def commensurability_exact(deltas: Sequence[Fraction]) -> Optional[Fraction]:
     return reduce(_frac_gcd, sorted(mags))
 
 
-def _prime_exponents(r: Fraction) -> dict[int, int]:
-    vec: dict[int, int] = dict(sympy.factorint(r.numerator))
-    for p, e in sympy.factorint(r.denominator).items():
-        vec[p] = vec.get(p, 0) - e
-    return {p: e for p, e in vec.items() if e != 0}
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which each of ``numbers`` is a product of powers.
+
+    Naive gcd refinement, enough for a few dozen numbers; Bernstein, J. Algorithms 54 (2005).
+    """
+    base: list[int] = []
+    todo = [n for n in set(numbers) if n > 1]
+    while todo:
+        n = todo.pop()
+        b = next((b for b in base if math.gcd(n, b) > 1), None)
+        if b is None:
+            base.append(n)
+        else:
+            base.remove(b)
+            g = math.gcd(n, b)
+            todo += [x for x in (g, b // g, n // g) if x > 1]
+    return base
+
+
+def _base_exponents(r: Fraction, base: Sequence[int]) -> dict[int, int]:
+    """Exponents of r over a coprime base whose powers make up its numerator and denominator."""
+    vec: dict[int, int] = {}
+    for b in base:
+        for n, sign in ((r.numerator, 1), (r.denominator, -1)):
+            while n % b == 0:
+                n, vec[b] = n // b, vec.get(b, 0) + sign
+    return vec
 
 
 @dataclass(frozen=True)
@@ -149,19 +170,24 @@ class MultiplicativeWitness:
 def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
     """Decide condition p_00/p_ij = alpha^{m_ij} for a rational stochastic matrix.
 
-    Each distinct entry is factored once.  For each prime p the integer
-    column c_p[ij] = v_p(p_00) - v_p(p_ij) holds the exponents of p in the
-    ratios; the condition holds exactly when all columns are multiples of
-    one primitive column m, c_p = t_p * m, and then alpha = prod p^{t_p}.
-    Returns None when the columns span a lattice of rank two or more.
+    Each distinct entry is valued once over a coprime base of the entries'
+    numerators and denominators.  For each base element b the integer column
+    c_b[ij] = v_b(p_00) - v_b(p_ij) holds the exponents of b in the ratios;
+    the condition holds exactly when all columns are multiples of one
+    primitive column m, c_b = t_b * m, and then alpha = prod b^{t_b}.  (A
+    prime p divides one b only, with column v_p(b) * c_b, so prime columns
+    give the same m and alpha.)  Returns None when the columns span a
+    lattice of rank two or more.
     """
     rows = [list(r) for r in P]
     if any(not isinstance(v, Fraction) for row in rows for v in row):
         raise TypeError("multiplicative commensurability needs rational matrix entries")
     q = len(rows)
-    vecs = {v: _prime_exponents(v) for v in set().union(*rows)}
+    distinct = set().union(*rows)
+    base = _coprime_base([n for v in distinct for n in (v.numerator, v.denominator)])
+    vecs = {v: _base_exponents(v, base) for v in distinct}
     flat = [vecs[v] for row in rows for v in row]
-    cols = {p: [flat[0].get(p, 0) - vec.get(p, 0) for vec in flat] for p in set().union(*flat)}
+    cols = {b: [flat[0].get(b, 0) - vec.get(b, 0) for vec in flat] for b in set().union(*flat)}
     first = next((c for c in cols.values() if any(c)), None)
     if first is None:
         return MultiplicativeWitness(alpha=None, exponents=((0,) * q,) * q)
@@ -169,11 +195,11 @@ def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
     m = [e // g for e in first]
     lead = next(i for i, e in enumerate(m) if e)
     alpha = Fraction(1)
-    for p, c in cols.items():
+    for b, c in cols.items():
         t = c[lead] // m[lead]
         if c != [t * e for e in m]:
             return None
-        alpha *= Fraction(p) ** t
+        alpha *= Fraction(b) ** t
     if alpha > 1:
         alpha, m = 1 / alpha, [-e for e in m]
     return MultiplicativeWitness(alpha=alpha, exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))

@@ -224,17 +224,20 @@ def ti_fixed_points(
             rows, kjac = rows[contracts], kjac[contracts]
         if rows.size:
             # The linearised damped map contracts, so 1 is no eigenvalue of k*F' and I - k*F' is invertible.
-            delta = np.linalg.solve(eye - kjac, (target - current)[rows][..., None])[..., 0]
+            rhs = (target - current)[rows]    # at q = 2, one division gives solve's bits
+            delta = rhs / (1 - kjac[:, 0]) if qm1 == 1 else np.linalg.solve(eye - kjac, rhs[..., None])[..., 0]
             short = np.all(np.isfinite(delta), axis=1) & (np.max(np.abs(delta), axis=1) <= 1.0)
             moved[rows[short]] = current[rows[short]] + delta[short]
         current = moved
     residuals[active] = residual
     converged = residuals <= tol
-    found: list[np.ndarray] = []
-    for g in h[converged]:
-        if all(np.max(np.abs(g - f)) > 1e-8 for f in found):
-            found.append(g)
-    sols = sorted((tuple(float(c) for c in g) for g in found),
+    hits = h[converged]
+    far = np.max(np.abs(hits[:, None] - hits[None]), axis=2) > 1e-8
+    found: list[int] = []
+    for i in range(len(hits)):
+        if far[i, found].all():
+            found.append(i)
+    sols = sorted((tuple(float(c) for c in hits[i]) for i in found),
                   key=lambda s: (tuple(round(c, 8) for c in s), s))
     return FixedPointResult(
         solutions=tuple(sols),

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fields import ReducedFieldAssignment, _log_transfer, zero_fields
 from .model import LambdaModel
@@ -39,6 +38,27 @@ def _check_cap(q: int, num_vertices: int, cap: int) -> int:
             f"{q}^{num_vertices} = {total} configurations exceed the enumeration cap {cap}"
         )
     return total
+
+
+def _logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over ``axis``, bit for bit as scipy.special.logsumexp gives it for floats:
+    log1p(s/m) + log(m) + max, the m entries equal to the slice maximum left out of the
+    shifted sum s.  Only where that is not finite (slices all -inf, or holding +inf or NaN)
+    is log(sum(exp(a))) taken."""
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axis, keepdims=True)
+        at_top = a == top
+        m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+        e = a - top
+        np.exp(e, out=e)
+        e[at_top] = 0.0
+        s = np.sum(e, axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    return np.squeeze(out, axis=axis)[()]
 
 
 def _edge_energies(model: LambdaModel, ball: Ball, cap: int) -> np.ndarray:
@@ -102,7 +122,7 @@ def finite_volume_measure(
     for x in ball.shells[n]:
         pair = scale * (fields.hprime[x] @ gram_part)  # weight per spin value
         _add_vertex_term(logw, q, x, pair)
-    return FiniteVolumeMeasure(ball=ball, q=q, logweights=logw, logZ=float(logsumexp(logw)))
+    return FiniteVolumeMeasure(ball=ball, q=q, logweights=logw, logZ=float(_logsumexp(logw)))
 
 
 def marginalize(mu: FiniteVolumeMeasure, to_level: int) -> FiniteVolumeMeasure:
@@ -114,7 +134,7 @@ def marginalize(mu: FiniteVolumeMeasure, to_level: int) -> FiniteVolumeMeasure:
     sub = build_ball(mu.ball.k, to_level)
     keep = sub.num_vertices
     block = mu.logweights.reshape(mu.q**keep, -1)
-    logmarg = logsumexp(block, axis=1) - mu.logZ
+    logmarg = _logsumexp(block, axis=1) - mu.logZ
     return FiniteVolumeMeasure(ball=sub, q=mu.q, logweights=logmarg, logZ=0.0)
 
 
@@ -159,7 +179,7 @@ def dlr_conditional(
     for pos, y in enumerate(outer):
         _add_vertex_term(e, q, ball.parent[y], lam[:, omega[pos]])
     logw = -model.beta_float * e
-    return np.exp(logw - logsumexp(logw))
+    return np.exp(logw - _logsumexp(logw))
 
 
 def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP) -> float:

@@ -113,12 +113,12 @@ def test_multiplicative_lattice_found():
 def test_multiplicative_factors_each_distinct_entry_once(monkeypatch):
     # a q=4 lattice matrix: 16 positions, 4 distinct entries
     calls = []
-    real = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda n: calls.append(n) or real(n))
+    real = classifier._base_exponents
+    monkeypatch.setattr(classifier, "_base_exponents", lambda r, base: calls.append(r) or real(r, base))
     w = [Fraction(2, 3) ** e for e in (0, 1, 3, 4)]
     P = [[w[p] / sum(w) for p in perm] for perm in ((0, 1, 2, 3), (1, 2, 3, 0), (3, 0, 2, 1), (2, 3, 1, 0))]
     assert commensurability_multiplicative(P).alpha == Fraction(2, 3)
-    assert 0 < len(calls) <= 2 * len({v for row in P for v in row})
+    assert 0 < len(calls) <= len({v for row in P for v in row})
 
 
 @st.composite
@@ -161,6 +161,62 @@ def test_multiplicative_witness_matches_rank_oracle(P):
     assert 0 < w.alpha < 1
     assert math.gcd(*(v for row in e for v in row)) == 1
     assert all(P[0][0] / P[i][j] == w.alpha ** e[i][j] for i in range(q) for j in range(q))
+
+
+def prime_witness(P):
+    """Oracle: (alpha, exponents) from the prime factorization of every ratio p_00/p_ij,
+    or None when the prime exponent columns are not multiples of one column."""
+    q = len(P)
+    vecs = [sympy.factorrat(sympy.Rational(r.numerator, r.denominator)) for r in (P[0][0] / v for row in P for v in row)]
+    cols = {p: [v.get(p, 0) for v in vecs] for p in sorted(set().union(*vecs))}
+    if not cols:
+        return None, ((0,) * q,) * q
+    first = next(iter(cols.values()))
+    m = [e // math.gcd(*first) for e in first]
+    lead = next(i for i, e in enumerate(m) if e)
+    alpha = Fraction(1)
+    for p, c in cols.items():
+        if c != [c[lead] // m[lead] * e for e in m]:
+            return None
+        alpha *= Fraction(int(p)) ** (c[lead] // m[lead])
+    if alpha > 1:
+        alpha, m = 1 / alpha, [-e for e in m]
+    return alpha, tuple(tuple(m[i:i + q]) for i in range(0, q * q, q))
+
+
+@st.composite
+def shared_factor_stochastic(draw):
+    """Rows of integer weights built from a few shared small factors, normalised, q = 2..6."""
+    q = draw(st.integers(2, 6))
+    factors = draw(st.lists(st.sampled_from([2, 3, 4, 6, 9, 10, 12, 15, 25]), min_size=1, max_size=3))
+    weights = [math.prod(f ** draw(st.integers(0, 3)) for f in factors) for _ in range(q)]
+    rows = [[weights[p] for p in draw(st.permutations(range(q)))] for _ in range(q)]
+    if draw(st.booleans()):
+        rows[-1] = draw(st.lists(st.integers(1, 60), min_size=q, max_size=q))
+    return [[Fraction(v) / sum(row) for v in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_stochastic(), shared_factor_stochastic()))
+@example([[Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]] * 3)
+@example([[Fraction(4, 13), Fraction(9, 13)], [Fraction(9, 13), Fraction(4, 13)]])
+def test_coprime_base_witness_matches_prime_factorization(P):
+    w = commensurability_multiplicative(P)
+    want = prime_witness(P)
+    assert (w is None) == (want is None)
+    if w is not None:
+        assert (w.alpha, w.exponents) == want
+
+
+def test_coprime_base_is_pairwise_coprime_and_generates_its_numbers():
+    numbers = [12, 18, 2**5 * 3, 35, 49, 10**12 + 39, 1, 75]
+    base = classifier._coprime_base(numbers)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
+    for n in numbers:
+        for b in base:
+            while n % b == 0:
+                n //= b
+        assert n == 1
 
 
 def test_float_lattice_recovers_log_multiples():

@@ -3,11 +3,15 @@ import json
 import math
 import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
+import treegibbs
 from treegibbs import measures, topology
 from treegibbs.cli import (
     COMMANDS, _ball_exceeds, _encode, _json_default, _rendered_multipliers, main,
@@ -550,3 +554,30 @@ def test_classify_underflowing_float_generator_exit_0(tmp_path, capsys):
     path = write(tmp_path, "noise.json", {"kind": "generic", "q": 4, "k": 2, "beta": 1.0, "lambda": lam})
     code, out = run(capsys, ["classify", "--model", path, "--tol", "1e-3"])
     assert code == 0 and json.loads(out)["verdict"] == "incommensurable"
+
+
+def run_python(args, timeout):
+    """Run a fresh interpreter on this checkout's treegibbs, with nothing else on its path."""
+    src = str(pathlib.Path(treegibbs.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_import_loads_neither_scipy_nor_sympy():
+    proc = run_python(["-c", "import sys, treegibbs, treegibbs.cli; "
+                             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))"], 60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_markov_check_semiprime_denominator(tmp_path):
+    # N is the product of two 31-digit primes, which prime factorization does not finish on.
+    N = sympy.nextprime(10**30) * sympy.nextprime(3 * 10**30)
+    a, b = f"1/{N}", f"{N - 1}/{N}"
+    path = write(tmp_path, "semiprime.json", {"kind": "markov", "q": 2, "k": 2, "P": [[a, b], [b, a]]})
+    proc = run_python(["-m", "treegibbs.cli", "markov-check", "--model", path], 30)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["condition_holds"] is True
+    assert report["alpha"] == f"1/{N - 1}"
+    assert report["exponents"] == [[0, 1], [1, 0]]

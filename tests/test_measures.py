@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from treegibbs import (
 )
 from treegibbs.classifier import finite_volume_spectrum
 from treegibbs.fields import ReducedFieldAssignment
-from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _max_column_tv
+from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _logsumexp, _max_column_tv
 
 from conftest import enumerate_configs, random_rational_model, relabeled, shifted
 
@@ -201,6 +202,43 @@ def test_probabilities_reject_nan_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env={"PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def logsumexp_cases():
+    """1-D and 2-D float arrays with ties at the max, -inf entries and rows,
+    all -inf arrays, +inf and NaN entries, at magnitudes up to 800 N(0, 1)."""
+    rng = np.random.default_rng(17)
+    for trial in range(600):
+        shape = (int(rng.integers(1, 40)),) if trial % 2 else tuple(int(v) for v in rng.integers(1, 12, 2))
+        a = rng.standard_normal(shape) * (1, 30, 800)[trial % 3]
+        if trial % 5 == 0:
+            a = np.round(a)
+        if trial % 7 == 0:
+            a[rng.random(shape) < 0.3] = -np.inf
+        if trial % 11 == 0 and a.ndim == 2:
+            a[int(rng.integers(a.shape[0]))] = -np.inf
+        if trial % 13 == 0:
+            a[:] = -np.inf
+        if trial % 17 == 0:
+            a[rng.random(shape) < 0.2] = np.inf
+        if trial % 19 == 0:
+            a[rng.random(shape) < 0.2] = np.nan
+        yield a
+    yield np.array([[0.0, np.inf], [1.0, 2.0], [-np.inf, -np.inf]])   # rows 0 and 2 take the fallback
+    yield rng.standard_normal(2**20) * 30
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    for a in logsumexp_cases():
+        for axis in (None, *range(a.ndim)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = logsumexp(a, axis=axis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")      # _logsumexp warns about nothing
+                got = _logsumexp(a, axis=axis)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, axis, got, want)
 
 
 def test_free_model_is_uniform():
