@@ -132,13 +132,14 @@ def _load_field_assignment(
 ) -> fields.ReducedFieldAssignment:
     """Assemble a field assignment for a ball from an optional vertex-word file.
 
-    File values for the outermost shell seed the boundary (absent boundary
-    vertices default to zero); the interior is then propagated inward and
-    any interior values present in the file override the propagated ones,
-    so corrupted files are caught by the consistency check.
+    The file's vectors are written into one (num_vertices, q-1) array.  Its
+    outermost shell seeds the boundary (absent boundary vertices stay zero);
+    the interior is then propagated inward and the interior rows the file
+    gives are written back over the propagated ones, so corrupted files are
+    caught by the consistency check.
     """
-    qm1 = model.q - 1
-    given: dict[int, np.ndarray] = {}
+    hprime = np.zeros((ball.num_vertices, model.q - 1))
+    given = np.zeros(ball.num_vertices, dtype=bool)
     if fields_path is not None:
         with open(fields_path) as fh:
             try:
@@ -150,17 +151,12 @@ def _load_field_assignment(
         for key, vec in raw.items():
             x = _vertex_of_key(ball, key)
             arr = np.asarray(vec, dtype=float)
-            if arr.shape != (qm1,):
-                raise model_mod.ModelError(f"field for {key!r} must have {qm1} components")
-            given[x] = arr
-    boundary = {
-        x: given.get(x, np.zeros(qm1)) for x in ball.shells[ball.n]
-    }
-    assignment = fields.propagate_fields(model, ball, boundary)
-    hprime = assignment.hprime.copy()
-    for x, vec in given.items():
-        hprime[x] = vec
-    return fields.ReducedFieldAssignment(ball, hprime)
+            if arr.shape != (model.q - 1,):
+                raise model_mod.ModelError(f"field for {key!r} must have {model.q - 1} components")
+            hprime[x], given[x] = arr, True
+    propagated = fields.propagate_fields(model, ball, hprime[ball.shell_slice(ball.n)]).hprime
+    propagated[given] = hprime[given]
+    return fields.ReducedFieldAssignment(ball, propagated)
 
 
 def _cmd_classify(m, args, tol):

@@ -24,6 +24,8 @@ import numpy as np
 from .model import LambdaModel
 from .topology import Ball, sweep_up
 
+DAMPING = 0.5   # d in the fixed-point search's damped step h <- (1-d)*h + d*k*F(h)
+
 
 @dataclass(frozen=True)
 class ReducedFieldAssignment:
@@ -107,22 +109,20 @@ def check_unordered(model: LambdaModel, tol: float = 1e-12) -> tuple[bool, float
     return residual <= tol, residual
 
 
-def propagate_fields(model: LambdaModel, ball: Ball, boundary) -> ReducedFieldAssignment:
+def propagate_fields(model: LambdaModel, ball: Ball, boundary: np.ndarray) -> ReducedFieldAssignment:
     """Propagate boundary fields inward: h'_x = sum over successors of F(h'_y).
 
-    ``boundary`` gives the reduced fields on the outermost shell, either as
-    an array in shell order or as a mapping vertex index -> vector.  Each
-    shell costs one batched map of the shell outside it.
+    ``boundary`` holds the reduced fields on the outermost shell in shell
+    order, an array of shape exactly (shell size, q-1).  Each shell costs one
+    batched map of the shell outside it.
     """
-    qm1 = model.q - 1
-    hprime = np.zeros((ball.num_vertices, qm1))
-    outer = ball.shells[ball.n]
-    if isinstance(boundary, dict):
-        missing = [x for x in outer if x not in boundary]
-        if missing:
-            raise ValueError(f"boundary fields missing for vertices {missing}")
-        boundary = [boundary[x] for x in outer]
-    hprime[ball.shell_slice(ball.n)] = np.asarray(boundary, dtype=float).reshape(len(outer), qm1)
+    outer = ball.shell_slice(ball.n)
+    boundary = np.asarray(boundary, dtype=float)
+    shape = (outer.stop - outer.start, model.q - 1)
+    if boundary.shape != shape:
+        raise ValueError(f"boundary fields must have shape {shape}, got {boundary.shape}")
+    hprime = np.zeros((ball.num_vertices, model.q - 1))
+    hprime[outer] = boundary
     return ReducedFieldAssignment(ball, sweep_up(ball, hprime, lambda h: recursion_map(model, h)))
 
 
@@ -155,7 +155,6 @@ def ti_fixed_points(
     tol: float = 1e-12,
     max_iter: int = 10_000,
     seed: int = 42,
-    damping: float = 0.5,
 ) -> FixedPointResult:
     """Constant-field solutions of h = k*F(h) by damped iteration with Newton steps.
 
@@ -166,7 +165,7 @@ def ti_fixed_points(
     residual ||h - k*F(h)||_inf falls below ``tol`` are reported.  All
     starts iterate together, and a start leaves the batch once it converges.
 
-    Each update is the damped step h <- (1-d)*h + d*k*F(h), d = ``damping``,
+    Each update is the damped step h <- (1-d)*h + d*k*F(h), d = ``DAMPING``,
     except that a start takes the Newton step h - (I - k*F'(h))^{-1}(h - k*F(h))
     when its residual is below its bar, the linearised damped map
     (1-d)*I + d*k*F'(h) has spectral radius below 1, and the Newton step is
@@ -181,8 +180,6 @@ def ti_fixed_points(
         raise ValueError(f"need at least one start, got {starts}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if not 0 < damping <= 1:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if max_iter < 1:
         raise ValueError(f"need at least one iteration, got {max_iter}")
     rng = np.random.default_rng(seed)
@@ -195,7 +192,7 @@ def ti_fixed_points(
     # Per active start, the residual below which Newton is tried.  It starts at
     # 2/d: along an eigenvector of a k*F' where the damped map contracts, a
     # larger residual gives a Newton step longer than 1.
-    bar = np.full(len(h), 2.0 / damping)
+    bar = np.full(len(h), 2.0 / DAMPING)
     eye = np.eye(qm1)
     for it in range(max_iter):
         target = model.k * recursion_map(model, current)
@@ -209,13 +206,13 @@ def ti_fixed_points(
             residual, bar = residual[keep], bar[keep]
             if active.size == 0:
                 break
-        moved = (1.0 - damping) * current + damping * target
+        moved = (1.0 - DAMPING) * current + DAMPING * target
         rows = (residual < bar).nonzero()[0]
         if rows.size:
             # Each try halves the bar, so a start forms at most log2(4/(d*tol)) Jacobians.
             bar[rows] = residual[rows] / 2
             kjac = model.k * _map_jacobian(model, current[rows])
-            lin = (1.0 - damping) * eye + damping * kjac
+            lin = (1.0 - DAMPING) * eye + DAMPING * kjac
             # The inf-norm bounds the spectral radius; eigenvalues only where it is not below 1.
             contracts = np.abs(lin).sum(axis=-1).max(axis=-1) < 1.0
             unsure = ~contracts

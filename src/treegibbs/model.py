@@ -11,7 +11,7 @@ lam[sigma(x)][sigma(y)]; for symmetric tables the orientation is immaterial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
@@ -37,9 +37,6 @@ class SpinSet:
     q: int
     eta: np.ndarray          # (q, q-1) explicit coordinates
     gram: np.ndarray         # (q, q) pairwise inner products
-
-    def gram_exact(self, i: int, j: int) -> Fraction:
-        return Fraction(1) if i == j else Fraction(-1, self.q - 1)
 
 
 def simplex_vectors(q: int) -> SpinSet:
@@ -131,7 +128,7 @@ def _homogeneous_table(rows) -> tuple[tuple[Number, ...], ...]:
 
 
 def generic_model(lam, k: int, beta) -> LambdaModel:
-    """Model from an explicit q x q coupling table."""
+    """Model from an explicit q x q coupling table; the one place that checks k and beta."""
     table = _homogeneous_table(lam)
     q = len(table)
     if q < 2 or any(len(row) != q for row in table):
@@ -152,35 +149,22 @@ def potts_model(q: int, J, beta, k: int) -> LambdaModel:
     """
     if q < 2:
         raise ModelError(f"need q >= 2, got {q}")
-    if k < 1:
-        raise ModelError(f"tree order k must be >= 1, got {k}")
     J = _as_number(J)
-    beta = _as_number(beta)
-    if not beta > 0:
-        raise ModelError(f"inverse temperature must be positive, got {beta}")
     jp = (q - 1) * J / q
     off = jp / (q - 1)
     lam = [[(-jp if i == j else off) for j in range(q)] for i in range(q)]
-    return LambdaModel(
-        spin=simplex_vectors(q),
-        k=k,
-        beta=beta,
-        lam=_homogeneous_table(lam),
-        provenance="potts",
-        J=J,
-    )
+    return replace(generic_model(lam, k, beta), provenance="potts", J=J)
 
 
 def markov_model(P, k: int) -> LambdaModel:
     """Model driven by a strictly positive stochastic matrix: lam[i][j] = -log p_ij.
 
-    Inverse temperature is fixed to 1.  Rational entries are kept on the
-    matrix itself (the log table is necessarily floating) so multiplicative
-    commensurability can be decided exactly.
+    P is coerced once, like a coupling table, and checked before the log
+    table goes to ``generic_model`` with beta = 1.  Rational entries are kept
+    on the matrix itself (the log table is necessarily floating) so
+    multiplicative commensurability can be decided exactly.
     """
-    if k < 1:
-        raise ModelError(f"tree order k must be >= 1, got {k}")
-    rows = [[_as_number(v) for v in row] for row in P]
+    rows = _homogeneous_table(P)
     q = len(rows)
     if q < 2 or any(len(row) != q for row in rows):
         raise ModelError("stochastic matrix must be square with q >= 2")
@@ -192,21 +176,12 @@ def markov_model(P, k: int) -> LambdaModel:
         if isinstance(s, Fraction):
             if s != 1:
                 errors.append(f"row {i}: sums to {s}, expected 1")
-        elif abs(float(s) - 1.0) > ROW_SUM_TOL:
-            errors.append(f"row {i}: sums to {float(s)!r}, expected 1")
+        elif abs(s - 1.0) > ROW_SUM_TOL:
+            errors.append(f"row {i}: sums to {s!r}, expected 1")
     if errors:
         raise ModelError("; ".join(errors))
-    if any(isinstance(v, float) for row in rows for v in row):
-        rows = [[float(v) for v in row] for row in rows]
-    lam = tuple(tuple(-math.log(float(p)) for p in row) for row in rows)
-    return LambdaModel(
-        spin=simplex_vectors(q),
-        k=k,
-        beta=Fraction(1),
-        lam=lam,
-        provenance="markov",
-        P=tuple(tuple(row) for row in rows),
-    )
+    lam = [[-math.log(float(p)) for p in row] for row in rows]
+    return replace(generic_model(lam, k, 1), provenance="markov", P=rows)
 
 
 def _check_config(model: LambdaModel, ball: Ball, sigma: Sequence[int], what: str) -> None:

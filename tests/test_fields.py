@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from treegibbs import (
@@ -142,7 +142,18 @@ def test_propagate_rejects_incomplete_boundary():
     m = potts_model(2, 1, 1, 2)
     b = build_ball(2, 2)
     with pytest.raises(ValueError):
-        propagate_fields(m, b, {b.shells[2][0]: np.zeros(1)})
+        propagate_fields(m, b, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (6,), (3, 2, 1), (1, 3, 2)])
+def test_propagate_rejects_mis_shaped_boundary(shape):
+    # q=3, k=2, n=1: the outer shell holds 3 vertices, so only (3, 2) is a
+    # boundary; a transposed or flattened array of the same size is not one.
+    m = potts_model(3, 1, 1, 2)
+    b = build_ball(2, 1)
+    with pytest.raises(ValueError, match="shape"):
+        propagate_fields(m, b, np.arange(6.0).reshape(shape))
+    assert propagate_fields(m, b, np.arange(6.0).reshape(3, 2)).hprime.shape == (4, 2)
 
 
 def test_free_model_has_unique_zero_solution():
@@ -209,8 +220,6 @@ def test_propagate_matches_per_vertex_loop(q, k, n):
     boundary = rng.uniform(-3, 3, size=(len(b.shells[n]), q - 1))
     flds = propagate_fields(m, b, boundary)
     assert np.max(np.abs(flds.hprime - reference_propagate(m, b, boundary))) <= 1e-12
-    as_dict = {x: boundary[i] for i, x in enumerate(b.shells[n])}
-    assert np.array_equal(propagate_fields(m, b, as_dict).hprime, flds.hprime)
     for r in range(n + 1):
         assert np.array_equal(flds.on_shell(r), flds.hprime[list(b.shells[r])])
 
@@ -273,6 +282,8 @@ def test_map_jacobian_matches_central_differences():
     k=st.sampled_from([1, 2, 3]),
     entries=st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
 )
+# No start converges on this table, so both searches return no solution.
+@example(q=3, k=3, entries=[0.0, 2.0, -3.0, -2.0, 1.0, 0.0, 2.0, 0.0, 0.0] + [0.0] * 7)
 @settings(max_examples=100, deadline=None)
 def test_newton_search_matches_damped_oracle(q, k, entries):
     # Where the oracle converges from every start the solution sets agree;
@@ -285,8 +296,9 @@ def test_newton_search_matches_damped_oracle(q, k, entries):
         assert_finds_oracle_solutions(result, oracle)
     else:
         assert_same_solutions(result, oracle)
-    sols = np.array(result.solutions)
-    assert np.max(np.abs(sols - m.k * recursion_map(m, sols))) <= 1e-12
+    if result.solutions:
+        sols = np.array(result.solutions)
+        assert np.max(np.abs(sols - m.k * recursion_map(m, sols))) <= 1e-12
 
 
 # The seven solve-fields models of the fields-sweep benchmark (beta = 1).
@@ -373,7 +385,6 @@ def test_jacobians_per_start_are_bounded(monkeypatch):
     "kwargs",
     [
         {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
-        {"damping": 0.0}, {"damping": -0.5}, {"damping": 1.5},
         {"max_iter": 0}, {"starts": 0},
     ],
 )

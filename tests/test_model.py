@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treegibbs import (
     boundary_energy,
@@ -232,3 +233,69 @@ def test_model_from_dict_reports_all_errors():
         model_from_dict({"kind": "nope", "q": 1, "k": 0})
     msg = str(exc.value)
     assert "kind" in msg and "q" in msg and "k" in msg
+
+
+numbers = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.nan, math.inf]),
+)
+
+
+def assert_same_model(m, g):
+    """m is g apart from provenance, J and P: same lam and beta (values and types), same bytes."""
+    assert (m.q, m.k, repr(m.lam), repr(m.beta)) == (g.q, g.k, repr(g.lam), repr(g.beta))
+    assert m.log_weights.tobytes() == g.log_weights.tobytes()
+    assert m.spin.eta.tobytes() == g.spin.eta.tobytes()
+
+
+@given(q=st.integers(0, 5), J=numbers, beta=numbers, k=st.integers(-1, 3))
+@settings(max_examples=300, deadline=None)
+def test_potts_model_is_generic_model_on_its_table(q, J, beta, k):
+    valid = q >= 2 and k >= 1 and math.isfinite(J) and math.isfinite(beta) and beta > 0
+    if not valid:
+        with pytest.raises(ModelError):
+            potts_model(q, J, beta, k)
+        return
+    m = potts_model(q, J, beta, k)
+    J = Fraction(J) if isinstance(J, int) else J
+    jp = (q - 1) * J / q    # lam = -J' * (eta_i, eta_j), with (eta_i, eta_j) = -1/(q-1) off the diagonal
+    assert_same_model(m, generic_model([[-jp if i == j else jp / (q - 1) for j in range(q)]
+                                        for i in range(q)], k, beta))
+    assert (m.provenance, repr(m.J), m.P) == ("potts", repr(J), None)
+
+
+@st.composite
+def stochastic_matrices(draw):
+    """A positive stochastic matrix (rational or float rows), and a way to spoil it or not."""
+    q = draw(st.integers(2, 4))
+    exact = draw(st.booleans())
+    P = []
+    for _ in range(q):
+        w = draw(st.lists(st.integers(1, 50), min_size=q, max_size=q))
+        P.append([Fraction(v, sum(w)) if exact else v / sum(w) for v in w])
+    spoil = draw(st.sampled_from(["none", "zero", "doubled", "ragged", "k"]))
+    i, j = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+    if spoil == "zero":
+        P[i][j] = 0 * P[i][j]
+    elif spoil == "doubled":
+        P[i][j] = 2 * P[i][j]
+    elif spoil == "ragged":
+        P[i] = P[i][:-1]
+    return P, spoil
+
+
+@given(stochastic_matrices(), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_markov_model_is_generic_model_on_its_table(spoiled, k):
+    P, spoil = spoiled
+    if spoil == "k":
+        k = 0
+    if spoil != "none":
+        with pytest.raises(ModelError):
+            markov_model(P, k)
+        return
+    m = markov_model(P, k)
+    assert_same_model(m, generic_model([[-math.log(p) for p in row] for row in P], k, 1))
+    assert (m.provenance, m.J, repr(m.P)) == ("markov", None, repr(tuple(map(tuple, P))))
