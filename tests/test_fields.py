@@ -385,6 +385,7 @@ def test_jacobians_per_start_are_bounded(monkeypatch):
     "kwargs",
     [
         {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"tol": -math.inf}, {"max_iter": -1}, {"starts": -1},
         {"max_iter": 0}, {"starts": 0},
     ],
 )
