@@ -60,13 +60,12 @@ class DifferenceSet:
     """Sorted, deduplicated beta-scaled coupling differences.
 
     ``kind`` is "exact-rational" (deltas are Fractions), "symbolic-log-rational"
-    (deltas are floats log(r) with the rational r kept in ``ratios``), or
+    (deltas are floats log(r) of the distinct rational entry ratios r), or
     "float".  The set always contains 0 and equals its own negation.
     """
 
     deltas: tuple
     kind: str
-    ratios: Optional[tuple[Fraction, ...]] = None
 
 
 def _table_values(model: LambdaModel) -> list:
@@ -91,10 +90,9 @@ def difference_set(model: LambdaModel) -> DifferenceSet:
         return DifferenceSet(deltas=tuple(deltas), kind=kind)
     if kind == "symbolic-log-rational":
         entries = [v for row in model.P for v in row]
-        # delta = -log p + log p' = log(p'/p); keep the rational ratio
+        # delta = -log p + log p' = log(p'/p), one per distinct rational ratio
         ratios = sorted({b / a for a in entries for b in entries})
-        deltas = tuple(math.log(float(r)) for r in ratios)
-        return DifferenceSet(deltas=deltas, kind=kind, ratios=tuple(ratios))
+        return DifferenceSet(deltas=tuple(math.log(float(r)) for r in ratios), kind=kind)
     vals = [float(v) for v in _table_values(model)]
     beta = model.beta_float
     raw = sorted({beta * (a - b) for a in vals for b in vals})

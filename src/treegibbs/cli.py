@@ -310,14 +310,11 @@ def _validate(args, command: Command, given: set[str]) -> None:
 def _ball_exceeds(k: int, n: int, cap: int) -> bool:
     """Does the radius-n ball of the order-k tree hold more than ``cap`` vertices?
 
-    Counted in closed form, without building the ball.  For k >= 2 shell m
-    holds at least 2**m vertices, so radii past ``cap.bit_length()`` are
-    all over the cap and n is clipped there before k**n is formed.
+    Counted by ``topology.ball_size``, without building the ball.  For k >= 2
+    shell m holds at least 2**m vertices, so radii past ``cap.bit_length()``
+    are all over the cap and n is clipped there before k**n is formed.
     """
-    if k == 1:
-        return 1 + 2 * n > cap
-    n = min(n, cap.bit_length())
-    return 1 + (k + 1) * (k**n - 1) // (k - 1) > cap
+    return topology.ball_size(k, n if k == 1 else min(n, cap.bit_length())) > cap
 
 
 def main(argv=None) -> int:

@@ -264,7 +264,7 @@ def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:
     ball = build_ball(model.k, n)
     rows = []
     for d in range(1, n + 1):
-        x = ball.shells[d][0]
+        x = ball.shell_slice(d).start
         defect = two_point_correlation(model, 0, x, n)
         rows.append((d, float(np.max(defect))))
     return rows

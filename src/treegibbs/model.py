@@ -22,7 +22,6 @@ from .topology import Ball
 
 Number = Union[Fraction, float]
 
-GRAM_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
 
 
@@ -64,14 +63,14 @@ def simplex_vectors(q: int) -> SpinSet:
 
 @dataclass(frozen=True)
 class LambdaModel:
-    """A lambda-model: spin set, tree order, inverse temperature, coupling table.
+    """A lambda-model: tree order, inverse temperature, q x q coupling table.
 
-    ``provenance`` records how the table was built ("generic", "potts",
-    "markov"); ``P`` is kept for markov models so the classifier can work
-    multiplicatively on the stochastic matrix itself.
+    The spin set is built from q on first use.  ``provenance`` records how
+    the table was built ("generic", "potts", "markov"); ``P`` is kept for
+    markov models so the classifier can work multiplicatively on the
+    stochastic matrix itself.
     """
 
-    spin: SpinSet
     k: int
     beta: Number
     lam: tuple[tuple[Number, ...], ...]
@@ -81,7 +80,11 @@ class LambdaModel:
 
     @property
     def q(self) -> int:
-        return self.spin.q
+        return len(self.lam)
+
+    @cached_property
+    def spin(self) -> SpinSet:
+        return simplex_vectors(self.q)
 
     @property
     def is_exact(self) -> bool:
@@ -138,7 +141,7 @@ def generic_model(lam, k: int, beta) -> LambdaModel:
         raise ModelError(f"inverse temperature must be positive, got {beta}")
     if k < 1:
         raise ModelError(f"tree order k must be >= 1, got {k}")
-    return LambdaModel(spin=simplex_vectors(q), k=k, beta=beta, lam=table)
+    return LambdaModel(k=k, beta=beta, lam=table)
 
 
 def potts_model(q: int, J, beta, k: int) -> LambdaModel:

@@ -8,6 +8,7 @@ generator labels, so two builds with the same (k, n) are identical.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -15,38 +16,78 @@ from typing import Callable
 import numpy as np
 
 
+def ball_size(k: int, n: int) -> int:
+    """Vertex count of the radius-n ball, 1 + (k+1)(1 + k + ... + k^(n-1)), in closed form."""
+    return 1 + (k + 1) * (n if k == 1 else (k**n - 1) // (k - 1))
+
+
 @dataclass(frozen=True)
 class Ball:
-    """Radius-n ball of the order-k Cayley tree.
+    """Radius-n ball of the order-k Cayley tree: just (k, n).
 
-    Vertex 0 is the root.  ``shells[m]`` lists the vertices at distance m
-    (a contiguous index range, since indexing is breadth-first).  ``edges``
-    holds one (parent, child) pair per non-root vertex; the parent always
-    sits one shell closer to the root.  ``words[v]`` is the reduced word
-    over generator labels 1..k+1 addressing vertex v (empty at the root,
-    no two adjacent letters equal).
+    Vertices are indexed breadth-first from the root 0.  Shell m (distance m)
+    is a contiguous range of (k+1)*k^(m-1) vertices for m >= 1, and shell m+1
+    lists the children of shell m's vertices parent by parent, in shell-m
+    order; ``sweep_up``, ``marginalize`` and ``markov_property_residual`` rely
+    on this.  The vertex tables are built on first read: ``shells``,
+    ``parent`` (-1 at the root), ``edges`` (one (parent, child) pair per
+    non-root vertex), ``children`` and ``words``, the reduced words over
+    generator labels 1..k+1 (no two adjacent letters equal) addressing the
+    vertices, siblings ordered by last letter.
     """
 
     k: int
     n: int
-    parent: tuple[int, ...]
-    shells: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-    words: tuple[tuple[int, ...], ...]
-    children: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.k < 1 or self.n < 0:
+            raise ValueError(f"need tree order k >= 1 and ball radius n >= 0, got k={self.k}, n={self.n}")
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """First vertex of each shell, then the vertex count: shell m is offsets[m]:offsets[m+1]."""
+        return (0,) + tuple(ball_size(self.k, m) for m in range(self.n + 1))
 
     @property
     def num_vertices(self) -> int:
-        return len(self.parent)
+        return self._offsets[-1]
 
     def shell_slice(self, m: int) -> slice:
-        """Index range of shell m, contiguous under breadth-first indexing."""
-        shell = self.shells[m]
-        return slice(shell[0], shell[-1] + 1)
+        """Index range of shell m, contiguous under breadth-first indexing; m indexes like ``shells``."""
+        m = range(self.n + 1)[m]
+        return slice(self._offsets[m], self._offsets[m + 1])
 
     def shell_of(self, x: int) -> int:
-        """Distance of vertex x from the root."""
-        return len(self.words[x])
+        """Distance of vertex x from the root; x indexes like ``parent``."""
+        return bisect_right(self._offsets, range(self.num_vertices)[x]) - 1
+
+    @cached_property
+    def shells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(range(a, b)) for a, b in zip(self._offsets, self._offsets[1:]))
+
+    @cached_property
+    def parent(self) -> tuple[int, ...]:
+        # children come in blocks in parent order: the root's are 1..k+1, x >= 1's are k*x+2..k*x+k+1
+        return (-1,) + tuple(max(0, (y - 2) // self.k) for y in range(1, self.num_vertices))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.parent[1:], range(1, self.num_vertices)))
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        children: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for x, y in self.edges:
+            children[x].append(y)
+        return tuple(tuple(c) for c in children)
+
+    @cached_property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        words: list[tuple[int, ...]] = [()]
+        for x in range(self._offsets[self.n]):      # interior vertices, whose children follow in order
+            last = words[x][-1] if words[x] else 0
+            words += [words[x] + (g,) for g in range(1, self.k + 2) if g != last]
+        return tuple(words)
 
     @cached_property
     def word_index(self) -> dict[tuple[int, ...], int]:
@@ -56,48 +97,8 @@ class Ball:
 
 @lru_cache(maxsize=None)
 def build_ball(k: int, n: int) -> Ball:
-    """Construct the radius-n ball of the order-k Cayley tree.
-
-    The root has k+1 direct successors; every other interior vertex has k.
-    Successors are ordered by generator label, which makes the vertex
-    indexing deterministic.
-    """
-    if k < 1:
-        raise ValueError(f"tree order k must be >= 1, got {k}")
-    if n < 0:
-        raise ValueError(f"ball radius n must be >= 0, got {n}")
-
-    parent = [-1]
-    words: list[tuple[int, ...]] = [()]
-    shells: list[list[int]] = [[0]]
-    children: list[list[int]] = [[]]
-    edges: list[tuple[int, int]] = []
-
-    for m in range(1, n + 1):
-        shell: list[int] = []
-        for x in shells[m - 1]:
-            last = words[x][-1] if words[x] else 0
-            for g in range(1, k + 2):
-                if g == last:
-                    continue  # reduced words: generators have order 2
-                y = len(parent)
-                parent.append(x)
-                words.append(words[x] + (g,))
-                children.append([])
-                children[x].append(y)
-                edges.append((x, y))
-                shell.append(y)
-        shells.append(shell)
-
-    return Ball(
-        k=k,
-        n=n,
-        parent=tuple(parent),
-        shells=tuple(tuple(s) for s in shells),
-        edges=tuple(edges),
-        words=tuple(words),
-        children=tuple(tuple(c) for c in children),
-    )
+    """The radius-n ball of the order-k Cayley tree, one shared instance per (k, n)."""
+    return Ball(k=k, n=n)
 
 
 def successors(ball: Ball, x: int) -> tuple[int, ...]:

@@ -145,6 +145,13 @@ def test_propagate_rejects_incomplete_boundary():
         propagate_fields(m, b, np.zeros((1, 1)))
 
 
+def test_propagate_builds_no_vertex_tables():
+    b = build_ball.__wrapped__(2, 10)  # a fresh ball, with no table read yet
+    outer = b.shell_slice(b.n)
+    propagate_fields(potts_model(3, 1, 1, 2), b, np.ones((outer.stop - outer.start, 2)))
+    assert not {"words", "parent", "edges", "children"} & vars(b).keys()
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (6,), (3, 2, 1), (1, 3, 2)])
 def test_propagate_rejects_mis_shaped_boundary(shape):
     # q=3, k=2, n=1: the outer shell holds 3 vertices, so only (3, 2) is a
@@ -299,6 +306,16 @@ def test_newton_search_matches_damped_oracle(q, k, entries):
     if result.solutions:
         sols = np.array(result.solutions)
         assert np.max(np.abs(sols - m.k * recursion_map(m, sols))) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: no start converges, though fsolve does")
+def test_fixed_point_search_finds_the_solution_of_a_skewed_table():
+    # |F_i| <= max_j log(a_ij / a_{q-1,j}) bounds k*F, so by Brouwer h = k*F(h)
+    # has a solution; scipy's fsolve reaches it with residual 1e-15.
+    m = generic_model([[0, 2, -3], [-2, 1, 0], [2, 0, 0]], 3, 1)
+    result = ti_fixed_points(m)
+    want = np.array([1.4946747, 2.67428575])
+    assert any(np.max(np.abs(np.array(s) - want)) <= 1e-8 for s in result.solutions)
 
 
 # The seven solve-fields models of the fields-sweep benchmark (beta = 1).

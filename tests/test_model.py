@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from treegibbs import (
     boundary_energy,
     build_ball,
+    classify,
     edge_potential_diagonal,
     energy,
     generic_model,
@@ -170,6 +171,13 @@ def test_log_weights_cached_read_only():
     assert np.array_equal(a, -m.beta_float * m.lam_float)
     with pytest.raises(ValueError):
         a[0, 0] = 1.0
+
+
+def test_equal_models_are_equal_values_and_classify_builds_no_spin_set():
+    a, b = potts_model(3, 1, 1, 2), potts_model(3, 1, 1, 2)
+    assert a == b and hash(a) == hash(b)
+    classify(a)
+    assert "spin" not in vars(a)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from treegibbs import build_ball, distance, successors, vertex_word
-from treegibbs.topology import vertex_from_word
+from treegibbs import Ball, build_ball, distance, successors, vertex_word
+from treegibbs.topology import ball_size, vertex_from_word
 
 
 def bfs_distances(ball, source):
@@ -84,6 +86,12 @@ def test_build_ball_rejects_bad_arguments():
         build_ball(2, -1)
 
 
+@pytest.mark.parametrize("k,n", [(0, 2), (-1, 1), (2, -1)])
+def test_ball_rejects_bad_arguments(k, n):
+    with pytest.raises(ValueError):
+        Ball(k, n)
+
+
 def test_distance_matches_bfs_oracle():
     b = build_ball(2, 3)
     for src in [0, b.shells[1][0], b.shells[3][-1]]:
@@ -129,3 +137,50 @@ def test_build_is_deterministic():
     a = build_ball.__wrapped__(3, 2)
     b = build_ball.__wrapped__(3, 2)
     assert a == b
+
+
+def walked_tables(k, n):
+    """Oracle: the five vertex tables from a breadth-first walk over reduced words."""
+    parent, words, shells, children, edges = [-1], [()], [[0]], [[]], []
+    for m in range(1, n + 1):
+        shell = []
+        for x in shells[m - 1]:
+            last = words[x][-1] if words[x] else 0
+            for g in range(1, k + 2):
+                if g == last:
+                    continue  # reduced words: generators have order 2
+                y = len(parent)
+                parent.append(x)
+                words.append(words[x] + (g,))
+                children.append([])
+                children[x].append(y)
+                edges.append((x, y))
+                shell.append(y)
+        shells.append(shell)
+    return {
+        "parent": tuple(parent),
+        "shells": tuple(tuple(s) for s in shells),
+        "edges": tuple(edges),
+        "words": tuple(words),
+        "children": tuple(tuple(c) for c in children),
+    }
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in range(6 if k < 4 else 4)])
+def test_derived_tables_match_breadth_first_walk(k, n):
+    b = build_ball.__wrapped__(k, n)  # a fresh ball, with no table read yet
+    for name, table in walked_tables(k, n).items():
+        assert getattr(b, name) == table, name
+    nv = b.num_vertices
+    assert nv == ball_size(k, n) == len(b.parent)
+    assert [b.shell_slice(m) for m in range(n + 1)] == [slice(s[0], s[-1] + 1) for s in b.shells]
+    assert [b.shell_of(x) for x in range(nv)] == [len(w) for w in b.words]
+    # sweep_up's reshape: each shell is grouped by parent, the root has k+1
+    # children and every other interior vertex k
+    for m in range(1, n + 1):
+        on_shell = b.parent[b.shell_slice(m)]
+        assert list(on_shell) == sorted(on_shell)
+    counts = Counter(b.parent[1:])
+    interior = range(nv - len(b.shells[n]))
+    assert set(counts) == set(interior)
+    assert all(counts[x] == (k + 1 if x == 0 else k) for x in interior)
