@@ -10,12 +10,11 @@ Library layout:
   cli         command-line front end
 """
 
-from .topology import Ball, build_ball, distance, successors, vertex_word
+from .topology import Ball, build_ball, distance, successors
 from .model import (
     LambdaModel,
     SpinSet,
     boundary_energy,
-    edge_potential_diagonal,
     energy,
     generic_model,
     markov_model,

@@ -367,14 +367,17 @@ def potts_theta(q: int, J, beta) -> float:
     return math.exp(-float(beta) * float(jp) * q / (q - 1))
 
 
-def finite_volume_spectrum(model: LambdaModel, ball: Ball, cap: int = measures.DEFAULT_CAP) -> np.ndarray:
-    """Multiset of configuration energy levels beta*H over a ball, sorted.
+def finite_volume_spectrum(
+    model: LambdaModel, ball: Ball, cap: int = measures.DEFAULT_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct configuration energy levels beta*H over a ball, ascending, and their multiplicities.
 
-    The edge potential carries the opposite sign (its diagonal is -beta*lam),
-    so the operator spectrum is the mirror image of this set; the difference
-    set, which drives classification, is the same for both conventions.
+    One ``np.unique`` of the q^|V| energies.  The edge potential carries the
+    opposite sign (its diagonal is -beta*lam), so the operator spectrum is
+    the mirror image of this set; the difference set, which drives
+    classification, is the same for both conventions.
     """
-    return np.sort(model.beta_float * measures._edge_energies(model, ball, cap))
+    return np.unique(model.beta_float * measures._edge_energies(model, ball, cap), return_counts=True)
 
 
 def spectrum_lattice_check(
@@ -382,32 +385,33 @@ def spectrum_lattice_check(
 ) -> tuple[bool, Optional[float], float]:
     """Verify every spectrum self-difference is an integer multiple of the classify generator.
 
-    Returns (ok, generator, max deviation from the nearest multiple).  When
-    the verdict has no generator the check passes vacuously on {0} sets and
-    fails otherwise.  The L x L level differences are compared in row chunks
-    of at most ``cap`` entries.
+    Every pairwise difference is a multiple of g exactly when every level
+    minus the lowest one is, so only those L differences are measured.
+    Returns (ok, generator, max deviation of a level minus the lowest from
+    the nearest multiple of g).  When the verdict has no generator the
+    deviation is the spread of the levels: the check passes on one level
+    and fails otherwise.  ``cap`` bounds the enumeration.
     """
-    levels = np.unique(finite_volume_spectrum(model, ball, cap=cap))
-    return _levels_lattice_check(model, levels, tol, cap, DEFAULT_MAX_DEN)
+    levels, _ = finite_volume_spectrum(model, ball, cap=cap)
+    return _levels_lattice_check(model, levels, tol, DEFAULT_MAX_DEN)
 
 
 def _levels_lattice_check(
-    model: LambdaModel, levels: np.ndarray, tol: float, cap: int, max_den: int
+    model: LambdaModel, levels: np.ndarray, tol: float, max_den: int
 ) -> tuple[bool, Optional[float], float]:
-    """``spectrum_lattice_check`` on sorted unique levels, with the generator of
-    ``classify(model, max_den=max_den)``, through two reused chunk buffers."""
+    """``spectrum_lattice_check`` on ascending unique levels, with the generator of
+    ``classify(model, max_den=max_den)``.
+
+    The distance to gZ is at most g/2, and that bound stands in where d/g has
+    no float: a generator that underflows to 0.0, or a subnormal one.
+    """
     result = classify(model, max_den=max_den)
     g = None if result.generator is None else float(result.generator)
-    size = len(levels)
-    step = max(1, cap // size)
-    diffs = np.empty((min(step, size), size))
-    near = np.empty_like(diffs)
-    dev = 0.0
-    for r in range(0, size, step):
-        d, m = diffs[:min(step, size - r)], near[:min(step, size - r)]
-        np.subtract(levels[r:r + step, None], levels[None, :], out=d)
-        if g is not None:
-            np.round(np.divide(d, g, out=m), out=m)
-            d -= np.multiply(m, g, out=m)
-        dev = max(dev, float(np.max(np.abs(d, out=d))))
+    d = levels - levels[0]
+    if g is not None:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            m = d / g
+            d -= np.multiply(np.round(m, out=m), g, out=m)
+            np.fmin(np.abs(d, out=d), g / 2, out=d)
+    dev = float(np.max(d))
     return dev <= tol, g, dev

@@ -194,9 +194,8 @@ def _cmd_verify_consistency(m, args, tol):
 
 
 def _cmd_spectrum(m, args, tol):
-    spec = classifier.finite_volume_spectrum(m, topology.build_ball(m.k, args.n), cap=args.cap)
-    levels, counts = np.unique(spec, return_counts=True)
-    ok, generator, deviation = classifier._levels_lattice_check(m, levels, tol, args.cap, args.max_den)
+    levels, counts = classifier.finite_volume_spectrum(m, topology.build_ball(m.k, args.n), cap=args.cap)
+    ok, generator, deviation = classifier._levels_lattice_check(m, levels, tol, args.max_den)
     return dict(
         n=args.n,
         levels=[{"value": float(v), "multiplicity": int(c)} for v, c in zip(levels, counts)],

@@ -42,9 +42,6 @@ class ReducedFieldAssignment:
         if not np.all(np.isfinite(self.hprime)):
             raise ValueError("field components must be finite")
 
-    def on_shell(self, m: int) -> np.ndarray:
-        return self.hprime[self.ball.shell_slice(m)].copy()
-
 
 def zero_fields(ball: Ball, q: int) -> ReducedFieldAssignment:
     return ReducedFieldAssignment(ball, np.zeros((ball.num_vertices, q - 1)))

@@ -100,22 +100,15 @@ class FiniteVolumeMeasure:
 
 
 def finite_volume_measure(
-    model: LambdaModel,
-    fields: ReducedFieldAssignment,
-    level: int | None = None,
-    cap: int = DEFAULT_CAP,
+    model: LambdaModel, fields: ReducedFieldAssignment, cap: int = DEFAULT_CAP
 ) -> FiniteVolumeMeasure:
-    """The level-n Gibbs measure with the given boundary fields on shell n.
+    """The Gibbs measure on the fields' ball, radius n, with their boundary fields on shell n.
 
     Log-weight of a configuration: -beta*H(sigma) plus, for each boundary
     vertex x, the pairing h_x . eta_{sigma(x)} with h_x = ((q-1)/q) h'_x and
     h'_x read in the eta-basis, so the pairing goes through the Gram matrix.
     """
-    n = fields.ball.n if level is None else level
-    if n > fields.ball.n:
-        raise ValueError(f"requested level {n} exceeds the field assignment's radius {fields.ball.n}")
-    ball = build_ball(fields.ball.k, n)
-    q = model.q
+    ball, n, q = fields.ball, fields.ball.n, model.q
     logw = -model.beta_float * _edge_energies(model, ball, cap)
     gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
     scale = (q - 1) / q
@@ -145,14 +138,16 @@ def consistency_residual(
 
     Builds the level-n measure from the shell-n fields, marginalizes it one
     level, and compares with the measure built directly from the shell-(n-1)
-    fields.  Vanishes exactly when the field recursion holds on shell n-1.
+    fields, those of the assignment's radius-(n-1) prefix.  Vanishes exactly
+    when the field recursion holds on shell n-1.
     """
     n = fields.ball.n
     if n < 1:
         raise ValueError("need a ball of radius >= 1 to compare two levels")
-    mu_n = finite_volume_measure(model, fields, cap=cap)
-    marg = marginalize(mu_n, n - 1)
-    mu_prev = finite_volume_measure(model, fields, level=n - 1, cap=cap)
+    marg = marginalize(finite_volume_measure(model, fields, cap=cap), n - 1)
+    inner = build_ball(fields.ball.k, n - 1)
+    prefix = ReducedFieldAssignment(inner, fields.hprime[:inner.num_vertices])
+    mu_prev = finite_volume_measure(model, prefix, cap=cap)
     return float(np.max(np.abs(marg.probabilities() - mu_prev.probabilities())))
 
 

@@ -103,23 +103,27 @@ class LambdaModel:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        """-beta*lam in floating point, computed once per model and read-only."""
+        """-beta*lam in floating point, computed once per model and read-only.
+
+        These are the diagonal entries of the edge potential in block order.
+        """
         a = -self.beta_float * self.lam_float
         a.flags.writeable = False
         return a
 
 
 def _as_number(x) -> Number:
-    """Coerce ints/Fractions to Fraction, keep finite floats floating."""
-    if isinstance(x, Fraction):
-        return x
+    """Coerce ints/Fractions to Fraction, keep floats floating; either must have a finite float."""
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ModelError(f"numeric values must be finite, got {x!r}")
-        return x
-    raise ModelError(f"unsupported numeric value {x!r}")
+        x = Fraction(x)
+    if not isinstance(x, (Fraction, float)):
+        raise ModelError(f"unsupported numeric value {x!r}")
+    try:
+        if math.isfinite(x):
+            return x
+    except OverflowError:
+        raise ModelError("numeric values must be finite, got a rational past the float range") from None
+    raise ModelError(f"numeric values must be finite, got {x!r}")
 
 
 def _homogeneous_table(rows) -> tuple[tuple[Number, ...], ...]:
@@ -131,7 +135,13 @@ def _homogeneous_table(rows) -> tuple[tuple[Number, ...], ...]:
 
 
 def generic_model(lam, k: int, beta) -> LambdaModel:
-    """Model from an explicit q x q coupling table; the one place that checks k and beta."""
+    """Model from an explicit q x q coupling table; the one place that checks k and beta.
+
+    beta and every entry must have a finite float, and so must the
+    log-weights -beta*lam and their spread beta*(max lam - min lam): past
+    that range the weights, transfer matrices and difference set would hold
+    infinities or NaN.
+    """
     table = _homogeneous_table(lam)
     q = len(table)
     if q < 2 or any(len(row) != q for row in table):
@@ -141,6 +151,9 @@ def generic_model(lam, k: int, beta) -> LambdaModel:
         raise ModelError(f"inverse temperature must be positive, got {beta}")
     if k < 1:
         raise ModelError(f"tree order k must be >= 1, got {k}")
+    b, vals = float(beta), [float(v) for row in table for v in row]
+    if not (all(math.isfinite(-b * v) for v in vals) and math.isfinite(b * (max(vals) - min(vals)))):
+        raise ModelError("beta*lambda and beta*(max lambda - min lambda) must be finite floats")
     return LambdaModel(k=k, beta=beta, lam=table)
 
 
@@ -173,8 +186,8 @@ def markov_model(P, k: int) -> LambdaModel:
         raise ModelError("stochastic matrix must be square with q >= 2")
     errors = []
     for i, row in enumerate(rows):
-        if any(not (v > 0) for v in row):
-            errors.append(f"row {i}: entries must be strictly positive")
+        if any(not (float(v) > 0) for v in row):     # -log p must be finite
+            errors.append(f"row {i}: entries must be strictly positive floats")
         s = sum(row)
         if isinstance(s, Fraction):
             if s != 1:
@@ -230,14 +243,6 @@ def boundary_energy(
         x = ball.parent[y]
         total += model.lam[sigma[x]][omega[y - inner_count]]
     return total
-
-
-def edge_potential_diagonal(model: LambdaModel) -> np.ndarray:
-    """Diagonal entries of the edge potential in block order: entry [b][i] = -beta*lam[b][i].
-
-    Returns the model's cached, read-only ``log_weights`` array.
-    """
-    return model.log_weights
 
 
 def potential_norm(model: LambdaModel, d: float) -> float:

@@ -144,13 +144,8 @@ def distance(ball: Ball, x: int, y: int) -> int:
     return d
 
 
-def vertex_word(ball: Ball, x: int) -> tuple[int, ...]:
-    """Reduced word over generators 1..k+1 addressing vertex x (root -> empty word)."""
-    return ball.words[x]
-
-
 def vertex_from_word(ball: Ball, word: tuple[int, ...]) -> int:
-    """Inverse of vertex_word; raises for words not addressing a ball vertex."""
+    """Inverse of ``ball.words``; raises for words not addressing a ball vertex."""
     try:
         return ball.word_index[tuple(word)]
     except KeyError:

@@ -2,9 +2,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from treegibbs import generic_model
+from treegibbs import classify, generic_model
 from treegibbs.fields import FixedPointResult, recursion_map
 from treegibbs.measures import _check_cap
+
+
+# Model files whose couplings have no finite float image, or whose log-weights
+# or their spread overflow one.
+HUGE_RATIONAL = "1" + "0" * 400 + "/1"
+OVERFLOWING_MODELS = {
+    "rational-past-float-range": {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                                  "lambda": [[0.5, HUGE_RATIONAL], [0.0, 0.5]]},
+    "spread-overflows": {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                         "lambda": [[1e308, -1e308], [0.0, 0.0]]},
+    "log-weight-overflows": {"kind": "generic", "q": 2, "k": 2, "beta": 1e300,
+                             "lambda": [[1e10, 0], [0, 0]]},
+}
 
 
 def enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
@@ -78,3 +91,28 @@ def damped_fixed_points(
         residuals=tuple(residuals.tolist()),
         converged=tuple(converged.tolist()),
     )
+
+
+def pairwise_lattice_check(model, levels: np.ndarray, tol: float, cap: int, max_den: int):
+    """Oracle for the spectrum lattice check: every L x L level difference against the
+    generator of ``classify(model, max_den=max_den)``, compared in row chunks of at
+    most ``cap`` entries through two reused buffers.
+
+    The library's check before it measured each level against the lowest only,
+    kept as written then.  Returns (ok, generator, max deviation).
+    """
+    result = classify(model, max_den=max_den)
+    g = None if result.generator is None else float(result.generator)
+    size = len(levels)
+    step = max(1, cap // size)
+    diffs = np.empty((min(step, size), size))
+    near = np.empty_like(diffs)
+    dev = 0.0
+    for r in range(0, size, step):
+        d, m = diffs[:min(step, size - r)], near[:min(step, size - r)]
+        np.subtract(levels[r:r + step, None], levels[None, :], out=d)
+        if g is not None:
+            np.round(np.divide(d, g, out=m), out=m)
+            d -= np.multiply(m, g, out=m)
+        dev = max(dev, float(np.max(np.abs(d, out=d))))
+    return dev <= tol, g, dev

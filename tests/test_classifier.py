@@ -23,7 +23,7 @@ from treegibbs import (
     spectrum_lattice_check,
 )
 
-from conftest import random_rational_model, relabeled, shifted
+from conftest import pairwise_lattice_check, random_rational_model, relabeled, shifted
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -338,15 +338,14 @@ def test_potts_theta_values():
 def test_spectrum_free_model():
     m = potts_model(2, 0, 1, 2)
     b = build_ball(2, 1)
-    spec = finite_volume_spectrum(m, b)
-    assert np.all(spec == 0.0) and len(spec) == 2**4
+    levels, counts = finite_volume_spectrum(m, b)
+    assert list(levels) == [0.0] and list(counts) == [2**4]
 
 
 def test_spectrum_two_edge_levels():
     m = potts_model(2, 1, 1, 1)
     b = build_ball(1, 1)  # two edges, 8 configurations
-    spec = finite_volume_spectrum(m, b)
-    levels, counts = np.unique(spec, return_counts=True)
+    levels, counts = finite_volume_spectrum(m, b)
     assert np.allclose(levels, [-1.0, 0.0, 1.0])
     assert list(counts) == [2, 4, 2]
 
@@ -365,7 +364,7 @@ def test_spectrum_cap_bounds_difference_block():
     m = generic_model([[Fraction(int(rng.integers(-10**4, 10**4)), 7) for _ in range(6)]
                        for _ in range(6)], 2, 1)
     b = build_ball(2, 1)
-    levels = np.unique(finite_volume_spectrum(m, b))
+    levels, _ = finite_volume_spectrum(m, b)
     default = spectrum_lattice_check(m, b)
     tracemalloc.start()
     try:
@@ -375,6 +374,77 @@ def test_spectrum_cap_bounds_difference_block():
         tracemalloc.stop()
     assert small == default and default[0]
     assert peak < len(levels) ** 2 * 8
+
+
+SQRT2 = math.sqrt(2)
+# (q, k, n) with at most 4^5 = 2^11 configurations, so the L x L reference stays small
+SPECTRUM_BALLS = [(2, 1, 5), (2, 2, 2), (2, 3, 1), (3, 1, 3), (3, 2, 1), (3, 3, 1),
+                  (4, 1, 2), (4, 2, 1), (4, 3, 1)]
+
+
+def spectrum_model(family: str, rng, q: int, k: int):
+    """A seeded table of one family: exact rationals, float multiples of sqrt(2)/s
+    (one entry nudged by a relative 1e-11..1e-9 for "nudged"), or uniform noise."""
+    if family == "exact":
+        lam = [[Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 8))) for _ in range(q)]
+               for _ in range(q)]
+        return generic_model(lam, k, Fraction(int(rng.integers(1, 4)), 2))
+    if family == "noise":
+        lam = rng.uniform(-2, 2, (q, q))
+    else:
+        lam = rng.integers(-6, 7, (q, q)) * SQRT2 / int(rng.integers(1, 4))
+        if family == "nudged":
+            lam[0, 1] *= 1 + rng.uniform(1e-11, 1e-9)
+    return generic_model(lam.tolist(), k, float(rng.uniform(0.5, 1.5)))
+
+
+# The (generator found, ok) outcomes each family shows on SPECTRUM_BALLS.
+SPECTRUM_OUTCOMES = {"exact": {(True, True)}, "sqrt2": {(True, True)}, "noise": {(False, False)},
+                     "nudged": {(True, True), (True, False), (False, False)}}
+
+
+@pytest.mark.parametrize("family", sorted(SPECTRUM_OUTCOMES))
+def test_lattice_check_against_pairwise_reference(family):
+    # Each level against the lowest keeps the verdict and the generator of all
+    # L x L pairs; its deviation is the pairs' maximum over those that include
+    # the lowest level, so new <= old <= 2 new (plus rounding), equal with no generator.
+    rng = np.random.default_rng(20261019)
+    outcomes = set()
+    for q, k, n in SPECTRUM_BALLS:
+        for _ in range(3):
+            m = spectrum_model(family, rng, q, k)
+            levels, _ = finite_volume_spectrum(m, build_ball(k, n))
+            ok, g, dev = classifier._levels_lattice_check(m, levels, 1e-9, classifier.DEFAULT_MAX_DEN)
+            ref_ok, ref_g, ref_dev = pairwise_lattice_check(m, levels, 1e-9, 2**20, classifier.DEFAULT_MAX_DEN)
+            assert (ok, g) == (ref_ok, ref_g), (q, k, n, m.lam)
+            if g is None:
+                assert dev == ref_dev == levels[-1] - levels[0]
+            else:
+                assert dev <= ref_dev <= 2 * dev + 8 * np.spacing(np.max(np.abs(levels)))
+            outcomes.add((g is not None, ok))
+    assert outcomes == SPECTRUM_OUTCOMES[family]
+
+
+@pytest.mark.parametrize("table", ["float-noise", "exact-fine-lattice"])
+def test_lattice_check_memory_is_linear_in_the_levels(table):
+    # q=4, k=2, n=2: 2^20 configurations and tens of thousands of levels, on
+    # which an L x L block of differences (or its row chunks) takes megabytes
+    rng = np.random.default_rng(7)
+    if table == "float-noise":
+        m = generic_model(rng.uniform(-2, 2, (4, 4)).tolist(), 2, 0.75)
+    else:
+        m = generic_model([[Fraction(int(rng.integers(-10**4, 10**4)), 97) for _ in range(4)]
+                           for _ in range(4)], 2, 1)
+    levels, counts = finite_volume_spectrum(m, build_ball(2, 2))
+    assert len(levels) > 50_000 and counts.sum() == 2**20
+    tracemalloc.start()
+    try:
+        ok, g, _ = classifier._levels_lattice_check(m, levels, 1e-9, classifier.DEFAULT_MAX_DEN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g is None, ok) == ((True, False) if table == "float-noise" else (False, True))
+    assert peak < 2 * 2**20
 
 
 # --- the lattice witness: the q x q exponent table --------------------------

@@ -17,6 +17,8 @@ from treegibbs.cli import (
     COMMANDS, _ball_exceeds, _encode, _json_default, _rendered_multipliers, main,
 )
 
+from conftest import OVERFLOWING_MODELS
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -466,6 +468,15 @@ def test_non_finite_coupling_exit_3(tmp_path, command, bad, capsys):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("command,extra", EVERY_COMMAND)
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_MODELS))
+def test_overflowing_couplings_exit_3_every_command(tmp_path, name, command, extra, capsys):
+    path = write(tmp_path, "g.json", OVERFLOWING_MODELS[name])
+    assert main([command, "--model", path, *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
 def test_spectrum_report(potts3, capsys):
     code, out = run(capsys, ["spectrum", "--model", potts3, "--n", "1"])
     assert code == 0
@@ -505,6 +516,31 @@ def test_spectrum_uses_max_den(tmp_path, capsys):
     assert code == 2
     assert report["settings"]["max_den"] == 1
     assert report["lattice_ok"] is False and report["generator"] is None
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+TINY = "1/1" + "0" * 400
+
+
+@pytest.mark.parametrize("lam,generator,deviation", [
+    # exact generators whose float underflows to 0.0: every level is within g/2 of the lattice
+    ([[TINY, "0/1"], ["0/1", "0/1"]], 0.0, 0.0),
+    ([[TINY, "1/1"], ["0/1", "0/1"]], 0.0, 0.0),
+    # a subnormal generator: 1/g overflows, and the g/2 bound stands in for level 1
+    ([["1/1" + "0" * 310, "1/1"], ["0/1", "0/1"]], 1e-310, 5e-311),
+])
+def test_spectrum_tiny_generator_is_on_the_lattice(tmp_path, lam, generator, deviation, capsys):
+    path = write(tmp_path, "g.json", {"kind": "generic", "q": 2, "k": 2, "beta": "1/1", "lambda": lam})
+    code, out = run(capsys, ["spectrum", "--model", path, "--n", "1"])
+    report = strict_json(out)
+    assert code == 0 and report["lattice_ok"] is True
+    assert report["generator"] == generator and report["max_lattice_deviation"] == deviation
 
 
 @pytest.mark.parametrize("key", ["", "1", "3.1"])

@@ -228,7 +228,7 @@ def test_propagate_matches_per_vertex_loop(q, k, n):
     flds = propagate_fields(m, b, boundary)
     assert np.max(np.abs(flds.hprime - reference_propagate(m, b, boundary))) <= 1e-12
     for r in range(n + 1):
-        assert np.array_equal(flds.on_shell(r), flds.hprime[list(b.shells[r])])
+        assert np.array_equal(flds.hprime[b.shell_slice(r)], flds.hprime[list(b.shells[r])])
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from treegibbs import (
     boundary_energy,
     build_ball,
     classify,
-    edge_potential_diagonal,
     energy,
     generic_model,
     markov_model,
@@ -21,7 +20,7 @@ from treegibbs import (
 )
 from treegibbs.model import ModelError
 
-from conftest import shifted
+from conftest import OVERFLOWING_MODELS, shifted
 
 
 @pytest.mark.parametrize("q", range(2, 7))
@@ -159,15 +158,15 @@ def test_boundary_energy_markov_single_term():
 
 def test_edge_potential_diagonal():
     m = potts_model(2, 1, 1, 2)
-    d = edge_potential_diagonal(m)
+    d = m.log_weights
     assert np.allclose(d, [[0.5, -0.5], [-0.5, 0.5]])
-    assert np.allclose(edge_potential_diagonal(potts_model(2, 0, 1, 2)), 0.0)
+    assert np.allclose(potts_model(2, 0, 1, 2).log_weights, 0.0)
 
 
 def test_log_weights_cached_read_only():
     m = potts_model(3, Fraction(3, 2), Fraction(1, 2), 2)
     a = m.log_weights
-    assert a is m.log_weights and edge_potential_diagonal(m) is a
+    assert a is m.log_weights
     assert np.array_equal(a, -m.beta_float * m.lam_float)
     with pytest.raises(ValueError):
         a[0, 0] = 1.0
@@ -198,10 +197,34 @@ def test_non_finite_numbers_rejected(bad):
                          "P": [["1/2", "1/2"], ["1/2", "1/2"]]})
 
 
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_MODELS))
+def test_overflowing_couplings_rejected(name):
+    with pytest.raises(ModelError, match="finite"):
+        model_from_dict(OVERFLOWING_MODELS[name])
+
+
+def test_overflow_bound_is_on_floats_of_beta_lambda():
+    huge = Fraction(10**400)
+    for lam, beta in (([[huge, 0], [0, 0]], 1), ([[0.5, 0.0], [0.0, 0.5]], huge),
+                      ([[Fraction(10**300), 0], [0, 0]], Fraction(10**10))):
+        with pytest.raises(ModelError, match="finite"):
+            generic_model(lam, 2, beta)
+    with pytest.raises(ModelError, match="finite"):
+        potts_model(2, huge, 1, 2)
+    # a positive rational whose float underflows to 0.0 has no finite -log p
+    with pytest.raises(ModelError, match="strictly positive"):
+        markov_model([[1 / huge, 1 - 1 / huge], [Fraction(1, 2), Fraction(1, 2)]], 2)
+    # at the edge of the range: finite log-weights and a finite spread are accepted
+    m = generic_model([[8e307, -8e307], [0.0, 0.0]], 2, 1.0)
+    assert np.all(np.isfinite(m.log_weights))
+    tiny = generic_model([[Fraction(1, 10**400), 0], [0, 0]], 2, 1)
+    assert tiny.is_exact and not np.any(tiny.lam_float)
+
+
 def test_edge_potential_markov_is_log_p():
     P = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3)]]
     m = markov_model(P, 2)
-    d = edge_potential_diagonal(m)
+    d = m.log_weights
     expected = np.log(np.array([[0.5, 0.5], [1 / 3, 2 / 3]]))
     assert np.allclose(d, expected)
 

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from treegibbs import Ball, build_ball, distance, successors, vertex_word
+from treegibbs import Ball, build_ball, distance, successors
 from treegibbs.topology import ball_size, vertex_from_word
 
 
@@ -110,7 +110,7 @@ def test_two_w1_leaves_are_distance_two():
 
 def test_vertex_words_are_reduced_and_bijective():
     b = build_ball(2, 3)
-    words = [vertex_word(b, x) for x in range(b.num_vertices)]
+    words = [b.words[x] for x in range(b.num_vertices)]
     assert words[0] == ()
     assert len(set(words)) == b.num_vertices
     for x, w in enumerate(words):
