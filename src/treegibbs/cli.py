@@ -132,11 +132,12 @@ def _load_field_assignment(
 ) -> fields.ReducedFieldAssignment:
     """Assemble a field assignment for a ball from an optional vertex-word file.
 
-    The file's vectors are written into one (num_vertices, q-1) array.  Its
-    outermost shell seeds the boundary (absent boundary vertices stay zero);
-    the interior is then propagated inward and the interior rows the file
-    gives are written back over the propagated ones, so corrupted files are
-    caught by the consistency check.
+    The file's vectors, lists of q-1 finite JSON numbers, are written into one
+    (num_vertices, q-1) array.  Its outermost shell seeds the boundary
+    (absent boundary vertices stay zero); the interior is then propagated
+    inward and the interior rows the file gives are written back over the
+    propagated ones.  The consistency residual compares only levels n and
+    n-1, so it catches a wrong row on shell n-1 but not one deeper in.
     """
     hprime = np.zeros((ball.num_vertices, model.q - 1))
     given = np.zeros(ball.num_vertices, dtype=bool)
@@ -150,10 +151,10 @@ def _load_field_assignment(
             raise model_mod.ModelError("fields file must map vertex words to vectors")
         for key, vec in raw.items():
             x = _vertex_of_key(ball, key)
-            arr = np.asarray(vec, dtype=float)
-            if arr.shape != (model.q - 1,):
-                raise model_mod.ModelError(f"field for {key!r} must have {model.q - 1} components")
-            hprime[x], given[x] = arr, True
+            if not (isinstance(vec, list) and len(vec) == model.q - 1
+                    and all(type(v) in (int, float) for v in vec)):
+                raise model_mod.ModelError(f"field for {key!r} must be a list of {model.q - 1} numbers")
+            hprime[x], given[x] = [float(model_mod._as_number(v)) for v in vec], True
     propagated = fields.propagate_fields(model, ball, hprime[ball.shell_slice(ball.n)]).hprime
     propagated[given] = hprime[given]
     return fields.ReducedFieldAssignment(ball, propagated)

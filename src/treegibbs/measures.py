@@ -180,53 +180,30 @@ def dlr_conditional(
 def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP) -> float:
     """Conditional-independence defect across shell n under the zero-field measure.
 
-    Conditions the level-(n+1) measure on the spins of shell n and compares,
-    in total variation, the laws of the inner ball V_{n-1} across all outer
-    boundary configurations.  Vanishes for nearest-neighbor interactions.
-    Outer configurations with byte-equal conditional laws are compared
-    once, and the pairwise comparison runs in row chunks of at most ``cap``
-    entries.
+    Conditions the level-(n+1) measure on the spins of shell n and returns
+    the largest total variation between the law of the inner ball V_{n-1}
+    under an outer configuration (shell n+1) and its law under the
+    reference one, shell n+1 all at spin 0, with the same shell-n spins.
+    Vanishes for nearest-neighbor interactions.  TV is a metric, so the
+    laws all agree exactly when this is 0, and the largest TV between any
+    two of them lies between this value and twice it.  The comparison is
+    made in place on the probability array: no array larger than the
+    measure is built.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     ball = build_ball(model.k, n + 1)
-    mu = finite_volume_measure(model, zero_fields(ball, model.q), cap=cap)
-    q = model.q
+    p = finite_volume_measure(model, zero_fields(ball, model.q), cap=cap).probabilities()
     na = build_ball(model.k, n - 1).num_vertices
-    nb = len(ball.shells[n])
-    nc = len(ball.shells[n + 1])
-    p = mu.probabilities().reshape(q**na, q**nb, q**nc)
-    cond = p / p.sum(axis=0, keepdims=True)      # law of V_{n-1} per (shell n, shell n+1) config
-    return _max_column_tv(cond, max(1, cap // (q**na * q**nc)))
+    p = p.reshape(model.q**na, model.q ** len(ball.shells[n]), -1)
+    p /= p.sum(axis=0, keepdims=True)            # law of V_{n-1} per (shell n, shell n+1) config
+    return _tv_to_first_column(p)
 
 
-def _max_column_tv(cond: np.ndarray, step: int) -> float:
-    """Largest total variation between two columns of any slice cond[:, b, :].
-
-    Columns equal byte for byte give equal per-pair sums, so each slice is
-    first cut to its distinct columns (``np.unique`` on the columns viewed as
-    raw bytes) and every distinct pair is compared once: the maximum is
-    bit-identical to the all-pairs one.  TV is symmetric, so row chunk
-    c:c+step is compared only with columns c:.  The chunk's differences and
-    their per-pair sums go through two reused buffers of at most
-    (rows, step, columns) and (step, columns) entries.
-    """
-    rows, slices, _ = cond.shape
-    key = np.dtype((np.void, rows * cond.itemsize))
-    worst = 0.0
-    for b in range(slices):
-        columns = np.ascontiguousarray(cond[:, b, :].T)
-        _, first = np.unique(columns.view(key).ravel(), return_index=True)
-        block = cond[:, b, first]                # inner configs x distinct outer configs
-        cols = len(first)
-        gaps = np.empty((rows, min(step, cols), cols))
-        sums = np.empty((min(step, cols), cols))
-        for c in range(0, cols, step):
-            r = min(step, cols - c)
-            g, s = gaps[:, :r, :cols - c], sums[:r, :cols - c]
-            np.abs(np.subtract(block[:, c:c + r, None], block[:, None, c:], out=g), out=g)
-            worst = max(worst, float(0.5 * np.max(np.sum(g, axis=0, out=s))))
-    return worst
+def _tv_to_first_column(cond: np.ndarray) -> float:
+    """Largest TV between a column of a slice cond[:, b, :] and its first column; overwrites cond."""
+    cond -= cond[:, :, :1]
+    return float(0.5 * np.max(np.sum(np.abs(cond, out=cond), axis=0)))
 
 
 def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.ndarray:

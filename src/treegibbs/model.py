@@ -288,7 +288,11 @@ def model_to_dict(model: LambdaModel) -> dict:
 
 
 def model_from_dict(data: dict) -> LambdaModel:
-    """Parse a model description, reporting every schema violation at once."""
+    """Parse a model description, reporting every schema violation at once.
+
+    Besides ``kind``, ``q``, ``k`` and ``beta`` a description holds only its
+    kind's payload (``lambda``, ``J`` or ``P``); a markov model's beta is 1.
+    """
     errors = []
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
@@ -305,12 +309,17 @@ def model_from_dict(data: dict) -> LambdaModel:
     if "beta" in data:
         try:
             beta = _number_from_json(data["beta"])
+            if kind == "markov" and beta != 1:
+                raise ModelError(f"a markov model has beta 1, got {data['beta']!r}")
         except ModelError as exc:
             errors.append(str(exc))
     elif kind != "markov":
         errors.append("missing beta")
     payload = None
-    key = {"generic": "lambda", "potts": "J", "markov": "P"}.get(kind)
+    key = {"generic": "lambda", "potts": "J", "markov": "P"}.get(kind) if isinstance(kind, str) else None
+    unknown = [name for name in data if name not in ("kind", "q", "k", "beta", key)]
+    if unknown:
+        errors.append(f"keys not read for kind {kind!r}: {', '.join(map(repr, unknown))}")
     if key is not None:
         if key not in data:
             errors.append(f"missing {key!r} for kind {kind!r}")

@@ -20,6 +20,20 @@ OVERFLOWING_MODELS = {
 }
 
 
+# Model files holding a key their kind does not read, or a markov beta other than 1,
+# with a fragment of the error each must raise.
+UNREAD_KEY_MODELS = {
+    "markov-beta-5": ({"kind": "markov", "q": 2, "k": 2, "beta": 5,
+                       "P": [["1/4", "3/4"], ["3/4", "1/4"]]}, "a markov model has beta 1, got 5"),
+    "potts-lambda": ({"kind": "potts", "q": 2, "k": 2, "beta": "1/1", "J": "1/1",
+                      "lambda": [[0, 1], [1, 0]]}, "keys not read for kind 'potts': 'lambda'"),
+    "potts-P": ({"kind": "potts", "q": 2, "k": 2, "beta": "1/1", "J": "1/1",
+                 "P": [["1/2", "1/2"], ["1/2", "1/2"]]}, "keys not read for kind 'potts': 'P'"),
+    "generic-J": ({"kind": "generic", "q": 2, "k": 2, "beta": 1.0, "lambda": [[0, 1], [1, 0]],
+                   "J": 1}, "keys not read for kind 'generic': 'J'"),
+}
+
+
 def enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
     """The (q^|V|, |V|) configuration matrix, rows in the library's configuration-index order."""
     idx = np.arange(_check_cap(q, num_vertices, cap))

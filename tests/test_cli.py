@@ -17,7 +17,7 @@ from treegibbs.cli import (
     COMMANDS, _ball_exceeds, _encode, _json_default, _rendered_multipliers, main,
 )
 
-from conftest import OVERFLOWING_MODELS
+from conftest import OVERFLOWING_MODELS, UNREAD_KEY_MODELS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -112,6 +112,37 @@ def test_fields_file_boundary_only_is_consistent(potts3, tmp_path, capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_fields_file_is_checked_on_shell_n_minus_1_only(tmp_path, capsys):
+    # the residual compares levels n and n-1: a wrong shell-1 field fails at
+    # n = 2 and goes unseen at n = 3
+    model = write(tmp_path, "p.json", {"kind": "potts", "q": 2, "k": 1, "beta": 1, "J": 1})
+    fields_path = write(tmp_path, "fields.json", {"1": [0.3]})
+    code, out = run(capsys, ["verify-consistency", "--model", model, "--n", "2", "--fields", fields_path])
+    assert code == 2 and json.loads(out)["residual"] == pytest.approx(0.0398, abs=1e-4)
+    code, out = run(capsys, ["verify-consistency", "--model", model, "--n", "3", "--fields", fields_path])
+    assert code == 0 and json.loads(out)["residual"] < 1e-15
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"1": [true, 0.5]}', "field for '1' must be a list of 2 numbers"),
+    ('{"1": ["0.5", 0.5]}', "field for '1' must be a list of 2 numbers"),
+    ('{"1": [0.5]}', "field for '1' must be a list of 2 numbers"),
+    ('{"1": 0.5}', "field for '1' must be a list of 2 numbers"),
+    ('{"1": [1%s, 0.5]}' % ("0" * 400), "past the float range"),
+    ('{"1": [NaN, 0.5]}', "must be finite"),
+    ('[[0.5, 0.5]]', "fields file must map vertex words to vectors"),
+    ('{"1": [0.5, 0.5]', "not valid JSON"),
+], ids=["boolean", "string", "short", "scalar", "huge-integer", "nan", "list", "bad-json"])
+def test_fields_file_invalid_exit_3(potts3, tmp_path, text, message, capsys):
+    fields_path = tmp_path / "fields.json"
+    fields_path.write_text(text)
+    assert_rejected(["verify-consistency", "--model", potts3, "--n", "2", "--fields", str(fields_path)],
+                    message, capsys)
+    # JSON integers are numbers
+    fields_path.write_text('{"1": [1, 0.5]}')
+    assert main(["verify-consistency", "--model", potts3, "--n", "2", "--fields", str(fields_path)]) == 2
+
+
 def test_fields_file_bad_word_rejected(potts3, tmp_path, capsys):
     fields_path = write(tmp_path, "fields.json", {"9.9": [0.0, 0.0]})
     code, _ = run(capsys, ["verify-consistency", "--model", potts3, "--n", "2",
@@ -132,6 +163,16 @@ def test_boolean_q_or_k_exit_3(tmp_path, key, capsys):
     spec = {"kind": "potts", "q": 2, "k": 2, "beta": "1/1", "J": "1/1", key: True}
     assert main(["solve-fields", "--model", write(tmp_path, "b.json", spec)]) == 3
     assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_model_file_not_json_exit_3(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"kind": "potts",')
+    assert_rejected(["classify", "--model", str(path)], "not valid JSON", capsys)
+
+
+def test_markov_check_on_potts_exit_3(potts3, capsys):
+    assert_rejected(["markov-check", "--model", potts3], "markov-check needs a model of kind 'markov'", capsys)
 
 
 def test_missing_file_exit_3(capsys):
@@ -477,6 +518,13 @@ def test_overflowing_couplings_exit_3_every_command(tmp_path, name, command, ext
     assert captured.out == "" and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command,extra", EVERY_COMMAND)
+@pytest.mark.parametrize("name", sorted(UNREAD_KEY_MODELS))
+def test_unread_model_keys_exit_3_every_command(tmp_path, name, command, extra, capsys):
+    spec, message = UNREAD_KEY_MODELS[name]
+    assert_rejected([command, "--model", write(tmp_path, "m.json", spec), *extra], message, capsys)
+
+
 def test_spectrum_report(potts3, capsys):
     code, out = run(capsys, ["spectrum", "--model", potts3, "--n", "1"])
     assert code == 0
@@ -590,6 +638,16 @@ def test_classify_underflowing_float_generator_exit_0(tmp_path, capsys):
     path = write(tmp_path, "noise.json", {"kind": "generic", "q": 4, "k": 2, "beta": 1.0, "lambda": lam})
     code, out = run(capsys, ["classify", "--model", path, "--tol", "1e-3"])
     assert code == 0 and json.loads(out)["verdict"] == "incommensurable"
+
+
+def test_classify_failed_lattice_refinement_is_incommensurable(tmp_path, capsys):
+    # --max-den 1 --tol 0.4 accepts a generator that the q^4 refinement then refutes
+    path = write(tmp_path, "g.json", {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                                      "lambda": [[-7.038, -15.117], [-18.758, -23.81]]})
+    code, out = run(capsys, ["classify", "--model", path, "--max-den", "1", "--tol", "0.4"])
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "incommensurable"
+    assert report["evidence"]["note"] == "lattice refinement failed"
 
 
 def run_python(args, timeout):

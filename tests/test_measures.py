@@ -28,7 +28,7 @@ from treegibbs import (
 )
 from treegibbs.classifier import finite_volume_spectrum
 from treegibbs.fields import ReducedFieldAssignment
-from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _logsumexp, _max_column_tv
+from treegibbs.measures import EnumerationCapError, _logsumexp, _tv_to_first_column
 
 from conftest import enumerate_configs, random_rational_model, relabeled, shifted
 
@@ -120,6 +120,26 @@ def test_broadcast_enumeration_matches_gather():
                         assert np.array_equal(dlr_conditional(m, big, list(omega)), want)
 
 
+def reference_column_tv(cond):
+    """Largest TV between a column of any cond[:, b, :] and its first column.
+
+    Each column's |differences| are added one row at a time in row order.
+    """
+    worst = 0.0
+    for b in range(cond.shape[1]):
+        tv = sum(np.abs(row - row[0]) for row in cond[:, b, :])
+        worst = max(worst, float(0.5 * np.max(tv)))
+    return worst
+
+
+def assert_within_all_pairs(residual, cond):
+    """residual <= all-pairs TV <= 2 * residual, up to a relative 1e-12, and 0 only together."""
+    oracle = all_pairs_tv(cond)
+    assert residual <= oracle * (1 + 1e-12), (residual, oracle)
+    assert oracle <= 2 * residual * (1 + 1e-12), (residual, oracle)
+    assert (residual == 0) == (oracle == 0)
+
+
 def test_markov_residual_matches_all_pairs():
     rng = np.random.default_rng(31)
     cases = [
@@ -131,23 +151,25 @@ def test_markov_residual_matches_all_pairs():
     for m, n in cases:
         q = m.q
         ball = build_ball(m.k, n + 1)
-        want = all_pairs_tv(markov_conditional(m, n))
-        assert markov_property_residual(m, n) == want
-        # the smallest cap that admits the measure: chunks of q^|shell n| rows
-        assert markov_property_residual(m, n, cap=q**ball.num_vertices) == want
-    # chunked comparison on non-trivial conditionals, down to one-row chunks
+        cond = markov_conditional(m, n)
+        got = markov_property_residual(m, n)
+        assert got == reference_column_tv(cond)
+        assert_within_all_pairs(got, cond)
+        # the smallest cap that admits the measure
+        assert markov_property_residual(m, n, cap=q**ball.num_vertices) == got
+    # conditional laws that differ well beyond rounding
     cond = rng.random((4, 3, 37))
     cond /= cond.sum(axis=0, keepdims=True)
-    want = all_pairs_tv(cond)
-    for step in (1, 2, 5, 36, 37, 100):
-        assert _max_column_tv(cond, step) == want
+    got = _tv_to_first_column(cond.copy())
+    assert got == reference_column_tv(cond)
+    assert_within_all_pairs(got, cond)
 
 
-def test_max_column_tv_duplicate_and_one_ulp_columns():
-    # tiled and permuted duplicates are compared once; columns one ulp apart
-    # stay distinct, so a slice holding only a column and its neighbour
-    # still reports that one-ulp gap.  Column-permuted views (not C-ordered)
-    # are compared as well as C-ordered copies
+def test_reference_column_tv_duplicate_and_one_ulp_columns():
+    # tiled and permuted duplicates; columns one ulp apart stay distinct, so
+    # every slice holding only a column and its neighbour reports that
+    # one-ulp gap, and a slice of one column tiled reports 0.  Column-permuted
+    # layouts (not C-ordered) are compared as well as C-ordered copies
     rng = np.random.default_rng(37)
     for rows in (1, 2, 3, 9):
         base = rng.random((rows, 4, 6))
@@ -156,34 +178,59 @@ def test_max_column_tv_duplicate_and_one_ulp_columns():
         near[0] = np.nextafter(near[0], 2.0)
         cond = np.concatenate([np.tile(base, 5), near, base[:, ::-1]], axis=2)
         pair = np.concatenate([np.tile(base[:, :, :1], 7), np.tile(near[:, :, :1], 3)], axis=2)
-        for c in (cond, pair):
+        same = np.tile(base[:, :, :1], 7)
+        for c, differs in ((cond, True), (pair, True), (same, False)):
             permuted = c[:, :, rng.permutation(c.shape[2])]
             assert rows == 1 or not permuted.flags.c_contiguous
             for laid_out in (permuted, np.ascontiguousarray(permuted)):
-                want = all_pairs_tv(laid_out)
-                assert want > 0
-                for step in (1, 2, 5, c.shape[2], c.shape[2] + 7):
-                    assert _max_column_tv(laid_out, step) == want, (rows, step)
+                got = _tv_to_first_column(laid_out.copy(order="K"))
+                assert got == reference_column_tv(laid_out), rows
+                assert_within_all_pairs(got, laid_out)
+                for b in range(laid_out.shape[1]):
+                    assert (_tv_to_first_column(laid_out[:, b:b + 1].copy(order="K")) > 0) == differs
 
 
-def test_markov_residual_compares_distinct_columns_in_little_memory():
-    # Potts q=2, k=3, n=1: 16 slices of 4,096 outer configurations, all
-    # the same law in exact arithmetic; chunk buffers over every column at
-    # the cap-derived step of 128 rows would hold (2 + 1) x 128 x 4,096
-    # doubles, 12.6 MB
-    m = potts_model(2, 1, Fraction(3, 2), 3)
-    cond = markov_conditional(m, 1)
-    step = DEFAULT_CAP // (cond.shape[0] * cond.shape[2])
-    assert cond.shape == (2, 16, 4096) and step == 128
-    tracemalloc.start()
-    try:
-        residual = _max_column_tv(cond, step)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert residual < 1e-12
-    assert residual == markov_property_residual(m, 1)
-    assert peak < 2**20
+def test_markov_residual_allocates_nothing_beyond_the_measure():
+    # Potts q=2, k=3, n=1: 2^17 configurations, 16 slices of 4,096 outer
+    # configurations, all the same law in exact arithmetic.  The comparison
+    # runs in place on the probability array, so the call's allocation peak
+    # is that of building the measure and its probabilities
+    m = potts_model(2, Fraction(5, 4), 1, 3)
+    ball = build_ball(3, 2)
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    measure = peak(lambda: finite_volume_measure(m, zero_fields(ball, 2)).probabilities())
+    residual = peak(lambda: markov_property_residual(m, 1))
+    assert residual <= measure + 2**16, (residual, measure)
+    assert markov_property_residual(m, 1) == reference_column_tv(markov_conditional(m, 1)) < 1e-12
+
+
+# (q, k, n) whose all-pairs oracle stays small: at most 3^10 configurations.
+# k = 3 starts at 2^17 configurations with 4,096 outer configurations per
+# slice, an all-pairs block of 128 MB per row; it is covered above against
+# the reference-column computation.
+SMALL_MARKOV_CASES = [(q, k, n) for q in (2, 3) for k in (1, 2, 3) for n in (1, 2, 3)
+                      if q ** build_ball(k, n + 1).num_vertices <= 3**10]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(SMALL_MARKOV_CASES), st.sampled_from(["float", "rational"]))
+def test_markov_residual_bounds_all_pairs_on_random_tables(seed, case, kind):
+    q, k, n = case
+    rng = np.random.default_rng(seed)
+    m = (random_rational_model(rng, q, k) if kind == "rational"
+         else generic_model(rng.uniform(-2, 2, size=(q, q)).tolist(), k, float(rng.uniform(0.2, 2))))
+    got = markov_property_residual(m, n)
+    cond = markov_conditional(m, n)
+    assert got == reference_column_tv(cond)
+    assert_within_all_pairs(got, cond)
 
 
 def test_probabilities_reject_nan_under_python_O():

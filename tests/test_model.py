@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from treegibbs import (
 )
 from treegibbs.model import ModelError
 
-from conftest import OVERFLOWING_MODELS, shifted
+from conftest import OVERFLOWING_MODELS, UNREAD_KEY_MODELS, shifted
 
 
 @pytest.mark.parametrize("q", range(2, 7))
@@ -257,6 +258,28 @@ def test_model_json_round_trip_generic_and_markov():
     P = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 4), Fraction(3, 4)]]
     mk = markov_model(P, 2)
     assert model_from_dict(model_to_dict(mk)).P == mk.P
+
+
+def test_markov_beta_one_is_accepted_in_any_spelling():
+    P = [["1/4", "3/4"], ["3/4", "1/4"]]
+    want = model_from_dict({"kind": "markov", "q": 2, "k": 2, "P": P})
+    for beta in (1, 1.0, "1/1", "2/2"):
+        m = model_from_dict({"kind": "markov", "q": 2, "k": 2, "beta": beta, "P": P})
+        assert m == want and model_to_dict(m)["beta"] == "1/1"
+
+
+@pytest.mark.parametrize("data,message", [
+    ([["1/2", "1/2"]], "model file must contain a JSON object"),
+    ({"kind": ["potts"], "q": 2, "k": 2, "beta": 1, "J": 1}, "kind must be one of generic/potts/markov"),
+    ({"kind": "generic", "q": 2, "k": 2, "beta": 1}, "missing 'lambda' for kind 'generic'"),
+    ({"kind": "generic", "q": 3, "k": 2, "beta": 1, "lambda": [[0, 1], [1, 0], [0, 0]]},
+     "'lambda' must be a 3x3 matrix"),
+    ({"kind": "potts", "q": 2, "k": 2, "beta": "1/x", "J": 1}, "bad rational string '1/x'"),
+    *UNREAD_KEY_MODELS.values(),
+], ids=["not-an-object", "unhashable-kind", "missing-payload", "3x2-matrix", "bad-rational", *UNREAD_KEY_MODELS])
+def test_model_from_dict_rejects_with_message(data, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        model_from_dict(data)
 
 
 def test_model_from_dict_reports_all_errors():
