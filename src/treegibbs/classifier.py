@@ -377,7 +377,9 @@ def finite_volume_spectrum(
     the mirror image of this set; the difference set, which drives
     classification, is the same for both conventions.
     """
-    return np.unique(model.beta_float * measures._edge_energies(model, ball, cap), return_counts=True)
+    e = measures._edge_energies(model, ball, cap)
+    e *= model.beta_float
+    return np.unique(e, return_counts=True)
 
 
 def spectrum_lattice_check(

@@ -5,12 +5,13 @@ deterministic breadth-first vertex order, root digit most significant, so
 marginalizing to a smaller ball is a reshape.  Everything here enumerates
 exactly (no sampling); operations whose state space exceeds the enumeration
 cap fail loudly.  Enumeration builds no configuration matrix: the flat
-q^|V| energy vector is filled by broadcasting each edge's q x q table into
-a (q^u, q, q^(v-u-1), q, rest) view of it, and each boundary or
-conditioning term's per-value table into a (q^x, q, rest) view.  The
-two-point correlation uses exact leaf elimination, one batched inward
-sweep (``topology.sweep_up``) over all clamped value pairs, instead of raw
-enumeration, so it reaches radii the cap forbids.
+q^|V| energy vector grows one vertex at a time, digit v appending the row
+lam[sigma_parent(v), :] to the vector over the vertices before it (about
+q/(q-1) * q^|V| additions, each entry's in edge order), and each boundary
+or conditioning term's per-value table is added through a (q^x, q, rest)
+view of it.  The two-point correlation uses exact leaf elimination, one
+batched inward sweep (``topology.sweep_up``) over all clamped value pairs,
+instead of raw enumeration, so it reaches radii the cap forbids.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ def _logsumexp(a: np.ndarray, axis=None):
     axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.max(a, axis=axis, keepdims=True)
-        at_top = a == top
-        m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
         e = a - top
+        at_top = e == 0                  # a == top wherever the slice is finite
+        m = np.count_nonzero(at_top, axis=axis, keepdims=True)
         np.exp(e, out=e)
-        e[at_top] = 0.0
+        np.copyto(e, 0.0, where=at_top)
         s = np.sum(e, axis=axis, keepdims=True)
         out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + top
         bad = ~np.isfinite(out)
@@ -64,16 +65,29 @@ def _logsumexp(a: np.ndarray, axis=None):
 def _edge_energies(model: LambdaModel, ball: Ball, cap: int) -> np.ndarray:
     """H(sigma) = sum of lam(sigma_u, sigma_v) over the edges, for every configuration index.
 
-    Edges are added in ``ball.edges`` order, each through a 5-axis view of
-    the flat vector, so every entry gets the same float additions in the
-    same order as a per-configuration gather would give it.
+    The vector is grown one vertex at a time from a zero root vector: the
+    energies over vertices 0..v are those over 0..v-1 with digit v appended,
+    plus lam[sigma_parent(v), sigma_v].  ``ball.edges`` is (parent(v), v) in
+    v order, so every entry gets the same float additions in the same order
+    as a per-configuration gather would give it, the first one onto +0.0.
+    That is about q/(q-1) * q^|V| additions, and at most the result and
+    its predecessor, 1/q of its size, are alive at once.
     """
     q = model.q
-    e = np.zeros(_check_cap(q, ball.num_vertices, cap))
-    lam = model.lam_float[:, None, :, None]
+    _check_cap(q, ball.num_vertices, cap)
+    lam = model.lam_float
+    e = np.zeros(q)
     for u, v in ball.edges:
-        view = e.reshape(q**u, q, q ** (v - u - 1), q, -1)
-        view += lam
+        r = q ** (v - u - 1)                     # digits between parent u and v
+        prev = e.reshape(q**u, q, r)
+        e = np.empty(q * e.size)
+        out = e.reshape(q**u, q, r, q)
+        if q <= 4 and r >= q:
+            # a length-q innermost loop is slow: write one strided column per new spin value
+            for b in range(q):
+                np.add(prev, lam[:, b, None], out=out[..., b])
+        else:
+            np.add(prev[..., None], lam[:, None, :], out=out)
     return e
 
 
@@ -109,7 +123,8 @@ def finite_volume_measure(
     h'_x read in the eta-basis, so the pairing goes through the Gram matrix.
     """
     ball, n, q = fields.ball, fields.ball.n, model.q
-    logw = -model.beta_float * _edge_energies(model, ball, cap)
+    logw = _edge_energies(model, ball, cap)
+    logw *= -model.beta_float
     gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
     scale = (q - 1) / q
     for x in ball.shells[n]:
@@ -173,8 +188,8 @@ def dlr_conditional(
     lam = model.lam_float
     for pos, y in enumerate(outer):
         _add_vertex_term(e, q, ball.parent[y], lam[:, omega[pos]])
-    logw = -model.beta_float * e
-    return np.exp(logw - _logsumexp(logw))
+    e *= -model.beta_float
+    return np.exp(e - _logsumexp(e))
 
 
 def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP) -> float:

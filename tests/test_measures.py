@@ -28,7 +28,7 @@ from treegibbs import (
 )
 from treegibbs.classifier import finite_volume_spectrum
 from treegibbs.fields import ReducedFieldAssignment
-from treegibbs.measures import EnumerationCapError, _logsumexp, _tv_to_first_column
+from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _edge_energies, _logsumexp, _tv_to_first_column
 
 from conftest import enumerate_configs, random_rational_model, relabeled, shifted
 
@@ -87,29 +87,50 @@ def markov_conditional(model, n):
     return p / p.sum(axis=0, keepdims=True)
 
 
+def allocation_peak(f):
+    """Peak bytes traced by tracemalloc while f() runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# (q, k) -> radii: every ball with at most 12 vertices at q <= 3, at most 6
+# at q = 4, and the 3-vertex ball at q = 8
+GATHER_RADII = {2: {1: range(6), 2: range(3), 3: range(2)}, 3: {1: range(6), 2: range(3), 3: range(2)},
+                4: {1: range(3), 2: range(2), 3: range(2)}, 8: {1: range(2)}}
+
+
 def test_broadcast_enumeration_matches_gather():
-    # every ball with at most 12 vertices, rational and asymmetric float
-    # tables, random boundary fields: bit-identical to the gather version
+    # rational, asymmetric float and J = 0.0 Potts tables, random boundary
+    # fields: the same bytes as the gather version, signed zeros included
     rng = np.random.default_rng(29)
-    radii = {1: range(6), 2: range(3), 3: range(2)}
-    for q in (2, 3):
+    for q, radii in GATHER_RADII.items():
         for k, ns in radii.items():
             floats = rng.uniform(-1.5, 1.5, size=(q, q)).tolist()
-            for m in (random_rational_model(rng, q, k), generic_model(floats, k, 0.7)):
+            # float Potts at J = 0.0 has -0.0 on its diagonal; the gather adds it onto +0.0
+            free = potts_model(q, 0.0, 0.7, k)
+            assert np.signbit(np.diag(free.lam_float)).all()
+            for m in (random_rational_model(rng, q, k), generic_model(floats, k, 0.7), free):
                 lam = m.lam_float
                 for n in ns:
                     b = build_ball(k, n)
                     configs, e = gather_energies(m, b)
+                    assert _edge_energies(m, b, DEFAULT_CAP).tobytes() == e.tobytes(), (q, k, n, m.lam)
+                    if m is free:
+                        assert e.tobytes() == bytes(e.nbytes)   # every energy is +0.0
                     flds = ReducedFieldAssignment(b, rng.uniform(-2, 2, size=(b.num_vertices, q - 1)))
                     logw = -m.beta_float * e
                     gram_part = m.spin.gram[: q - 1, :]
                     for x in b.shells[n]:
                         logw += ((q - 1) / q * (flds.hprime[x] @ gram_part))[configs[:, x]]
                     mu = finite_volume_measure(m, flds)
-                    assert np.array_equal(mu.logweights, logw), (q, k, n, m.lam)
-                    assert mu.logZ == float(logsumexp(logw))
+                    assert mu.logweights.tobytes() == logw.tobytes(), (q, k, n, m.lam)
+                    assert np.float64(mu.logZ).tobytes() == np.float64(logsumexp(logw)).tobytes()
                     levels, counts = finite_volume_spectrum(m, b)
-                    assert np.array_equal(np.repeat(levels, counts), np.sort(m.beta_float * e))
+                    assert np.repeat(levels, counts).tobytes() == np.sort(m.beta_float * e).tobytes()
                     big = build_ball(k, n + 1)
                     for omega in rng.integers(0, q, size=(3, len(big.shells[n + 1]))):
                         eo = e.copy()
@@ -117,7 +138,21 @@ def test_broadcast_enumeration_matches_gather():
                             eo += lam[configs[:, big.parent[y]], omega[pos]]
                         lw = -m.beta_float * eo
                         want = np.exp(lw - logsumexp(lw))
-                        assert np.array_equal(dlr_conditional(m, big, list(omega)), want)
+                        assert dlr_conditional(m, big, list(omega)).tobytes() == want.tobytes()
+
+
+def test_enumeration_allocates_within_the_cap():
+    # Potts q=4, k=2, n=2: 4^10 = 2^20 configurations, exactly the default
+    # cap.  The energy vector grows one vertex at a time, so besides the
+    # result only its 1/q-size predecessor is alive, with numpy's ufunc
+    # buffer (getbufsize() doubles) and 4 KiB of iterator state; the measure
+    # adds one vector-size temporary and a boolean mask in its logsumexp
+    m = potts_model(4, Fraction(5, 4), 1, 2)
+    ball = build_ball(2, 2)
+    vector = 8 * 4**10
+    slack = 8 * np.getbufsize() + 2**12
+    assert allocation_peak(lambda: _edge_energies(m, ball, DEFAULT_CAP)) <= (1 + 1 / 4) * vector + slack
+    assert allocation_peak(lambda: finite_volume_measure(m, zero_fields(ball, 4))) <= 2.25 * vector
 
 
 def reference_column_tv(cond):
@@ -197,17 +232,8 @@ def test_markov_residual_allocates_nothing_beyond_the_measure():
     # is that of building the measure and its probabilities
     m = potts_model(2, Fraction(5, 4), 1, 3)
     ball = build_ball(3, 2)
-
-    def peak(f):
-        tracemalloc.start()
-        try:
-            f()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    measure = peak(lambda: finite_volume_measure(m, zero_fields(ball, 2)).probabilities())
-    residual = peak(lambda: markov_property_residual(m, 1))
+    measure = allocation_peak(lambda: finite_volume_measure(m, zero_fields(ball, 2)).probabilities())
+    residual = allocation_peak(lambda: markov_property_residual(m, 1))
     assert residual <= measure + 2**16, (residual, measure)
     assert markov_property_residual(m, 1) == reference_column_tv(markov_conditional(m, 1)) < 1e-12
 
