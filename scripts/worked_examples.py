@@ -29,12 +29,12 @@ EXAMPLES = [
 def main():
     for name, model in EXAMPLES:
         result = classify(model)
-        ds = difference_set(model)
+        deltas = difference_set(model)
         print(f"{name}")
         print(f"  verdict    : {result.verdict} ({result.confidence})")
         if result.generator is not None:
             print(f"  generator  : {result.generator}   gamma = {result.gamma:.12f}")
-        print(f"  deltas     : {len(ds.deltas)} distinct coupling differences ({ds.kind})")
+        print(f"  deltas     : {len(deltas)} distinct coupling differences ({result.evidence['kind']})")
         print(f"  caveat     : {result.caveat}")
         print()
     print(f"Potts theta(q=3, J=1, beta=1) = {potts_theta(3, 1, 1):.12f} (= e^-1)")

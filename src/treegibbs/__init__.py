@@ -2,20 +2,18 @@
 
 Library layout:
 
-  topology    finite balls of the tree (shells, successors, vertex words)
-  model       spin simplex, coupling tables, energies, the edge potential
+  topology    finite balls of the tree (shells, children, vertex words)
+  model       spin simplex, coupling tables, log-weights, model files
   fields      boundary-field recursion, propagation, fixed points
   measures    exact finite-volume measures and consistency diagnostics
   classifier  factor-type classification from coupling-difference arithmetic
   cli         command-line front end
 """
 
-from .topology import Ball, build_ball, distance, successors
+from .topology import Ball, build_ball, distance
 from .model import (
     LambdaModel,
     SpinSet,
-    boundary_energy,
-    energy,
     generic_model,
     markov_model,
     model_from_dict,
@@ -45,7 +43,6 @@ from .measures import (
 )
 from .classifier import (
     Classification,
-    DifferenceSet,
     classify,
     commensurability_exact,
     commensurability_float,
@@ -56,4 +53,15 @@ from .classifier import (
     spectrum_lattice_check,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Ball", "build_ball", "distance",
+    "LambdaModel", "SpinSet", "generic_model", "markov_model", "model_from_dict", "model_to_dict",
+    "potential_norm", "potts_model", "simplex_vectors",
+    "FixedPointResult", "ReducedFieldAssignment", "check_unordered", "propagate_fields",
+    "recursion_map", "ti_fixed_points", "zero_fields",
+    "FiniteVolumeMeasure", "consistency_residual", "correlation_decay", "dlr_conditional",
+    "finite_volume_measure", "marginalize", "markov_property_residual", "two_point_correlation",
+    "Classification", "classify", "commensurability_exact", "commensurability_float",
+    "commensurability_multiplicative", "difference_set", "finite_volume_spectrum", "potts_theta",
+    "spectrum_lattice_check",
+]

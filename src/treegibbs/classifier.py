@@ -16,8 +16,9 @@ m * g, m integer.  Three back-ends decide this:
 The pairwise differences generate the same Z-module as the q^2 base
 differences beta*(lam_ij - lam_00), so the two exact routes work on those
 q^2 values (the ratios p_00/p_ij for stochastic matrices); only the float
-route builds the q^4 ``difference_set``.  ``classify`` is the one place that
-picks the route; the CLI's markov-check report is a view of its result.
+route builds the q^4 ``difference_set``, a sorted tuple of values.
+``classify`` is the one place that picks the route; the CLI's markov-check
+report is a view of its result.
 
 Every route witnesses its lattice with one q x q integer table m, defined
 by beta*(lam_ij - lam_00) = m_ij * g; the difference of entries (i,j) and
@@ -55,25 +56,8 @@ CAVEAT_INCOMMENSURABLE = (
 )
 
 
-@dataclass(frozen=True)
-class DifferenceSet:
-    """Sorted, deduplicated beta-scaled coupling differences.
-
-    ``kind`` is "exact-rational" (deltas are Fractions), "symbolic-log-rational"
-    (deltas are floats log(r) of the distinct rational entry ratios r), or
-    "float".  The set always contains 0 and equals its own negation.
-    """
-
-    deltas: tuple
-    kind: str
-
-
-def _table_values(model: LambdaModel) -> list:
-    return [v for row in model.lam for v in row]
-
-
 def _kind(model: LambdaModel) -> str:
-    """The difference-set kind of a model, which is also its classifier route."""
+    """The kind of a model's coupling differences: its classifier route and ``evidence["kind"]``."""
     if model.is_exact:
         return "exact-rational"
     if model.provenance == "markov" and all(isinstance(v, Fraction) for row in model.P for v in row):
@@ -81,26 +65,30 @@ def _kind(model: LambdaModel) -> str:
     return "float"
 
 
-def difference_set(model: LambdaModel) -> DifferenceSet:
-    """All beta-scaled pairwise differences of coupling-table entries."""
+def difference_set(model: LambdaModel) -> tuple:
+    """All beta-scaled pairwise differences of coupling-table entries, sorted and deduplicated.
+
+    Fractions on exact tables, the floats log(r) of the distinct entry ratios
+    r of rational stochastic matrices, and floats otherwise.  The set always
+    contains 0 and equals its own negation.
+    """
     kind = _kind(model)
-    if kind == "exact-rational":
-        vals = _table_values(model)
-        deltas = sorted({model.beta * (a - b) for a in vals for b in vals})
-        return DifferenceSet(deltas=tuple(deltas), kind=kind)
     if kind == "symbolic-log-rational":
         entries = [v for row in model.P for v in row]
         # delta = -log p + log p' = log(p'/p), one per distinct rational ratio
         ratios = sorted({b / a for a in entries for b in entries})
-        return DifferenceSet(deltas=tuple(math.log(float(r)) for r in ratios), kind=kind)
-    vals = [float(v) for v in _table_values(model)]
+        return tuple(math.log(float(r)) for r in ratios)
+    vals = [v for row in model.lam for v in row]
+    if kind == "exact-rational":
+        return tuple(sorted({model.beta * (a - b) for a in vals for b in vals}))
+    vals = [float(v) for v in vals]
     beta = model.beta_float
     raw = sorted({beta * (a - b) for a in vals for b in vals})
     deltas: list[float] = []
     for d in raw:
         if not deltas or abs(d - deltas[-1]) > 1e-12:
             deltas.append(d)
-    return DifferenceSet(deltas=tuple(deltas), kind=kind)
+    return tuple(deltas)
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -328,11 +316,11 @@ def classify(
                        _int_table([[-e for e in row] for row in witness.exponents]))
             evidence.update(alpha=alpha, lattice_step=1)
     else:
-        ds = difference_set(model)
-        constant = all(d == 0 for d in ds.deltas)
+        deltas = difference_set(model)
+        constant = all(d == 0 for d in deltas)
         confidence = "float"
         evidence = {"route": "continued-fraction", "kind": kind, "max_den": max_den, "tol": tol}
-        found = None if constant else commensurability_float(ds.deltas, max_den=max_den, tol=tol)
+        found = None if constant else commensurability_float(deltas, max_den=max_den, tol=tol)
         if found is not None:
             g = found.generator
             beta, lam = model.beta_float, model.lam_float
@@ -383,29 +371,18 @@ def finite_volume_spectrum(
 
 
 def spectrum_lattice_check(
-    model: LambdaModel, ball: Ball, tol: float = 1e-9, cap: int = measures.DEFAULT_CAP
+    model: LambdaModel, levels: np.ndarray, tol: float = 1e-9, max_den: int = DEFAULT_MAX_DEN
 ) -> tuple[bool, Optional[float], float]:
     """Verify every spectrum self-difference is an integer multiple of the classify generator.
 
-    Every pairwise difference is a multiple of g exactly when every level
-    minus the lowest one is, so only those L differences are measured.
-    Returns (ok, generator, max deviation of a level minus the lowest from
-    the nearest multiple of g).  When the verdict has no generator the
-    deviation is the spread of the levels: the check passes on one level
-    and fails otherwise.  ``cap`` bounds the enumeration.
-    """
-    levels, _ = finite_volume_spectrum(model, ball, cap=cap)
-    return _levels_lattice_check(model, levels, tol, DEFAULT_MAX_DEN)
-
-
-def _levels_lattice_check(
-    model: LambdaModel, levels: np.ndarray, tol: float, max_den: int
-) -> tuple[bool, Optional[float], float]:
-    """``spectrum_lattice_check`` on ascending unique levels, with the generator of
-    ``classify(model, max_den=max_den)``.
-
-    The distance to gZ is at most g/2, and that bound stands in where d/g has
-    no float: a generator that underflows to 0.0, or a subnormal one.
+    ``levels`` are the ascending unique levels of ``finite_volume_spectrum``;
+    g is the generator of ``classify(model, max_den=max_den)``.  Every pairwise
+    difference is a multiple of g exactly when every level minus the lowest
+    one is, so only those L differences are measured.  Returns (ok, g, max
+    deviation of a level minus the lowest from gZ); without a generator the
+    deviation is the spread of the levels, so one level passes and more fail.
+    The distance to gZ is at most g/2, which stands in where d/g has no float:
+    a generator that underflows to 0.0, or a subnormal one.
     """
     result = classify(model, max_den=max_den)
     g = None if result.generator is None else float(result.generator)

@@ -196,7 +196,7 @@ def _cmd_verify_consistency(m, args, tol):
 
 def _cmd_spectrum(m, args, tol):
     levels, counts = classifier.finite_volume_spectrum(m, topology.build_ball(m.k, args.n), cap=args.cap)
-    ok, generator, deviation = classifier._levels_lattice_check(m, levels, tol, args.max_den)
+    ok, generator, deviation = classifier.spectrum_lattice_check(m, levels, tol, args.max_den)
     return dict(
         n=args.n,
         levels=[{"value": float(v), "multiplicity": int(c)} for v, c in zip(levels, counts)],

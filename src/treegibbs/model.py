@@ -1,4 +1,4 @@
-"""Nearest-neighbor lambda-models on trees: spin simplex, coupling tables, energies.
+"""Nearest-neighbor lambda-models on trees: spin simplex, coupling tables, model files.
 
 A model is a q x q table lam[i][j] of pair couplings between simplex spin
 vectors, together with a tree order k and an inverse temperature beta.  The
@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
-
-from .topology import Ball
 
 Number = Union[Fraction, float]
 
@@ -198,51 +196,6 @@ def markov_model(P, k: int) -> LambdaModel:
         raise ModelError("; ".join(errors))
     lam = [[-math.log(float(p)) for p in row] for row in rows]
     return replace(generic_model(lam, k, 1), provenance="markov", P=rows)
-
-
-def _check_config(model: LambdaModel, ball: Ball, sigma: Sequence[int], what: str) -> None:
-    if len(sigma) != ball.num_vertices:
-        raise ValueError(
-            f"{what} must assign a spin to each of the {ball.num_vertices} vertices, got {len(sigma)}"
-        )
-    q = model.q
-    if any(not (0 <= s < q) for s in sigma):
-        raise ValueError(f"{what} contains spin indices outside 0..{q - 1}")
-
-
-def energy(model: LambdaModel, ball: Ball, sigma: Sequence[int]) -> Number:
-    """Configuration energy: sum of lam over the ball's edges (parent -> child order)."""
-    _check_config(model, ball, sigma, "configuration")
-    total = Fraction(0) if model.is_exact else 0.0
-    for u, v in ball.edges:
-        total += model.lam[sigma[u]][sigma[v]]
-    return total
-
-
-def boundary_energy(
-    model: LambdaModel, ball: Ball, sigma: Sequence[int], omega: Sequence[int]
-) -> Number:
-    """Interaction of a configuration on V_n with a boundary spin layer one shell out.
-
-    ``ball`` must have radius n+1; ``sigma`` lives on its interior V_n and
-    ``omega`` on the outermost shell (in shell order).
-    """
-    if ball.n < 1:
-        raise ValueError("need a ball of radius >= 1 to have a boundary layer")
-    outer = ball.shells[ball.n]
-    inner_count = ball.num_vertices - len(outer)
-    if len(sigma) != inner_count:
-        raise ValueError(f"interior configuration must cover {inner_count} vertices, got {len(sigma)}")
-    if len(omega) != len(outer):
-        raise ValueError(f"boundary layer must cover {len(outer)} vertices, got {len(omega)}")
-    q = model.q
-    if any(not (0 <= s < q) for s in sigma) or any(not (0 <= s < q) for s in omega):
-        raise ValueError(f"spin indices outside 0..{q - 1}")
-    total = Fraction(0) if model.is_exact else 0.0
-    for y in outer:
-        x = ball.parent[y]
-        total += model.lam[sigma[x]][omega[y - inner_count]]
-    return total
 
 
 def potential_norm(model: LambdaModel, d: float) -> float:

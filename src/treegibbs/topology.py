@@ -1,4 +1,4 @@
-"""Finite balls of the Cayley tree: shells, successors, the inward sweep, distances, addressing.
+"""Finite balls of the Cayley tree: shells, children, the inward sweep, distances, addressing.
 
 The Cayley tree of order k is the infinite cycle-free graph in which every
 vertex lies on k+1 edges.  Only finite balls around a distinguished root are
@@ -99,16 +99,6 @@ class Ball:
 def build_ball(k: int, n: int) -> Ball:
     """The radius-n ball of the order-k Cayley tree, one shared instance per (k, n)."""
     return Ball(k=k, n=n)
-
-
-def successors(ball: Ball, x: int) -> tuple[int, ...]:
-    """Direct successors of x inside the ball.
-
-    Rejects vertices on the outermost shell, whose successors lie outside.
-    """
-    if ball.shell_of(x) >= ball.n:
-        raise ValueError(f"vertex {x} lies on the boundary shell; its successors are outside the ball")
-    return ball.children[x]
 
 
 def sweep_up(ball: Ball, values: np.ndarray, message: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from treegibbs import classify, generic_model
 from treegibbs.fields import FixedPointResult, recursion_map
 from treegibbs.measures import _check_cap
+from treegibbs.model import LambdaModel, Number
+from treegibbs.topology import Ball
 
 
 # Model files whose couplings have no finite float image, or whose log-weights
@@ -39,6 +42,53 @@ def enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
     idx = np.arange(_check_cap(q, num_vertices, cap))
     place = q ** np.arange(num_vertices - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // place[None, :]) % q
+
+
+# Per-configuration energy oracles: one Python sum over the ball's edges.
+
+def _check_config(model: LambdaModel, ball: Ball, sigma: Sequence[int], what: str) -> None:
+    if len(sigma) != ball.num_vertices:
+        raise ValueError(
+            f"{what} must assign a spin to each of the {ball.num_vertices} vertices, got {len(sigma)}"
+        )
+    q = model.q
+    if any(not (0 <= s < q) for s in sigma):
+        raise ValueError(f"{what} contains spin indices outside 0..{q - 1}")
+
+
+def energy(model: LambdaModel, ball: Ball, sigma: Sequence[int]) -> Number:
+    """Configuration energy: sum of lam over the ball's edges (parent -> child order)."""
+    _check_config(model, ball, sigma, "configuration")
+    total = Fraction(0) if model.is_exact else 0.0
+    for u, v in ball.edges:
+        total += model.lam[sigma[u]][sigma[v]]
+    return total
+
+
+def boundary_energy(
+    model: LambdaModel, ball: Ball, sigma: Sequence[int], omega: Sequence[int]
+) -> Number:
+    """Interaction of a configuration on V_n with a boundary spin layer one shell out.
+
+    ``ball`` must have radius n+1; ``sigma`` lives on its interior V_n and
+    ``omega`` on the outermost shell (in shell order).
+    """
+    if ball.n < 1:
+        raise ValueError("need a ball of radius >= 1 to have a boundary layer")
+    outer = ball.shells[ball.n]
+    inner_count = ball.num_vertices - len(outer)
+    if len(sigma) != inner_count:
+        raise ValueError(f"interior configuration must cover {inner_count} vertices, got {len(sigma)}")
+    if len(omega) != len(outer):
+        raise ValueError(f"boundary layer must cover {len(outer)} vertices, got {len(omega)}")
+    q = model.q
+    if any(not (0 <= s < q) for s in sigma) or any(not (0 <= s < q) for s in omega):
+        raise ValueError(f"spin indices outside 0..{q - 1}")
+    total = Fraction(0) if model.is_exact else 0.0
+    for y in outer:
+        x = ball.parent[y]
+        total += model.lam[sigma[x]][omega[y - inner_count]]
+    return total
 
 
 def random_rational_table(rng: np.random.Generator, q: int):

@@ -27,6 +27,7 @@ from treegibbs import (
     zero_fields,
     consistency_residual,
     finite_volume_measure,
+    finite_volume_spectrum,
     potential_norm,
 )
 from treegibbs.fields import ReducedFieldAssignment
@@ -80,7 +81,7 @@ def test_criterion_3_potts_classification():
     assert c.verdict == "III_family"
     assert c.generator == Fraction(1)                      # exact, zero tolerance
     assert abs(c.gamma - math.exp(-1)) <= 1e-15
-    ratios = {d / c.generator for d in difference_set(potts_model(3, 1, 1, 2)).deltas}
+    ratios = {d / c.generator for d in difference_set(potts_model(3, 1, 1, 2))}
     assert ratios == {Fraction(-1), Fraction(0), Fraction(1)}
     print("PASS criterion 3: Potts q=3 -> III family, exact generator 1, gamma = e^-1")
 
@@ -102,7 +103,7 @@ def test_criterion_4_markov_classifications():
 def test_criterion_5_spectrum_lattice():
     start = time.monotonic()
     m = potts_model(2, 1, 1, 2)
-    ok, g, dev = spectrum_lattice_check(m, build_ball(2, 2), tol=1e-9)
+    ok, g, dev = spectrum_lattice_check(m, finite_volume_spectrum(m, build_ball(2, 2))[0], tol=1e-9)
     elapsed = time.monotonic() - start
     assert ok and dev <= 1e-9
     assert elapsed < 5.0

@@ -40,19 +40,19 @@ def divisor_search_gcd(mags, max_mult=20_000):
 
 
 def test_difference_set_potts_q2():
-    ds = difference_set(potts_model(2, 1, 1, 2))
-    assert ds.kind == "exact-rational"
-    assert ds.deltas == (Fraction(-1), Fraction(0), Fraction(1))
+    m = potts_model(2, 1, 1, 2)
+    assert classify(m).evidence["kind"] == "exact-rational"
+    assert difference_set(m) == (Fraction(-1), Fraction(0), Fraction(1))
 
 
 def test_difference_set_potts_q3():
     ds = difference_set(potts_model(3, 1, 1, 2))
-    assert ds.deltas == (Fraction(-1), Fraction(0), Fraction(1))
+    assert ds == (Fraction(-1), Fraction(0), Fraction(1))
 
 
 def test_difference_set_constant_table():
     ds = difference_set(generic_model([[Fraction(2)] * 2] * 2, 2, 1))
-    assert ds.deltas == (Fraction(0),)
+    assert ds == (Fraction(0),)
 
 
 @settings(max_examples=25, deadline=None)
@@ -60,9 +60,9 @@ def test_difference_set_constant_table():
 def test_difference_set_symmetric_and_contains_zero(seed, q):
     rng = np.random.default_rng(seed)
     ds = difference_set(random_rational_model(rng, q, 2))
-    assert Fraction(0) in ds.deltas
-    assert set(ds.deltas) == {-d for d in ds.deltas}
-    assert len(ds.deltas) <= q**4
+    assert Fraction(0) in ds
+    assert set(ds) == {-d for d in ds}
+    assert len(ds) <= q**4
 
 
 def test_gcd_of_rationals():
@@ -239,7 +239,7 @@ def test_float_lattice_exact_multiples():
 def test_float_lattice_underflowing_generator_is_incommensurable():
     # Loosely accepted approximations whose rational gcd makes the generator 0.0.
     m = generic_model(np.random.default_rng(5).uniform(-1, 1, (4, 4)).tolist(), 2, 1.0)
-    assert commensurability_float(difference_set(m).deltas, tol=1e-3) is None
+    assert commensurability_float(difference_set(m), tol=1e-3) is None
 
 
 def test_float_lattice_subnormal_generator_is_incommensurable():
@@ -255,6 +255,16 @@ def test_float_lattice_empty_and_validation():
     assert commensurability_float([0.0]) is None
     with pytest.raises(ValueError):
         commensurability_float([1.0], tol=-1.0)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: a float ratio >= 2^33 is a fraction p/s with s < 2^20")
+def test_classify_float_ratios_past_the_float_spacing_are_incommensurable():
+    # The smallest |delta| is 1e-12, so the other ratios are about 1.7e12 and
+    # 3.5e12, where floats are multiples of 2^-12 or 2^-11: limit_denominator
+    # returns each ratio exactly, and the route reports g = 1e-12/4096 whatever
+    # the couplings are.
+    s = math.sqrt(3)
+    assert classify(generic_model([[0.0, s], [2 * s, 1e-12]], 2, 1.0)).verdict == "incommensurable"
 
 
 def test_classify_potts_q3():
@@ -319,7 +329,7 @@ def test_generator_maximality_exact():
         c = classify(m)
         if c.verdict != "III_family":
             continue
-        deltas = difference_set(m).deltas
+        deltas = difference_set(m)
         for mult in (2, 3, 5):
             bigger = c.generator * mult
             assert any((d / bigger).denominator != 1 for d in deltas if d != 0)
@@ -352,8 +362,8 @@ def test_spectrum_two_edge_levels():
 
 def test_spectrum_lattice_containment():
     m = potts_model(2, 1, 1, 2)
-    b = build_ball(2, 2)
-    ok, g, dev = spectrum_lattice_check(m, b, tol=1e-9)
+    levels, _ = finite_volume_spectrum(m, build_ball(2, 2))
+    ok, g, dev = spectrum_lattice_check(m, levels, tol=1e-9)
     assert ok and g == pytest.approx(1.0) and dev < 1e-9
 
 
@@ -365,10 +375,10 @@ def test_spectrum_cap_bounds_difference_block():
                        for _ in range(6)], 2, 1)
     b = build_ball(2, 1)
     levels, _ = finite_volume_spectrum(m, b)
-    default = spectrum_lattice_check(m, b)
+    default = spectrum_lattice_check(m, levels)
     tracemalloc.start()
     try:
-        small = spectrum_lattice_check(m, b, cap=6**4)
+        small = spectrum_lattice_check(m, finite_volume_spectrum(m, b, cap=6**4)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,7 +424,7 @@ def test_lattice_check_against_pairwise_reference(family):
         for _ in range(3):
             m = spectrum_model(family, rng, q, k)
             levels, _ = finite_volume_spectrum(m, build_ball(k, n))
-            ok, g, dev = classifier._levels_lattice_check(m, levels, 1e-9, classifier.DEFAULT_MAX_DEN)
+            ok, g, dev = spectrum_lattice_check(m, levels)
             ref_ok, ref_g, ref_dev = pairwise_lattice_check(m, levels, 1e-9, 2**20, classifier.DEFAULT_MAX_DEN)
             assert (ok, g) == (ref_ok, ref_g), (q, k, n, m.lam)
             if g is None:
@@ -439,7 +449,7 @@ def test_lattice_check_memory_is_linear_in_the_levels(table):
     assert len(levels) > 50_000 and counts.sum() == 2**20
     tracemalloc.start()
     try:
-        ok, g, _ = classifier._levels_lattice_check(m, levels, 1e-9, classifier.DEFAULT_MAX_DEN)
+        ok, g, _ = spectrum_lattice_check(m, levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -544,7 +554,7 @@ def test_exact_generator_from_base_differences(table, beta):
     # the q^2 base differences beta*(lam_ij - lam_00) and all q^4 pairwise
     # differences generate the same Z-module, hence the same rational gcd
     m = generic_model(table, 2, beta)
-    want = commensurability_exact(difference_set(m).deltas)
+    want = commensurability_exact(difference_set(m))
     c = classify(m)
     assert c.generator == want
     assert c.verdict == ("II1" if want is None else "III_family")
@@ -579,7 +589,7 @@ def test_near_constant_rational_matrix_is_not_a_trace():
     e = Fraction(1, 10**20)
     half = Fraction(1, 2)
     P = [[half, half], [half - e, half + e]]
-    assert all(d == 0 for d in difference_set(markov_model(P, 2)).deltas)
+    assert all(d == 0 for d in difference_set(markov_model(P, 2)))
     c = classify(markov_model(P, 2))
     assert c.verdict == "incommensurable" and c.confidence == "exact"
     assert commensurability_multiplicative(P) is None

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treegibbs import (
-    boundary_energy,
     build_ball,
     classify,
-    energy,
     generic_model,
     markov_model,
     model_from_dict,
@@ -21,7 +19,7 @@ from treegibbs import (
 )
 from treegibbs.model import ModelError
 
-from conftest import OVERFLOWING_MODELS, UNREAD_KEY_MODELS, shifted
+from conftest import OVERFLOWING_MODELS, UNREAD_KEY_MODELS, boundary_energy, energy, shifted
 
 
 @pytest.mark.parametrize("q", range(2, 7))

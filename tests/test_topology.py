@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from treegibbs import Ball, build_ball, distance, successors
+from treegibbs import Ball, build_ball, distance
 from treegibbs.topology import ball_size, vertex_from_word
 
 
@@ -67,16 +67,10 @@ def test_shell_sizes_and_edge_count(k, n):
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 1), (1, 3)])
 def test_successor_counts(k, n):
     b = build_ball(k, n)
-    assert len(successors(b, 0)) == k + 1
+    assert len(b.children[0]) == k + 1
     for m in range(1, n):
         for x in b.shells[m]:
-            assert len(successors(b, x)) == k
-
-
-def test_successors_rejects_boundary_vertex():
-    b = build_ball(2, 2)
-    with pytest.raises(ValueError):
-        successors(b, b.shells[2][0])
+            assert len(b.children[x]) == k
 
 
 def test_build_ball_rejects_bad_arguments():
