@@ -360,14 +360,19 @@ def finite_volume_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct configuration energy levels beta*H over a ball, ascending, and their multiplicities.
 
-    One ``np.unique`` of the q^|V| energies.  The edge potential carries the
-    opposite sign (its diagonal is -beta*lam), so the operator spectrum is
-    the mirror image of this set; the difference set, which drives
-    classification, is the same for both conventions.
+    The q^|V| energies are sorted in place and each run of equal values is
+    one level (what ``np.unique`` does after copying them).  The edge
+    potential carries the opposite sign (its diagonal is -beta*lam), so the
+    operator spectrum is the mirror image of this set; the difference set,
+    which drives classification, is the same for both conventions.
     """
     e = measures._edge_energies(model, ball, cap)
     e *= model.beta_float
-    return np.unique(e, return_counts=True)
+    e.sort()
+    first = np.empty(e.size, dtype=bool)         # True where a level starts
+    first[0] = True
+    np.not_equal(e[1:], e[:-1], out=first[1:])
+    return e[first], np.diff(np.flatnonzero(first), append=e.size)
 
 
 def spectrum_lattice_check(

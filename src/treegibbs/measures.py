@@ -7,11 +7,12 @@ exactly (no sampling); operations whose state space exceeds the enumeration
 cap fail loudly.  Enumeration builds no configuration matrix: the flat
 q^|V| energy vector grows one vertex at a time, digit v appending the row
 lam[sigma_parent(v), :] to the vector over the vertices before it (about
-q/(q-1) * q^|V| additions, each entry's in edge order), and each boundary
-or conditioning term's per-value table is added through a (q^x, q, rest)
-view of it.  The two-point correlation uses exact leaf elimination, one
-batched inward sweep (``topology.sweep_up``) over all clamped value pairs,
-instead of raw enumeration, so it reaches radii the cap forbids.
+q/(q-1) * q^|V| additions, each entry's in edge order), and the -beta
+scale and every boundary or conditioning term are then applied in one
+pass over it, block by cache-sized block.  The two-point correlation uses
+exact leaf elimination, one batched inward sweep (``topology.sweep_up``)
+over all clamped value pairs, instead of raw enumeration, so it reaches
+radii the cap forbids.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .model import LambdaModel
 from .topology import Ball, build_ball, sweep_up
 
 DEFAULT_CAP = 2**20
+BLOCK = 2**14    # entries of a configuration vector that one pass keeps in cache at a time
 
 
 class EnumerationCapError(RuntimeError):
@@ -91,10 +93,39 @@ def _edge_energies(model: LambdaModel, ball: Ball, cap: int) -> np.ndarray:
     return e
 
 
-def _add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None:
-    """Add table[sigma_x] to every entry of a flat configuration vector, in place."""
-    view = flat.reshape(q**x, q, -1)
-    view += table[:, None]
+def _apply_per_block(flat: np.ndarray, q: int, steps: Sequence) -> None:
+    """Apply ``steps`` in order to a flat configuration vector, in place, in one pass.
+
+    A step is a float c (multiply by c) or a pair (x, table) (add table[sigma_x]).
+    Each block of L entries, L the largest power of q up to BLOCK, takes every
+    step before the next block is read: each entry gets the float operations of
+    one full pass per step, in the same order.  A table is widened to rows of L
+    entries (each value repeated over its run of q^(|V|-1-x) entries, then
+    tiled), so a term is one contiguous add per block.
+    """
+    size = flat.size
+    L = q
+    while L * q <= min(BLOCK, size):
+        L *= q
+    plan, widened = [], {}
+    for step in steps:
+        if isinstance(step, tuple):
+            x, table = step
+            key = (x, table.tobytes())       # a vertex with k conditioning children repeats its terms
+            if key not in widened:
+                run = size // q ** (x + 1)
+                rows = np.repeat(table, min(run, L))
+                widened[key] = (max(run, L), np.tile(rows, max(1, L // rows.size)).reshape(-1, L))
+            step = widened[key]
+        plan.append(step)
+    for start in range(0, size, L):
+        block = flat[start:start + L]
+        for step in plan:
+            if isinstance(step, tuple):
+                span, rows = step
+                block += rows[start // span % len(rows)]
+            else:
+                block *= step
 
 
 @dataclass(frozen=True)
@@ -107,7 +138,8 @@ class FiniteVolumeMeasure:
     logZ: float
 
     def probabilities(self) -> np.ndarray:
-        p = np.exp(self.logweights - self.logZ)
+        p = self.logweights - self.logZ
+        np.exp(p, out=p)
         if not np.all(p >= 0):
             raise ValueError("probabilities are NaN or negative: the log-weights are not finite")
         return p
@@ -124,12 +156,11 @@ def finite_volume_measure(
     """
     ball, n, q = fields.ball, fields.ball.n, model.q
     logw = _edge_energies(model, ball, cap)
-    logw *= -model.beta_float
     gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
     scale = (q - 1) / q
-    for x in ball.shells[n]:
-        pair = scale * (fields.hprime[x] @ gram_part)  # weight per spin value
-        _add_vertex_term(logw, q, x, pair)
+    # weight per spin value of each boundary vertex's pairing, added after the -beta scale
+    pairs = [(x, scale * (fields.hprime[x] @ gram_part)) for x in ball.shells[n]]
+    _apply_per_block(logw, q, [-model.beta_float, *pairs])
     return FiniteVolumeMeasure(ball=ball, q=q, logweights=logw, logZ=float(_logsumexp(logw)))
 
 
@@ -186,9 +217,8 @@ def dlr_conditional(
     inner = build_ball(ball.k, ball.n - 1)
     e = _edge_energies(model, inner, cap)
     lam = model.lam_float
-    for pos, y in enumerate(outer):
-        _add_vertex_term(e, q, ball.parent[y], lam[:, omega[pos]])
-    e *= -model.beta_float
+    terms = [(ball.parent[y], lam[:, omega[pos]]) for pos, y in enumerate(outer)]
+    _apply_per_block(e, q, [*terms, -model.beta_float])
     return np.exp(e - _logsumexp(e))
 
 

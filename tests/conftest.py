@@ -4,8 +4,8 @@ from typing import Sequence
 import numpy as np
 
 from treegibbs import classify, generic_model
-from treegibbs.fields import FixedPointResult, recursion_map
-from treegibbs.measures import _check_cap
+from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, recursion_map
+from treegibbs.measures import _check_cap, _edge_energies, _logsumexp
 from treegibbs.model import LambdaModel, Number
 from treegibbs.topology import Ball
 
@@ -89,6 +89,36 @@ def boundary_energy(
         x = ball.parent[y]
         total += model.lam[sigma[x]][omega[y - inner_count]]
     return total
+
+
+# Oracles for the blocked pass of ``measures._apply_per_block``: the -beta scale
+# and each boundary or conditioning term as its own full pass over the vector.
+
+def add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None:
+    """Add table[sigma_x] to every entry of a flat configuration vector, in place."""
+    view = flat.reshape(q**x, q, -1)
+    view += table[:, None]
+
+
+def per_term_logweights(model: LambdaModel, fields: ReducedFieldAssignment, cap: int):
+    """(log-weights, logZ) of ``finite_volume_measure``: scale by -beta, then add each pairing."""
+    ball, q = fields.ball, model.q
+    logw = _edge_energies(model, ball, cap)
+    logw *= -model.beta_float
+    gram_part = model.spin.gram[: q - 1, :]
+    for x in ball.shells[ball.n]:
+        add_vertex_term(logw, q, x, (q - 1) / q * (fields.hprime[x] @ gram_part))
+    return logw, float(_logsumexp(logw))
+
+
+def per_term_dlr_conditional(model: LambdaModel, ball: Ball, omega: Sequence[int], cap: int):
+    """``dlr_conditional``: add each conditioning term, then scale by -beta."""
+    q = model.q
+    e = _edge_energies(model, Ball(ball.k, ball.n - 1), cap)
+    for pos, y in enumerate(ball.shells[ball.n]):
+        add_vertex_term(e, q, ball.parent[y], model.lam_float[:, omega[pos]])
+    e *= -model.beta_float
+    return np.exp(e - _logsumexp(e))
 
 
 def random_rational_table(rng: np.random.Generator, q: int):

@@ -28,9 +28,14 @@ from treegibbs import (
 )
 from treegibbs.classifier import finite_volume_spectrum
 from treegibbs.fields import ReducedFieldAssignment
-from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, _edge_energies, _logsumexp, _tv_to_first_column
+from treegibbs.measures import (
+    BLOCK, DEFAULT_CAP, EnumerationCapError, _edge_energies, _logsumexp, _tv_to_first_column,
+)
 
-from conftest import enumerate_configs, random_rational_model, relabeled, shifted
+from conftest import (
+    enumerate_configs, per_term_dlr_conditional, per_term_logweights, random_rational_model,
+    relabeled, shifted,
+)
 
 
 def brute_force_probs(model, ball, fields):
@@ -153,6 +158,56 @@ def test_enumeration_allocates_within_the_cap():
     slack = 8 * np.getbufsize() + 2**12
     assert allocation_peak(lambda: _edge_energies(m, ball, DEFAULT_CAP)) <= (1 + 1 / 4) * vector + slack
     assert allocation_peak(lambda: finite_volume_measure(m, zero_fields(ball, 4))) <= 2.25 * vector
+
+
+# (q, k, n): balls of 2^17, 3^10 (blocks of 3^8, not a power of two) and 4^10
+# configurations, several blocks each; a 2^17 ball whose first boundary spins
+# stay fixed over whole blocks; and the one-vertex ball
+MULTI_BLOCK_BALLS = [(2, 3, 2), (3, 2, 2), (4, 2, 2), (2, 15, 1), (3, 2, 0)]
+
+
+def test_blocked_terms_match_one_pass_per_term():
+    # the blocked pass gives the bytes of one full pass per term: zero, random
+    # and signed-zero fields for the measure, random boundary layers for the
+    # DLR conditional (its interior ball is the listed one)
+    rng = np.random.default_rng(41)
+    negative_zeros = 0
+    for q, k, n in MULTI_BLOCK_BALLS:
+        b = build_ball(k, n)
+        assert n == 0 or q**b.num_vertices > 2 * BLOCK     # three blocks or more
+        m = generic_model(rng.uniform(-1.5, 1.5, size=(q, q)).tolist(), k, 0.7)
+        gram_part = m.spin.gram[: q - 1, :]
+        # signed zeros and the least subnormals: at q = 2 half of their pairings are -0.0
+        signed = rng.choice([-5e-324, 5e-324, -0.0, 0.0], size=(b.num_vertices, q - 1))
+        pairings = np.array([(q - 1) / q * (signed[x] @ gram_part) for x in b.shells[n]])
+        negative_zeros += int(np.count_nonzero(np.signbit(pairings) & (pairings == 0)))
+        for h in (np.zeros((b.num_vertices, q - 1)), rng.uniform(-2, 2, size=(b.num_vertices, q - 1)), signed):
+            flds = ReducedFieldAssignment(b, h)
+            mu = finite_volume_measure(m, flds)
+            logw, logZ = per_term_logweights(m, flds, DEFAULT_CAP)
+            assert mu.logweights.tobytes() == logw.tobytes(), (q, k, n)
+            assert np.float64(mu.logZ).tobytes() == np.float64(logZ).tobytes()
+            assert mu.probabilities().tobytes() == np.exp(logw - logZ).tobytes()
+        big = build_ball(k, n + 1)
+        for omega in rng.integers(0, q, size=(2, len(big.shells[n + 1]))).tolist():
+            want = per_term_dlr_conditional(m, big, omega, DEFAULT_CAP)
+            assert dlr_conditional(m, big, omega).tobytes() == want.tobytes(), (q, k, n)
+    assert negative_zeros > 0
+
+
+def test_spectrum_and_probabilities_allocate_about_one_vector():
+    # Potts q=4, k=2, n=2: the spectrum sorts its own energy vector in place
+    # and marks level starts in a boolean mask, so besides the energies only
+    # their 1/q-size predecessor (while they grow) and the mask are alive;
+    # probabilities() exponentiates its one vector in place and checks it
+    # through a boolean mask.  Slack as in the enumeration test above
+    m = potts_model(4, Fraction(5, 4), 1, 2)
+    ball = build_ball(2, 2)
+    vector = 8 * 4**10
+    slack = 8 * np.getbufsize() + 2**12
+    assert allocation_peak(lambda: finite_volume_spectrum(m, ball)) <= (1 + 1 / 4 + 1 / 8) * vector + slack
+    mu = finite_volume_measure(m, zero_fields(ball, 4))
+    assert allocation_peak(mu.probabilities) <= (1 + 1 / 8) * vector + slack
 
 
 def reference_column_tv(cond):
