@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import measures
-from .model import LambdaModel
+from .model import LambdaModel, _check_tol
 from .topology import Ball
 
 DEFAULT_MAX_DEN = 10**6
@@ -211,10 +211,7 @@ def commensurability_float(
     ratios (e.g. log 3 / log 2) do not.  The generator is then refined to the
     largest g with every delta = m * g within tol * |delta|.
     """
-    if max_den < 1:
-        raise ValueError(f"max_den must be >= 1, got {max_den}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol, max_den)
     mags = sorted({abs(float(d)) for d in deltas if d != 0})
     if not mags:
         return None
@@ -292,6 +289,7 @@ def classify(
     reconstruction.  Every lattice verdict carries the exponent table m of
     beta*(lam - lam_00) = m * g.
     """
+    _check_tol(tol, max_den)
     q = model.q
     kind = _kind(model)
     confidence, lattice = "exact", None     # lattice: (generator, gamma, exponents)
@@ -366,8 +364,7 @@ def finite_volume_spectrum(
     operator spectrum is the mirror image of this set; the difference set,
     which drives classification, is the same for both conventions.
     """
-    e = measures._edge_energies(model, ball, cap)
-    e *= model.beta_float
+    e = measures._edge_energies(model, ball, cap, model.beta_float)
     e.sort()
     first = np.empty(e.size, dtype=bool)         # True where a level starts
     first[0] = True
@@ -389,6 +386,7 @@ def spectrum_lattice_check(
     The distance to gZ is at most g/2, which stands in where d/g has no float:
     a generator that underflows to 0.0, or a subnormal one.
     """
+    _check_tol(tol)
     result = classify(model, max_den=max_den)
     g = None if result.generator is None else float(result.generator)
     d = levels - levels[0]

@@ -31,7 +31,6 @@ import argparse
 import inspect
 import itertools
 import json
-import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -250,7 +249,8 @@ COMMANDS = {
     "solve-fields": Command(_cmd_solve_fields, _default(fields.ti_fixed_points, "tol"),
                             "tol starts seed"),
     "verify-consistency": Command(_cmd_verify_consistency, 1e-10, "n tol cap fields", min_n=1),
-    "spectrum": Command(_cmd_spectrum, 1e-9, "n tol max_den cap", min_n=0),
+    "spectrum": Command(_cmd_spectrum, _default(classifier.spectrum_lattice_check, "tol"),
+                        "n tol max_den cap", min_n=0),
     "correlations": Command(_cmd_correlations, None, "n cap format", min_n=1),
     "markov-check": Command(_cmd_markov_check, classifier.DEFAULT_FLOAT_TOL, "tol max_den"),
 }
@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args, command: Command, given: set[str]) -> None:
     """Reject option values out of range, then options the command does not read."""
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise model_mod.ModelError(f"tolerance must be finite and positive, got {args.tol}")
+    if args.tol is not None:
+        model_mod._check_tol(args.tol)
     for flag, value in (("--max-den", args.max_den), ("--starts", args.starts), ("--cap", args.cap)):
         if value < 1:
             raise model_mod.ModelError(f"{flag} must be >= 1, got {value}")

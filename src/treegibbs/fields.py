@@ -16,12 +16,11 @@ damped map contracts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LambdaModel
+from .model import LambdaModel, _check_tol
 from .topology import Ball, sweep_up
 
 DAMPING = 0.5   # d in the fixed-point search's damped step h <- (1-d)*h + d*k*F(h)
@@ -100,8 +99,7 @@ def check_unordered(model: LambdaModel, tol: float = 1e-12) -> tuple[bool, float
     Equivalent to all rows of e^{-beta*lam} having equal sums, which holds
     for any Potts table and any stochastic-matrix model.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     residual = float(np.max(np.abs(recursion_map(model, np.zeros(model.q - 1)))))
     return residual <= tol, residual
 
@@ -175,8 +173,7 @@ def ti_fixed_points(
     """
     if starts < 1:
         raise ValueError(f"need at least one start, got {starts}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     if max_iter < 1:
         raise ValueError(f"need at least one iteration, got {max_iter}")
     rng = np.random.default_rng(seed)

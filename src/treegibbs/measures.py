@@ -4,12 +4,13 @@ Configurations on a ball are indexed as mixed-radix integers over the
 deterministic breadth-first vertex order, root digit most significant, so
 marginalizing to a smaller ball is a reshape.  Everything here enumerates
 exactly (no sampling); operations whose state space exceeds the enumeration
-cap fail loudly.  Enumeration builds no configuration matrix: the flat
-q^|V| energy vector grows one vertex at a time, digit v appending the row
-lam[sigma_parent(v), :] to the vector over the vertices before it (about
-q/(q-1) * q^|V| additions, each entry's in edge order), and the -beta
-scale and every boundary or conditioning term are then applied in one
-pass over it, block by cache-sized block.  The two-point correlation uses
+cap fail loudly.  Enumeration builds no configuration matrix, and one
+kernel, ``_edge_energies``, builds every energy vector: it grows the flat
+q^|V| vector one vertex at a time, digit v appending lam[sigma_parent(v), :]
+to the vector over the vertices before it (about q/(q-1) * q^|V|
+additions, each entry's in edge order), then scales it (by -beta, or beta
+for the spectrum) and adds one table per boundary vertex in one pass,
+block by cache-sized block.  The two-point correlation uses
 exact leaf elimination, one batched inward sweep (``topology.sweep_up``)
 over all clamped value pairs, instead of raw enumeration, so it reaches
 radii the cap forbids.
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ReducedFieldAssignment, _log_transfer, zero_fields
+from .fields import ReducedFieldAssignment, _log_transfer
 from .model import LambdaModel
 from .topology import Ball, build_ball, sweep_up
 
@@ -64,16 +65,21 @@ def _logsumexp(a: np.ndarray, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _edge_energies(model: LambdaModel, ball: Ball, cap: int) -> np.ndarray:
-    """H(sigma) = sum of lam(sigma_u, sigma_v) over the edges, for every configuration index.
+def _edge_energies(model: LambdaModel, ball: Ball, cap: int, scale: float, terms=()) -> np.ndarray:
+    """scale*H(sigma) plus table[sigma_x] for each (x, table) of ``terms``, per configuration index.
 
-    The vector is grown one vertex at a time from a zero root vector: the
-    energies over vertices 0..v are those over 0..v-1 with digit v appended,
-    plus lam[sigma_parent(v), sigma_v].  ``ball.edges`` is (parent(v), v) in
-    v order, so every entry gets the same float additions in the same order
-    as a per-configuration gather would give it, the first one onto +0.0.
-    That is about q/(q-1) * q^|V| additions, and at most the result and
-    its predecessor, 1/q of its size, are alive at once.
+    H(sigma) sums lam(sigma_u, sigma_v) over the edges.  Its vector grows one
+    vertex at a time from a zero root vector: the energies over vertices
+    0..v are those over 0..v-1 with digit v appended, plus
+    lam[sigma_parent(v), sigma_v].  ``ball.edges`` is (parent(v), v) in v
+    order, so every entry gets the float additions of a per-configuration
+    gather, in its order, the first one onto +0.0: about q/(q-1) * q^|V|
+    additions, with at most the result and its 1/q-size predecessor alive.
+    One pass then walks the vector in blocks of L entries, L the largest
+    power of q up to BLOCK: a block is multiplied by ``scale``, then takes
+    each term in order, so every entry gets the float operations of one
+    full pass per step.  A table is widened to rows of L entries (each value
+    repeated over its run of q^(|V|-1-x) entries, then tiled): one add each.
     """
     q = model.q
     _check_cap(q, ball.num_vertices, cap)
@@ -90,42 +96,20 @@ def _edge_energies(model: LambdaModel, ball: Ball, cap: int) -> np.ndarray:
                 np.add(prev, lam[:, b, None], out=out[..., b])
         else:
             np.add(prev[..., None], lam[:, None, :], out=out)
-    return e
-
-
-def _apply_per_block(flat: np.ndarray, q: int, steps: Sequence) -> None:
-    """Apply ``steps`` in order to a flat configuration vector, in place, in one pass.
-
-    A step is a float c (multiply by c) or a pair (x, table) (add table[sigma_x]).
-    Each block of L entries, L the largest power of q up to BLOCK, takes every
-    step before the next block is read: each entry gets the float operations of
-    one full pass per step, in the same order.  A table is widened to rows of L
-    entries (each value repeated over its run of q^(|V|-1-x) entries, then
-    tiled), so a term is one contiguous add per block.
-    """
-    size = flat.size
-    L = q
+    size, L = e.size, q
     while L * q <= min(BLOCK, size):
         L *= q
-    plan, widened = [], {}
-    for step in steps:
-        if isinstance(step, tuple):
-            x, table = step
-            key = (x, table.tobytes())       # a vertex with k conditioning children repeats its terms
-            if key not in widened:
-                run = size // q ** (x + 1)
-                rows = np.repeat(table, min(run, L))
-                widened[key] = (max(run, L), np.tile(rows, max(1, L // rows.size)).reshape(-1, L))
-            step = widened[key]
-        plan.append(step)
+    widened = []                                 # (entries per table value, rows of L entries)
+    for x, table in terms:
+        run = size // q ** (x + 1)
+        rows = np.repeat(table, min(run, L))
+        widened.append((max(run, L), np.tile(rows, max(1, L // rows.size)).reshape(-1, L)))
     for start in range(0, size, L):
-        block = flat[start:start + L]
-        for step in plan:
-            if isinstance(step, tuple):
-                span, rows = step
-                block += rows[start // span % len(rows)]
-            else:
-                block *= step
+        block = e[start:start + L]
+        block *= scale
+        for span, rows in widened:
+            block += rows[start // span % len(rows)]
+    return e
 
 
 @dataclass(frozen=True)
@@ -155,12 +139,11 @@ def finite_volume_measure(
     h'_x read in the eta-basis, so the pairing goes through the Gram matrix.
     """
     ball, n, q = fields.ball, fields.ball.n, model.q
-    logw = _edge_energies(model, ball, cap)
     gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
     scale = (q - 1) / q
     # weight per spin value of each boundary vertex's pairing, added after the -beta scale
     pairs = [(x, scale * (fields.hprime[x] @ gram_part)) for x in ball.shells[n]]
-    _apply_per_block(logw, q, [-model.beta_float, *pairs])
+    logw = _edge_energies(model, ball, cap, -model.beta_float, pairs)
     return FiniteVolumeMeasure(ball=ball, q=q, logweights=logw, logZ=float(_logsumexp(logw)))
 
 
@@ -215,10 +198,9 @@ def dlr_conditional(
     if any(not (0 <= s < q) for s in omega):
         raise ValueError(f"boundary spins outside 0..{q - 1}")
     inner = build_ball(ball.k, ball.n - 1)
-    e = _edge_energies(model, inner, cap)
-    lam = model.lam_float
-    terms = [(ball.parent[y], lam[:, omega[pos]]) for pos, y in enumerate(outer)]
-    _apply_per_block(e, q, [*terms, -model.beta_float])
+    # -beta*lam(sigma_x, omega_y) summed over the outer children y of each interior-boundary x
+    tables = model.log_weights[:, np.asarray(omega).reshape(len(inner.shells[-1]), -1)].sum(-1)
+    e = _edge_energies(model, inner, cap, -model.beta_float, zip(inner.shells[-1], tables.T))
     return np.exp(e - _logsumexp(e))
 
 
@@ -238,7 +220,8 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     if n < 1:
         raise ValueError("need n >= 1")
     ball = build_ball(model.k, n + 1)
-    p = finite_volume_measure(model, zero_fields(ball, model.q), cap=cap).probabilities()
+    p = _edge_energies(model, ball, cap, -model.beta_float)      # the log-weights, freed below
+    p = FiniteVolumeMeasure(ball, model.q, p, float(_logsumexp(p))).probabilities()
     na = build_ball(model.k, n - 1).num_vertices
     p = p.reshape(model.q**na, model.q ** len(ball.shells[n]), -1)
     p /= p.sum(axis=0, keepdims=True)            # law of V_{n-1} per (shell n, shell n+1) config

@@ -27,6 +27,14 @@ class ModelError(ValueError):
     """Invalid model specification."""
 
 
+def _check_tol(tol: float, max_den: int = 1) -> None:
+    """The library's rule for a tolerance (finite and > 0) and a largest denominator (>= 1)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if max_den < 1:
+        raise ValueError(f"max_den must be >= 1, got {max_den}")
+
+
 @dataclass(frozen=True)
 class SpinSet:
     """The q simplex spin vectors in R^{q-1}: unit norm, pairwise inner product -1/(q-1)."""

@@ -4,8 +4,10 @@ from typing import Sequence
 import numpy as np
 
 from treegibbs import classify, generic_model
-from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, recursion_map
-from treegibbs.measures import _check_cap, _edge_energies, _logsumexp
+from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, recursion_map, zero_fields
+from treegibbs.measures import (
+    _check_cap, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
+)
 from treegibbs.model import LambdaModel, Number
 from treegibbs.topology import Ball
 
@@ -91,7 +93,7 @@ def boundary_energy(
     return total
 
 
-# Oracles for the blocked pass of ``measures._apply_per_block``: the -beta scale
+# Oracles for the blocked term pass of ``measures._edge_energies``: the scale
 # and each boundary or conditioning term as its own full pass over the vector.
 
 def add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None:
@@ -103,7 +105,7 @@ def add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None
 def per_term_logweights(model: LambdaModel, fields: ReducedFieldAssignment, cap: int):
     """(log-weights, logZ) of ``finite_volume_measure``: scale by -beta, then add each pairing."""
     ball, q = fields.ball, model.q
-    logw = _edge_energies(model, ball, cap)
+    logw = _edge_energies(model, ball, cap, scale=1.0)
     logw *= -model.beta_float
     gram_part = model.spin.gram[: q - 1, :]
     for x in ball.shells[ball.n]:
@@ -112,13 +114,31 @@ def per_term_logweights(model: LambdaModel, fields: ReducedFieldAssignment, cap:
 
 
 def per_term_dlr_conditional(model: LambdaModel, ball: Ball, omega: Sequence[int], cap: int):
-    """``dlr_conditional``: add each conditioning term, then scale by -beta."""
-    q = model.q
-    e = _edge_energies(model, Ball(ball.k, ball.n - 1), cap)
-    for pos, y in enumerate(ball.shells[ball.n]):
-        add_vertex_term(e, q, ball.parent[y], model.lam_float[:, omega[pos]])
+    """``dlr_conditional``: scale by -beta, then add each interior-boundary vertex's summed table.
+
+    The tables are the library's expression: numpy sums k >= 8 conditioning
+    terms pairwise, so a Python loop over the children would give other bits.
+    """
+    q, inner = model.q, Ball(ball.k, ball.n - 1)
+    e = _edge_energies(model, inner, cap, scale=1.0)
     e *= -model.beta_float
+    tables = model.log_weights[:, np.asarray(omega).reshape(len(inner.shells[-1]), -1)].sum(-1)
+    for x, table in zip(inner.shells[-1], tables.T):
+        add_vertex_term(e, q, x, table)
     return np.exp(e - _logsumexp(e))
+
+
+def zero_field_markov_residual(model: LambdaModel, n: int) -> float:
+    """``markov_property_residual`` through ``finite_volume_measure`` with zero fields.
+
+    Each boundary vertex adds its all-zero pairing table, which can only turn
+    a -0.0 log-weight into +0.0; exp maps both to 1.0.
+    """
+    ball = Ball(model.k, n + 1)
+    p = finite_volume_measure(model, zero_fields(ball, model.q)).probabilities()
+    p = p.reshape(model.q ** Ball(model.k, n - 1).num_vertices, model.q ** len(ball.shells[n]), -1)
+    p /= p.sum(axis=0, keepdims=True)
+    return _tv_to_first_column(p)
 
 
 def random_rational_table(rng: np.random.Generator, q: int):

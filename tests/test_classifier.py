@@ -22,6 +22,7 @@ from treegibbs import (
     potts_theta,
     spectrum_lattice_check,
 )
+from treegibbs.fields import check_unordered, ti_fixed_points
 
 from conftest import pairwise_lattice_check, random_rational_model, relabeled, shifted
 
@@ -593,3 +594,35 @@ def test_near_constant_rational_matrix_is_not_a_trace():
     c = classify(markov_model(P, 2))
     assert c.verdict == "incommensurable" and c.confidence == "exact"
     assert commensurability_multiplicative(P) is None
+
+
+# Unequal row sums, and a float table whose lattice classify rejects at the
+# default tolerance: an infinite one would pass the unordered check and the
+# spectrum check (deviation 9.42) and accept a lattice (g about 7.35e-7).
+UNEQUAL_ROWS = generic_model([[0.0, 1.0], [math.pi, 0.3]], 2, 1.0)
+RATIONAL_MARKOV = [[Fraction(1, 4), Fraction(3, 4)], [Fraction(2, 5), Fraction(3, 5)]]
+TOLERANCE_ENTRY_POINTS = {
+    "check_unordered": lambda tol: check_unordered(UNEQUAL_ROWS, tol=tol),
+    "commensurability_float": lambda tol: commensurability_float(difference_set(UNEQUAL_ROWS), tol=tol),
+    "classify-float": lambda tol: classify(UNEQUAL_ROWS, tol=tol),
+    "classify-rational": lambda tol: classify(potts_model(2, 1, 1, 2), tol=tol),
+    "classify-markov": lambda tol: classify(markov_model(RATIONAL_MARKOV, 2), tol=tol),
+    "spectrum_lattice_check": lambda tol: spectrum_lattice_check(
+        UNEQUAL_ROWS, finite_volume_spectrum(UNEQUAL_ROWS, build_ball(2, 1))[0], tol=tol),
+    "ti_fixed_points": lambda tol: ti_fixed_points(UNEQUAL_ROWS, starts=2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+def test_library_tolerances_must_be_finite_and_positive(entry, tol):
+    assert classify(UNEQUAL_ROWS).verdict == "incommensurable"
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        TOLERANCE_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("model", [UNEQUAL_ROWS, potts_model(2, 1, 1, 2), markov_model(RATIONAL_MARKOV, 2)],
+                         ids=["float", "rational", "markov"])
+def test_classify_max_den_at_least_one_on_every_route(model):
+    with pytest.raises(ValueError, match="max_den must be >= 1"):
+        classify(model, max_den=0)

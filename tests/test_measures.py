@@ -34,7 +34,7 @@ from treegibbs.measures import (
 
 from conftest import (
     enumerate_configs, per_term_dlr_conditional, per_term_logweights, random_rational_model,
-    relabeled, shifted,
+    relabeled, shifted, zero_field_markov_residual,
 )
 
 
@@ -119,11 +119,10 @@ def test_broadcast_enumeration_matches_gather():
             free = potts_model(q, 0.0, 0.7, k)
             assert np.signbit(np.diag(free.lam_float)).all()
             for m in (random_rational_model(rng, q, k), generic_model(floats, k, 0.7), free):
-                lam = m.lam_float
                 for n in ns:
                     b = build_ball(k, n)
                     configs, e = gather_energies(m, b)
-                    assert _edge_energies(m, b, DEFAULT_CAP).tobytes() == e.tobytes(), (q, k, n, m.lam)
+                    assert _edge_energies(m, b, DEFAULT_CAP, scale=1.0).tobytes() == e.tobytes(), (q, k, n, m.lam)
                     if m is free:
                         assert e.tobytes() == bytes(e.nbytes)   # every energy is +0.0
                     flds = ReducedFieldAssignment(b, rng.uniform(-2, 2, size=(b.num_vertices, q - 1)))
@@ -138,10 +137,11 @@ def test_broadcast_enumeration_matches_gather():
                     assert np.repeat(levels, counts).tobytes() == np.sort(m.beta_float * e).tobytes()
                     big = build_ball(k, n + 1)
                     for omega in rng.integers(0, q, size=(3, len(big.shells[n + 1]))):
-                        eo = e.copy()
-                        for pos, y in enumerate(big.shells[n + 1]):
-                            eo += lam[configs[:, big.parent[y]], omega[pos]]
-                        lw = -m.beta_float * eo
+                        # -beta*lam summed over the conditioning children of each vertex of shell n
+                        tables = m.log_weights[:, omega.reshape(len(b.shells[n]), -1)].sum(-1)
+                        lw = -m.beta_float * e
+                        for x, table in zip(b.shells[n], tables.T):
+                            lw += table[configs[:, x]]
                         want = np.exp(lw - logsumexp(lw))
                         assert dlr_conditional(m, big, list(omega)).tobytes() == want.tobytes()
 
@@ -156,7 +156,7 @@ def test_enumeration_allocates_within_the_cap():
     ball = build_ball(2, 2)
     vector = 8 * 4**10
     slack = 8 * np.getbufsize() + 2**12
-    assert allocation_peak(lambda: _edge_energies(m, ball, DEFAULT_CAP)) <= (1 + 1 / 4) * vector + slack
+    assert allocation_peak(lambda: _edge_energies(m, ball, DEFAULT_CAP, scale=1.0)) <= (1 + 1 / 4) * vector + slack
     assert allocation_peak(lambda: finite_volume_measure(m, zero_fields(ball, 4))) <= 2.25 * vector
 
 
@@ -291,6 +291,27 @@ def test_markov_residual_allocates_nothing_beyond_the_measure():
     residual = allocation_peak(lambda: markov_property_residual(m, 1))
     assert residual <= measure + 2**16, (residual, measure)
     assert markov_property_residual(m, 1) == reference_column_tv(markov_conditional(m, 1)) < 1e-12
+
+
+def test_markov_residual_matches_the_zero_field_measure_bit_for_bit():
+    # the residual enumerates with no boundary terms; zero fields only add
+    # zeros, which can flip the sign of a zero log-weight (float Potts at
+    # J = 0.0: every energy is +0.0, every log-weight -0.0) but not its exp
+    free = potts_model(3, 0.0, 0.7, 2)
+    assert np.signbit(np.diag(free.lam_float)).all()
+    for m in (potts_model(2, Fraction(5, 4), 1, 3), potts_model(3, 1, 1, 2), free):
+        got = markov_property_residual(m, 1)
+        assert np.float64(got).tobytes() == np.float64(zero_field_markov_residual(m, 1)).tobytes()
+
+
+def test_markov_residual_allocates_no_term_tables():
+    # Potts q=2, k=3, n=1: 2^17 configurations.  With no boundary terms no
+    # table is widened: the log-weights, the probability vector and one
+    # boolean mask are the peak, with the slack of the enumeration test
+    m = potts_model(2, Fraction(5, 4), 1, 3)
+    vector = 8 * 2**17
+    slack = 8 * np.getbufsize() + 2**12
+    assert allocation_peak(lambda: markov_property_residual(m, 1)) <= 2.25 * vector + slack
 
 
 # (q, k, n) whose all-pairs oracle stays small: at most 3^10 configurations.
