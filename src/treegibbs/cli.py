@@ -12,14 +12,14 @@ text) and an exit code.  ``<command> --help`` lists only the options the
 command reads.  ``markov-check`` decides nothing itself: its report is a
 view of the one ``classifier.classify`` call that ``classify`` also makes.
 
-Reports are encoded by ``json.dumps(indent=2)``, except the classify
-report's q^4 ``multipliers`` list: it is rendered as text from the q x q
-exponent table, one (i, j) row of entries at a time, and spliced in
-(``_encode``), with the same bytes.
+Reports are encoded by ``json.dumps(indent=2)``, except two long lists,
+rendered as text and spliced in (``_encode``) with the same bytes: the
+classify report's q^4 ``multipliers``, one (i, j) row of the q x q exponent
+table at a time, and the spectrum report's ``levels``.
 
 Exit codes: 0 success, 2 a requested check failed, 3 invalid input (bad
-file, schema violation, an option out of range or not read by the command,
-enumeration cap exceeded).
+file, schema violation, a command line argparse rejects, an option out of
+range or not read by the command, enumeration cap exceeded).
 Reports are deterministic for a fixed configuration and seed: keys are
 emitted in a fixed order and floats use Python's shortest round-trip
 representation (<= 17 significant digits).
@@ -99,6 +99,16 @@ def _rendered_multipliers(exponents) -> _Rendered:
         for head, a in zip(heads, flat)
     )
     return _Rendered("[\n" + ",\n".join(filled) + "\n  ]")
+
+
+def _rendered_levels(levels: np.ndarray, counts: np.ndarray):
+    """The levels {"value": v, "multiplicity": c} as json.dumps(indent=2) writes them, a finite
+    float as %r does; a list with a non-finite level is left to ``json``."""
+    pairs = list(zip(levels.tolist(), counts.tolist()))
+    if not np.isfinite(levels).all():
+        return [{"value": v, "multiplicity": c} for v, c in pairs]
+    entry = '    {\n      "value": %r,\n      "multiplicity": %d\n    }'
+    return _Rendered("[\n" + ",\n".join([entry] * len(pairs)) % tuple(itertools.chain(*pairs)) + "\n  ]")
 
 
 def parse_model(path: str) -> model_mod.LambdaModel:
@@ -198,7 +208,7 @@ def _cmd_spectrum(m, args, tol):
     ok, generator, deviation = classifier.spectrum_lattice_check(m, levels, tol, args.max_den)
     return dict(
         n=args.n,
-        levels=[{"value": float(v), "multiplicity": int(c)} for v, c in zip(levels, counts)],
+        levels=_rendered_levels(levels, counts),
         sign_note="levels are beta*H; the edge-potential convention is the mirror image",
         generator=generator,
         lattice_ok=ok,
@@ -271,9 +281,16 @@ OPTIONS = dict(
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (and, through ``add_subparsers``, subparsers) whose usage errors exit 3, not 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treegibbs",
         description="Gibbs measures on Cayley trees and factor-type classification",
     )

@@ -1,19 +1,17 @@
 """Exact finite-volume Gibbs measures and their consistency diagnostics.
 
 Configurations on a ball are indexed as mixed-radix integers over the
-deterministic breadth-first vertex order, root digit most significant, so
-marginalizing to a smaller ball is a reshape.  Everything here enumerates
-exactly (no sampling); operations whose state space exceeds the enumeration
-cap fail loudly.  Enumeration builds no configuration matrix, and one
-kernel, ``_edge_energies``, builds every energy vector: it grows the flat
-q^|V| vector one vertex at a time, digit v appending lam[sigma_parent(v), :]
-to the vector over the vertices before it (about q/(q-1) * q^|V|
-additions, each entry's in edge order), then scales it (by -beta, or beta
-for the spectrum) and adds one table per boundary vertex in one pass,
-block by cache-sized block.  The two-point correlation uses
-exact leaf elimination, one batched inward sweep (``topology.sweep_up``)
-over all clamped value pairs, instead of raw enumeration, so it reaches
-radii the cap forbids.
+breadth-first vertex order, root digit most significant, so marginalizing
+to a smaller ball is a reshape.  Everything here is exact (no sampling);
+past the enumeration cap an operation fails loudly.  One kernel,
+``_edge_energies``, builds every energy vector, and no configuration
+matrix: it grows the q^|V| vector one vertex at a time, then scales it and
+adds the per-vertex terms block by cache-sized block.  The consistency
+residual sums shell n out leaf by leaf, so it enumerates only V_{n-1};
+``finite_volume_measure`` and ``marginalize`` enumerate V_n and are its
+oracle, called by no command.  The two-point correlation uses exact leaf
+elimination, one batched inward sweep (``topology.sweep_up``) over all
+clamped value pairs, so it reaches radii the cap forbids.
 """
 
 from __future__ import annotations
@@ -33,15 +31,6 @@ BLOCK = 2**14    # entries of a configuration vector that one pass keeps in cach
 
 class EnumerationCapError(RuntimeError):
     """State space too large for exact enumeration."""
-
-
-def _check_cap(q: int, num_vertices: int, cap: int) -> int:
-    total = q**num_vertices
-    if total > cap:
-        raise EnumerationCapError(
-            f"{q}^{num_vertices} = {total} configurations exceed the enumeration cap {cap}"
-        )
-    return total
 
 
 def _logsumexp(a: np.ndarray, axis=None):
@@ -81,8 +70,9 @@ def _edge_energies(model: LambdaModel, ball: Ball, cap: int, scale: float, terms
     full pass per step.  A table is widened to rows of L entries (each value
     repeated over its run of q^(|V|-1-x) entries, then tiled): one add each.
     """
-    q = model.q
-    _check_cap(q, ball.num_vertices, cap)
+    q, nv = model.q, ball.num_vertices
+    if q**nv > cap:
+        raise EnumerationCapError(f"{q}^{nv} = {q**nv} configurations exceed the enumeration cap {cap}")
     lam = model.lam_float
     e = np.zeros(q)
     for u, v in ball.edges:
@@ -129,26 +119,34 @@ class FiniteVolumeMeasure:
         return p
 
 
+def _pairings(model: LambdaModel, hprime: np.ndarray) -> np.ndarray:
+    """Per row h'_x of ``hprime``, the pairing h_x . eta_a with each spin a, h_x = ((q-1)/q) h'_x."""
+    q = model.q
+    gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
+    return np.array([(q - 1) / q * (h @ gram_part) for h in hprime])
+
+
 def finite_volume_measure(
     model: LambdaModel, fields: ReducedFieldAssignment, cap: int = DEFAULT_CAP
 ) -> FiniteVolumeMeasure:
     """The Gibbs measure on the fields' ball, radius n, with their boundary fields on shell n.
 
     Log-weight of a configuration: -beta*H(sigma) plus, for each boundary
-    vertex x, the pairing h_x . eta_{sigma(x)} with h_x = ((q-1)/q) h'_x and
-    h'_x read in the eta-basis, so the pairing goes through the Gram matrix.
+    vertex x, the pairing h_x . eta_{sigma(x)} (``_pairings``: h'_x is read
+    in the eta-basis, so it goes through the Gram matrix).  No command calls
+    this; it is the enumeration oracle of ``consistency_residual``.
     """
-    ball, n, q = fields.ball, fields.ball.n, model.q
-    gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
-    scale = (q - 1) / q
+    ball, n = fields.ball, fields.ball.n
     # weight per spin value of each boundary vertex's pairing, added after the -beta scale
-    pairs = [(x, scale * (fields.hprime[x] @ gram_part)) for x in ball.shells[n]]
+    pairs = zip(ball.shells[n], _pairings(model, fields.hprime[ball.shell_slice(n)]))
     logw = _edge_energies(model, ball, cap, -model.beta_float, pairs)
-    return FiniteVolumeMeasure(ball=ball, q=q, logweights=logw, logZ=float(_logsumexp(logw)))
+    return FiniteVolumeMeasure(ball=ball, q=model.q, logweights=logw, logZ=float(_logsumexp(logw)))
 
 
 def marginalize(mu: FiniteVolumeMeasure, to_level: int) -> FiniteVolumeMeasure:
-    """Exact marginal of a finite-volume measure on the smaller ball of radius to_level."""
+    """Exact marginal of a finite-volume measure on the smaller ball of radius to_level.
+
+    No command calls this; it is the enumeration oracle of ``consistency_residual``."""
     if to_level >= mu.ball.n:
         raise ValueError(f"marginal level {to_level} must be below {mu.ball.n}")
     if to_level < 0:
@@ -165,19 +163,25 @@ def consistency_residual(
 ) -> float:
     """Kolmogorov-consistency defect between levels n and n-1.
 
-    Builds the level-n measure from the shell-n fields, marginalizes it one
-    level, and compares with the measure built directly from the shell-(n-1)
-    fields, those of the assignment's radius-(n-1) prefix.  Vanishes exactly
-    when the field recursion holds on shell n-1.
+    The largest |difference| between the marginal on V_{n-1} of the level-n
+    measure and the measure from the shell-(n-1) fields; 0 exactly when the
+    field recursion holds on shell n-1.  Shell n is summed out leaf by leaf:
+    in the marginal, each shell-(n-1) vertex carries, in place of its pairing,
+    sum_{children y} log sum_b e^{-beta*lam(a, b) + pair_y(b)} per spin a.
+    No level-n array is built; ``cap`` bounds the q^|V_{n-1}| configurations.
     """
-    n = fields.ball.n
+    ball, n = fields.ball, fields.ball.n
     if n < 1:
         raise ValueError("need a ball of radius >= 1 to compare two levels")
-    marg = marginalize(finite_volume_measure(model, fields, cap=cap), n - 1)
-    inner = build_ball(fields.ball.k, n - 1)
-    prefix = ReducedFieldAssignment(inner, fields.hprime[:inner.num_vertices])
-    mu_prev = finite_volume_measure(model, prefix, cap=cap)
-    return float(np.max(np.abs(marg.probabilities() - mu_prev.probabilities())))
+    inner = build_ball(ball.k, n - 1)
+    rim = inner.shell_slice(n - 1)
+    pairs = _pairings(model, fields.hprime[ball.shell_slice(n)])
+    summed = _log_transfer(model, pairs.reshape(rim.stop - rim.start, -1, model.q)).sum(axis=1)
+    probs = []
+    for tables in (summed, _pairings(model, fields.hprime[rim])):
+        logw = _edge_energies(model, inner, cap, -model.beta_float, zip(inner.shells[n - 1], tables))
+        probs.append(FiniteVolumeMeasure(inner, model.q, logw, float(_logsumexp(logw))).probabilities())
+    return float(np.max(np.abs(probs[0] - probs[1])))
 
 
 def dlr_conditional(

@@ -28,12 +28,12 @@ class Ball:
     Vertices are indexed breadth-first from the root 0.  Shell m (distance m)
     is a contiguous range of (k+1)*k^(m-1) vertices for m >= 1, and shell m+1
     lists the children of shell m's vertices parent by parent, in shell-m
-    order; ``sweep_up``, ``marginalize`` and ``markov_property_residual`` rely
-    on this.  The vertex tables are built on first read: ``shells``,
-    ``parent`` (-1 at the root), ``edges`` (one (parent, child) pair per
-    non-root vertex), ``children`` and ``words``, the reduced words over
-    generator labels 1..k+1 (no two adjacent letters equal) addressing the
-    vertices, siblings ordered by last letter.
+    order (``sweep_up``, ``marginalize`` and the consistency and Markov
+    residuals rely on this).  Vertex tables are built on first read:
+    ``shells``, ``parent`` (-1 at the root), ``edges`` (one (parent, child)
+    pair per non-root vertex), ``children`` and ``words``, the reduced words
+    over generator labels 1..k+1 (no two adjacent letters equal) addressing
+    the vertices, siblings ordered by last letter.
     """
 
     k: int

@@ -6,7 +6,8 @@ import numpy as np
 from treegibbs import classify, generic_model
 from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, recursion_map, zero_fields
 from treegibbs.measures import (
-    _check_cap, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
+    DEFAULT_CAP, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
+    marginalize,
 )
 from treegibbs.model import LambdaModel, Number
 from treegibbs.topology import Ball
@@ -41,7 +42,8 @@ UNREAD_KEY_MODELS = {
 
 def enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
     """The (q^|V|, |V|) configuration matrix, rows in the library's configuration-index order."""
-    idx = np.arange(_check_cap(q, num_vertices, cap))
+    assert q**num_vertices <= cap, f"{q}^{num_vertices} configurations exceed {cap}"
+    idx = np.arange(q**num_vertices)
     place = q ** np.arange(num_vertices - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // place[None, :]) % q
 
@@ -139,6 +141,22 @@ def zero_field_markov_residual(model: LambdaModel, n: int) -> float:
     p = p.reshape(model.q ** Ball(model.k, n - 1).num_vertices, model.q ** len(ball.shells[n]), -1)
     p /= p.sum(axis=0, keepdims=True)
     return _tv_to_first_column(p)
+
+
+def enumerated_consistency_residual(
+    model: LambdaModel, fields: ReducedFieldAssignment, cap: int = DEFAULT_CAP
+) -> float:
+    """``consistency_residual`` by enumeration: the level-n measure marginalized one level,
+    against the measure built from the fields of the radius-(n-1) prefix.
+
+    The library's residual before it summed out shell n, kept as written then.
+    """
+    n = fields.ball.n
+    marg = marginalize(finite_volume_measure(model, fields, cap=cap), n - 1)
+    inner = Ball(fields.ball.k, n - 1)
+    prefix = ReducedFieldAssignment(inner, fields.hprime[:inner.num_vertices])
+    mu_prev = finite_volume_measure(model, prefix, cap=cap)
+    return float(np.max(np.abs(marg.probabilities() - mu_prev.probabilities())))
 
 
 def random_rational_table(rng: np.random.Generator, q: int):

@@ -14,10 +14,11 @@ import sympy
 import treegibbs
 from treegibbs import measures, topology
 from treegibbs.cli import (
-    COMMANDS, _ball_exceeds, _encode, _json_default, _rendered_multipliers, main,
+    COMMANDS, _ball_exceeds, _encode, _json_default, _load_field_assignment, _rendered_levels,
+    _rendered_multipliers, main, parse_model,
 )
 
-from conftest import OVERFLOWING_MODELS, UNREAD_KEY_MODELS
+from conftest import OVERFLOWING_MODELS, UNREAD_KEY_MODELS, enumerated_consistency_residual
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -342,6 +343,22 @@ def test_rendered_multipliers_match_json_dumps(q):
         assert _encode(report) == json.dumps(report, indent=2, default=_json_default) + "\n"
 
 
+def test_rendered_levels_match_json_dumps():
+    # negative values, -0.0, 1e16 and 1e-7 (floats whose repr has an exponent),
+    # multiplicities past 2**32, a single level, and non-finite levels, which
+    # are left to json, spliced in at report depth between json.dumps-encoded fields
+    rng = np.random.default_rng(3)
+    spreads = [np.array([-2.5, -0.0, 1e-7, 0.1, 1e16]), np.array([-1e300]),
+               np.sort(rng.uniform(-50, 50, size=200)), np.array([-np.inf, 1.0, np.inf, np.nan])]
+    for levels in spreads:
+        counts = rng.integers(1, 2**40, size=levels.size)
+        counts[0] = 2**62
+        report = {"schema": 1, "settings": {"tol": None}, "n": 2, "levels": None, "lattice_ok": True}
+        listed = [{"value": float(v), "multiplicity": int(c)} for v, c in zip(levels, counts)]
+        want = json.dumps({**report, "levels": listed}, indent=2, default=_json_default) + "\n"
+        assert _encode({**report, "levels": _rendered_levels(levels, counts)}) == want
+
+
 def test_help_lists_only_read_options(capsys):
     for name, command in COMMANDS.items():
         with pytest.raises(SystemExit) as exc:
@@ -629,7 +646,42 @@ def test_round_trip_rational_model(tmp_path, capsys):
 
 
 def test_enumeration_cap_exit_3(potts3, capsys):
-    assert main(["verify-consistency", "--model", potts3, "--n", "2", "--cap", "100"]) == 3
+    # the residual enumerates the two level-1 measures, 3^4 = 81 configurations each
+    assert main(["verify-consistency", "--model", potts3, "--n", "2", "--cap", "80"]) == 3
+
+
+def test_enumeration_cap_counts_the_inner_ball(potts3, capsys):
+    code, out = run(capsys, ["verify-consistency", "--model", potts3, "--n", "2", "--cap", "100"])
+    m = parse_model(potts3)
+    want = enumerated_consistency_residual(m, _load_field_assignment(m, topology.build_ball(2, 2), None))
+    assert code == 0 and abs(json.loads(out)["residual"] - want) <= 1e-14
+
+
+def test_markov_k3_residual_matches_enumeration(tmp_path, capsys):
+    # the CI's Markov q=2, k=3 check at n = 2 with a wrong shell-1 field; the
+    # oracle enumerates all 2^17 configurations
+    model = write(tmp_path, "m.json", {"kind": "markov", "q": 2, "k": 3,
+                                       "P": [["1/4", "3/4"], ["2/5", "3/5"]]})
+    fields_path = write(tmp_path, "fields.json", {"1": [0.3]})
+    code, out = run(capsys, ["verify-consistency", "--model", model, "--n", "2", "--fields", fields_path])
+    m = parse_model(model)
+    want = enumerated_consistency_residual(m, _load_field_assignment(m, topology.build_ball(3, 2), fields_path))
+    assert code == 2 and abs(json.loads(out)["residual"] - want) <= 1e-14
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "m.json", "--n", "abc"],
+    ["spectrum", "--model", "m.json", "--n", "1", "--tol", "x"],
+    ["classify", "--model", "m.json", "--bogus"],
+    ["classify"],
+    ["bogus", "--model", "m.json"],
+])
+def test_argparse_error_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_classify_underflowing_float_generator_exit_0(tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
 import treegibbs
@@ -33,8 +33,8 @@ from treegibbs.measures import (
 )
 
 from conftest import (
-    enumerate_configs, per_term_dlr_conditional, per_term_logweights, random_rational_model,
-    relabeled, shifted, zero_field_markov_residual,
+    enumerate_configs, enumerated_consistency_residual, per_term_dlr_conditional,
+    per_term_logweights, random_rational_model, relabeled, shifted, zero_field_markov_residual,
 )
 
 
@@ -477,6 +477,46 @@ def test_consistency_iff_recursion_holds(seed, q, k, n, delta):
     h = flds.hprime.copy()
     h[rng.choice(b.shells[n - 1]), rng.integers(q - 1)] += delta
     assert consistency_residual(m, ReducedFieldAssignment(b, h)) > 1e-10
+
+
+def random_table_model(rng, kind: str, q: int, k: int):
+    """An exact, float or stochastic-matrix (Markov) model on the order-k tree."""
+    if kind == "exact":
+        return random_rational_model(rng, q, k)
+    if kind == "float":
+        return generic_model(rng.uniform(-2, 2, size=(q, q)).tolist(), k, float(rng.uniform(0.25, 2)))
+    p = rng.uniform(0.05, 1, size=(q, q))
+    return markov_model((p / p.sum(axis=1, keepdims=True)).tolist(), k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 2, 3]), st.sampled_from(["exact", "float", "markov"]),
+       st.sampled_from(["propagated", "corrupted", "random"]))
+def test_consistency_residual_matches_enumeration(seed, q, k, n, table, field_kind):
+    # summing out shell n gives the enumerated marginal: propagated fields,
+    # one shell-(n-1) field moved off the recursion, or random interior fields
+    b = build_ball(k, n)
+    assume((n <= 2 or k == 1) and q**b.num_vertices <= 2**16)
+    rng = np.random.default_rng(seed)
+    m = random_table_model(rng, table, q, k)
+    h = propagate_fields(m, b, rng.uniform(-2, 2, size=(len(b.shells[n]), q - 1))).hprime
+    interior = slice(0, b.shell_slice(n).start)
+    if field_kind == "corrupted":
+        h[rng.choice(b.shells[n - 1])] += rng.uniform(-1, 1, size=q - 1)
+    elif field_kind == "random":
+        h[interior] = rng.uniform(-2, 2, size=h[interior].shape)
+    flds = ReducedFieldAssignment(b, h)
+    assert abs(consistency_residual(m, flds) - enumerated_consistency_residual(m, flds)) <= 1e-14
+
+
+def test_consistency_residual_builds_no_level_n_measure():
+    # Potts q=4, k=2, n=2: the level-n measure is 4^10 entries (8 MB), the two
+    # level-1 measures 4^4; enumerating level n peaked at about 17 MB
+    m = potts_model(4, 1, Fraction(5, 4), 2)
+    flds = propagate_fields(m, build_ball(2, 2), np.full((6, 3), 0.25))
+    consistency_residual(m, flds)                # first-use caches (spin set, log-weights)
+    assert allocation_peak(lambda: consistency_residual(m, flds)) < 2**20
 
 
 def test_zero_fields_consistent_under_assumption_a():
