@@ -6,12 +6,13 @@ tracial exactly when that difference set is {0}; otherwise the factor type
 is read off from whether the differences fit a one-generator lattice
 m * g, m integer.  Three back-ends decide this:
 
-  * exact-rational tables: gcd of rationals (always succeeds);
+  * exact-rational tables: gcd of rationals (always succeeds), taken in
+    integers over the lcm of the denominators;
   * stochastic-matrix models with rational entries: multiplicative
     dependence of the entry ratios, decided exactly from the coprime-base
-    valuations of each distinct entry;
+    valuations of each distinct (numerator, denominator) pair;
   * floating tables: continued-fraction rational reconstruction of the
-    difference ratios.
+    difference ratios, whose q^4 set numpy builds.
 
 The pairwise differences generate the same Z-module as the q^2 base
 differences beta*(lam_ij - lam_00), so the two exact routes work on those
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,24 +78,34 @@ def difference_set(model: LambdaModel) -> tuple:
         # delta = -log p + log p' = log(p'/p), one per distinct rational ratio
         ratios = sorted({b / a for a in entries for b in entries})
         return tuple(math.log(float(r)) for r in ratios)
-    vals = [v for row in model.lam for v in row]
     if kind == "exact-rational":
+        vals = [v for row in model.lam for v in row]
         return tuple(sorted({model.beta * (a - b) for a in vals for b in vals}))
-    vals = [float(v) for v in vals]
-    beta = model.beta_float
-    raw = sorted({beta * (a - b) for a in vals for b in vals})
+    v = np.array([float(x) for row in model.lam for x in row])
+    # np.unique is the sorted set of the products; adding 0.0 turns a -0.0 into 0.0
+    raw = np.unique(model.beta_float * (v[:, None] - v[None, :])) + 0.0
+    if not np.any(np.diff(raw) <= 1e-12):
+        return tuple(raw.tolist())
     deltas: list[float] = []
-    for d in raw:
+    for d in raw.tolist():
         if not deltas or abs(d - deltas[-1]) > 1e-12:
             deltas.append(d)
     return tuple(deltas)
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
+def _rational_lattice(values: Sequence[Fraction]) -> Optional[tuple[int, int, list[int]]]:
+    """(G, L, m) with values[i] - values[0] = m_i * G / L, G / L the largest such step.
+
+    In integers: L is the lcm of the denominators, N_i = values[i] * L and
+    G = gcd(N_i - N_0), so m_i = (N_i - N_0) / G.  None when all values are equal.
+    """
+    lcm = math.lcm(*[v.denominator for v in values])
+    first = values[0].numerator * (lcm // values[0].denominator)
+    diffs = [v.numerator * (lcm // v.denominator) - first for v in values]
+    step = math.gcd(*diffs)
+    if step == 0:
+        return None
+    return step, lcm, [d // step for d in diffs]
 
 
 def commensurability_exact(deltas: Sequence[Fraction]) -> Optional[Fraction]:
@@ -105,10 +115,8 @@ def commensurability_exact(deltas: Sequence[Fraction]) -> Optional[Fraction]:
     """
     if any(not isinstance(d, Fraction) for d in deltas):
         raise TypeError("exact commensurability needs rational deltas")
-    mags = {abs(d) for d in deltas if d != 0}
-    if not mags:
-        return None
-    return reduce(_frac_gcd, sorted(mags))
+    lattice = _rational_lattice([Fraction(0), *deltas])
+    return None if lattice is None else Fraction(lattice[0], lattice[1])
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -130,11 +138,11 @@ def _coprime_base(numbers) -> list[int]:
     return base
 
 
-def _base_exponents(r: Fraction, base: Sequence[int]) -> dict[int, int]:
-    """Exponents of r over a coprime base whose powers make up its numerator and denominator."""
+def _base_exponents(r: tuple[int, int], base: Sequence[int]) -> dict[int, int]:
+    """Exponents of r = (numerator, denominator) over a coprime base whose powers make up both."""
     vec: dict[int, int] = {}
     for b in base:
-        for n, sign in ((r.numerator, 1), (r.denominator, -1)):
+        for n, sign in ((r[0], 1), (r[1], -1)):
             while n % b == 0:
                 n, vec[b] = n // b, vec.get(b, 0) + sign
     return vec
@@ -169,10 +177,11 @@ def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
     if any(not isinstance(v, Fraction) for row in rows for v in row):
         raise TypeError("multiplicative commensurability needs rational matrix entries")
     q = len(rows)
-    distinct = set().union(*rows)
-    base = _coprime_base([n for v in distinct for n in (v.numerator, v.denominator)])
-    vecs = {v: _base_exponents(v, base) for v in distinct}
-    flat = [vecs[v] for row in rows for v in row]
+    pairs = [(v.numerator, v.denominator) for row in rows for v in row]
+    distinct = set(pairs)
+    base = _coprime_base([n for r in distinct for n in r])
+    vecs = {r: _base_exponents(r, base) for r in distinct}
+    flat = [vecs[r] for r in pairs]
     cols = {b: [flat[0].get(b, 0) - vec.get(b, 0) for vec in flat] for b in set().union(*flat)}
     first = next((c for c in cols.values() if any(c)), None)
     if first is None:
@@ -180,15 +189,19 @@ def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
     g = math.gcd(*first)
     m = [e // g for e in first]
     lead = next(i for i, e in enumerate(m) if e)
-    alpha = Fraction(1)
+    num = den = 1      # alpha = num/den, in lowest terms because the base is coprime
     for b, c in cols.items():
         t = c[lead] // m[lead]
         if c != [t * e for e in m]:
             return None
-        alpha *= Fraction(b) ** t
-    if alpha > 1:
-        alpha, m = 1 / alpha, [-e for e in m]
-    return MultiplicativeWitness(alpha=alpha, exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
+        if t > 0:
+            num *= b**t
+        else:
+            den *= b**-t
+    if num > den:
+        num, den, m = den, num, [-e for e in m]
+    return MultiplicativeWitness(alpha=Fraction(num, den),
+                                 exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
 
 
 @dataclass(frozen=True)
@@ -212,21 +225,22 @@ def commensurability_float(
     largest g with every delta = m * g within tol * |delta|.
     """
     _check_tol(tol, max_den)
-    mags = sorted({abs(float(d)) for d in deltas if d != 0})
+    mags = np.abs(np.asarray(deltas, dtype=float))
+    mags = np.unique(mags[mags != 0]).tolist()
     if not mags:
         return None
     base = mags[0]
     fracs = []
     low_confidence = False
     for d in mags:
-        r = d / base
-        approx = Fraction(r).limit_denominator(max_den)
-        if abs(Fraction(r) - approx) * approx.denominator > tol:
+        r = Fraction(d / base)
+        approx = r.limit_denominator(max_den)
+        if abs(r - approx) * approx.denominator > tol:
             return None
         if approx.denominator > max_den // 10:
             low_confidence = True
         fracs.append(approx)
-    g = base * float(reduce(_frac_gcd, fracs))
+    g = base * float(commensurability_exact(fracs))
     if not (g > 0 and math.isfinite(mags[-1] / g)):   # a gcd with a huge denominator underflows g
         return None
     for d in mags:
@@ -294,13 +308,14 @@ def classify(
     kind = _kind(model)
     confidence, lattice = "exact", None     # lattice: (generator, gamma, exponents)
     if kind == "exact-rational":
-        lam, beta = model.lam, model.beta
-        base = [[beta * (v - lam[0][0]) for v in row] for row in lam]
-        g = commensurability_exact([d for row in base for d in row])
-        constant = g is None
+        found = _rational_lattice([v for row in model.lam for v in row])
+        constant = found is None
         evidence = {"route": "rational-gcd", "kind": kind}
         if not constant:
-            lattice = g, math.exp(-float(g)), _int_table([[d / g for d in row] for row in base])
+            # beta*(lam_ij - lam_00) = m_ij * beta*G/L
+            step, lcm, m = found
+            g = Fraction(model.beta.numerator * step, model.beta.denominator * lcm)
+            lattice = g, math.exp(-float(g)), tuple(tuple(m[i:i + q]) for i in range(0, q * q, q))
     elif kind == "symbolic-log-rational":
         witness = commensurability_multiplicative(model.P)
         constant = witness is not None and witness.alpha is None
@@ -362,10 +377,14 @@ def finite_volume_spectrum(
     one level (what ``np.unique`` does after copying them).  The edge
     potential carries the opposite sign (its diagonal is -beta*lam), so the
     operator spectrum is the mirror image of this set; the difference set,
-    which drives classification, is the same for both conventions.
+    which drives classification, is the same for both conventions.  Raises
+    ValueError when an energy is not a finite float (finite couplings can
+    sum past the float range).
     """
     e = measures._edge_energies(model, ball, cap, model.beta_float)
     e.sort()
+    if not (math.isfinite(e[0]) and math.isfinite(e[-1])):    # sorting puts inf and NaN at the ends
+        raise ValueError("the energies beta*H over the ball are not all finite floats")
     first = np.empty(e.size, dtype=bool)         # True where a level starts
     first[0] = True
     np.not_equal(e[1:], e[:-1], out=first[1:])

@@ -15,7 +15,8 @@ view of the one ``classifier.classify`` call that ``classify`` also makes.
 Reports are encoded by ``json.dumps(indent=2)``, except two long lists,
 rendered as text and spliced in (``_encode``) with the same bytes: the
 classify report's q^4 ``multipliers``, one (i, j) row of the q x q exponent
-table at a time, and the spectrum report's ``levels``.
+table at a time from (k, l) entries formatted once per distinct exponent,
+and the spectrum report's ``levels``.
 
 Exit codes: 0 success, 2 a requested check failed, 3 invalid input (bad
 file, schema violation, a command line argparse rejects, an option out of
@@ -72,11 +73,11 @@ def _json_default(x):
 
 def _encode(report: dict) -> str:
     """``json.dumps(report, indent=2)`` plus a newline, each _Rendered value in place."""
-    text = json.dumps(report, indent=2, default=_json_default)
+    text = json.dumps(report, indent=2, default=_json_default) + "\n"
     for value in report.values():
         if isinstance(value, _Rendered):
             text = text.replace(_PLACEHOLDER_JSON, value.text, 1)
-    return text + "\n"
+    return text
 
 
 def _rendered_multipliers(exponents) -> _Rendered:
@@ -85,28 +86,36 @@ def _rendered_multipliers(exponents) -> _Rendered:
     That is the text json.dumps(indent=2) gives the list of entries
     {"quad": [i, j, k, l], "m": m_ij - m_kl}, in itertools.product order, at
     report depth.  An entry's text is that of (i, j) followed by that of
-    (k, l), so each (i, j) row of q^2 entries is one template of 2 q^2 pieces,
-    filled with the row's values.  (One q^4 template, cached or not, raised
-    the classify-batch benchmark's peak RSS by 1-2 MB; rows do not.)  The
-    differences are taken in Python ints: exact exponents are unbounded.
+    (k, l), so an (i, j) row of q^2 entries is its head joined to the q^2
+    filled (k, l) tails, and those tails depend on (i, j) only through
+    a = m_ij: they are formatted once per distinct value a, for all the rows
+    that share it, and then dropped.  (One q^4 template, cached or not, or
+    the tails of every value kept at once, raised the peak memory; rows do
+    not.)  The differences are taken in Python ints: exact exponents are
+    unbounded.
     """
     flat = [v for row in exponents for v in row]
     pairs = list(itertools.product(range(len(exponents)), repeat=2))
-    heads = ['    {\n      "quad": [\n        %d,\n        %d,\n' % ij for ij in pairs]
     tails = ['        %d,\n        %d\n      ],\n      "m": %%d\n    }' % kl for kl in pairs]
-    filled = (
-        (head + (",\n" + head).join(tails)) % tuple([a - b for b in flat])
-        for head, a in zip(heads, flat)
-    )
-    return _Rendered("[\n" + ",\n".join(filled) + "\n  ]")
+    at: dict[int, list[int]] = {}
+    for p, a in enumerate(flat):
+        at.setdefault(a, []).append(p)
+    rows = [""] * len(flat)
+    for a, positions in at.items():
+        filled = [tail % (a - b) for tail, b in zip(tails, flat)]
+        for p in positions:
+            head = '    {\n      "quad": [\n        %d,\n        %d,\n' % pairs[p]
+            rows[p] = head + (",\n" + head).join(filled)
+    # brackets on the end rows, so that the one join is the only copy of the text
+    rows[0] = "[\n" + rows[0]
+    rows[-1] += "\n  ]"
+    return _Rendered(",\n".join(rows))
 
 
-def _rendered_levels(levels: np.ndarray, counts: np.ndarray):
-    """The levels {"value": v, "multiplicity": c} as json.dumps(indent=2) writes them, a finite
-    float as %r does; a list with a non-finite level is left to ``json``."""
+def _rendered_levels(levels: np.ndarray, counts: np.ndarray) -> _Rendered:
+    """The levels {"value": v, "multiplicity": c} as json.dumps(indent=2) writes them, a
+    float as %r does (``finite_volume_spectrum`` gives finite levels only)."""
     pairs = list(zip(levels.tolist(), counts.tolist()))
-    if not np.isfinite(levels).all():
-        return [{"value": v, "multiplicity": c} for v, c in pairs]
     entry = '    {\n      "value": %r,\n      "multiplicity": %d\n    }'
     return _Rendered("[\n" + ",\n".join([entry] * len(pairs)) % tuple(itertools.chain(*pairs)) + "\n  ]")
 
@@ -351,8 +360,9 @@ def main(argv=None) -> int:
         payload, code = command.handler(m, args, tol)
         if not isinstance(payload, str):
             settings = {name: getattr(args, name) for name in ("tol", "max_den", "starts", "seed", "cap")}
-            report = {"schema": SCHEMA_VERSION, "command": args.command, "settings": settings, **payload}
-            payload = _encode(report)
+            # no name keeps the report: its rendered text is freed before the encoded copy is written
+            payload = _encode({"schema": SCHEMA_VERSION, "command": args.command, "settings": settings,
+                               **payload})
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload)

@@ -190,19 +190,23 @@ def markov_model(P, k: int) -> LambdaModel:
     q = len(rows)
     if q < 2 or any(len(row) != q for row in rows):
         raise ModelError("stochastic matrix must be square with q >= 2")
+    exact = isinstance(rows[0][0], Fraction)
+    floats = [[float(v) for v in row] for row in rows]
     errors = []
-    for i, row in enumerate(rows):
-        if any(not (float(v) > 0) for v in row):     # -log p must be finite
+    for i, (row, frow) in enumerate(zip(rows, floats)):
+        if any(not (p > 0) for p in frow):     # -log p must be finite
             errors.append(f"row {i}: entries must be strictly positive floats")
-        s = sum(row)
-        if isinstance(s, Fraction):
-            if s != 1:
-                errors.append(f"row {i}: sums to {s}, expected 1")
-        elif abs(s - 1.0) > ROW_SUM_TOL:
-            errors.append(f"row {i}: sums to {s!r}, expected 1")
+        if exact:
+            # the row sums to 1 exactly when sum(num * L/den) == L, L the lcm of its denominators
+            lcm = math.lcm(*[v.denominator for v in row])
+            total = sum([v.numerator * (lcm // v.denominator) for v in row])
+            if total != lcm:
+                errors.append(f"row {i}: sums to {Fraction(total, lcm)}, expected 1")
+        elif abs(sum(row) - 1.0) > ROW_SUM_TOL:
+            errors.append(f"row {i}: sums to {sum(row)!r}, expected 1")
     if errors:
         raise ModelError("; ".join(errors))
-    lam = [[-math.log(float(p)) for p in row] for row in rows]
+    lam = [[-math.log(p) for p in row] for row in floats]
     return replace(generic_model(lam, k, 1), provenance="markov", P=rows)
 
 

@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from treegibbs import classify, generic_model
+from treegibbs.classifier import (
+    DEFAULT_FLOAT_TOL, DEFAULT_MAX_DEN, FloatLattice, MultiplicativeWitness, _coprime_base, _kind,
+)
 from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, recursion_map, zero_fields
 from treegibbs.measures import (
     DEFAULT_CAP, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
     marginalize,
 )
-from treegibbs.model import LambdaModel, Number
+from treegibbs.model import ROW_SUM_TOL, LambdaModel, Number
 from treegibbs.topology import Ball
 
 
@@ -248,3 +253,119 @@ def pairwise_lattice_check(model, levels: np.ndarray, tol: float, cap: int, max_
             d -= np.multiply(m, g, out=m)
         dev = max(dev, float(np.max(np.abs(d, out=d))))
     return dev <= tol, g, dev
+
+
+# Oracles for the classifier's integer and array arithmetic: the Fraction,
+# set and loop code it replaced, kept as written then.
+
+def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(
+        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+        a.denominator * b.denominator,
+    )
+
+
+def fraction_gcd_lattice(model: LambdaModel):
+    """(g, exponents) of an exact table from Fraction base differences beta*(lam_ij - lam_00):
+    their gcd, a ``reduce`` over the sorted magnitudes, and one division per entry.
+    None for a constant table."""
+    lam, beta = model.lam, model.beta
+    base = [[beta * (v - lam[0][0]) for v in row] for row in lam]
+    mags = {abs(d) for row in base for d in row if d != 0}
+    if not mags:
+        return None
+    g = reduce(_frac_gcd, sorted(mags))
+    return g, tuple(tuple(int(d / g) for d in row) for row in base)
+
+
+def _fraction_base_exponents(r: Fraction, base: Sequence[int]) -> dict[int, int]:
+    vec: dict[int, int] = {}
+    for b in base:
+        for n, sign in ((r.numerator, 1), (r.denominator, -1)):
+            while n % b == 0:
+                n, vec[b] = n // b, vec.get(b, 0) + sign
+    return vec
+
+
+def fraction_multiplicative_witness(P):
+    """``commensurability_multiplicative`` with its entries, base valuations and alpha
+    kept as Fractions (keyed by Fraction hashes)."""
+    rows = [list(r) for r in P]
+    q = len(rows)
+    distinct = set().union(*rows)
+    base = _coprime_base([n for v in distinct for n in (v.numerator, v.denominator)])
+    vecs = {v: _fraction_base_exponents(v, base) for v in distinct}
+    flat = [vecs[v] for row in rows for v in row]
+    cols = {b: [flat[0].get(b, 0) - vec.get(b, 0) for vec in flat] for b in set().union(*flat)}
+    first = next((c for c in cols.values() if any(c)), None)
+    if first is None:
+        return MultiplicativeWitness(alpha=None, exponents=((0,) * q,) * q)
+    g = math.gcd(*first)
+    m = [e // g for e in first]
+    lead = next(i for i, e in enumerate(m) if e)
+    alpha = Fraction(1)
+    for b, c in cols.items():
+        t = c[lead] // m[lead]
+        if c != [t * e for e in m]:
+            return None
+        alpha *= Fraction(b) ** t
+    if alpha > 1:
+        alpha, m = 1 / alpha, [-e for e in m]
+    return MultiplicativeWitness(alpha=alpha, exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
+
+
+def set_difference_set(model: LambdaModel) -> tuple:
+    """``difference_set`` of a float table: a Python set of the q^4 products beta*(a - b),
+    sorted, then merged left to right where a value is within 1e-12 of the last kept one."""
+    assert _kind(model) == "float"
+    vals = [float(v) for row in model.lam for v in row]
+    beta = model.beta_float
+    raw = sorted({beta * (a - b) for a in vals for b in vals})
+    deltas: list[float] = []
+    for d in raw:
+        if not deltas or abs(d - deltas[-1]) > 1e-12:
+            deltas.append(d)
+    return tuple(deltas)
+
+
+def set_commensurability_float(deltas, max_den: int = DEFAULT_MAX_DEN, tol: float = DEFAULT_FLOAT_TOL):
+    """``commensurability_float`` with its magnitudes taken as a Python set and the gcd a
+    ``reduce`` of Fraction gcds."""
+    mags = sorted({abs(float(d)) for d in deltas if d != 0})
+    if not mags:
+        return None
+    base = mags[0]
+    fracs = []
+    low_confidence = False
+    for d in mags:
+        r = d / base
+        approx = Fraction(r).limit_denominator(max_den)
+        if abs(Fraction(r) - approx) * approx.denominator > tol:
+            return None
+        if approx.denominator > max_den // 10:
+            low_confidence = True
+        fracs.append(approx)
+    g = base * float(reduce(_frac_gcd, fracs))
+    if not (g > 0 and math.isfinite(mags[-1] / g)):
+        return None
+    for d in mags:
+        m = round(d / g)
+        if abs(d - m * g) > tol * d:
+            return None
+    return FloatLattice(generator=g, low_confidence=low_confidence)
+
+
+def fraction_row_errors(rows) -> list[str]:
+    """The row errors of ``markov_model`` on a homogeneous matrix: positivity of each
+    entry's float, and each row's sum taken in Fractions (or floats)."""
+    errors = []
+    for i, row in enumerate(rows):
+        if any(not (float(v) > 0) for v in row):
+            errors.append(f"row {i}: entries must be strictly positive floats")
+        s = sum(row)
+        if isinstance(s, Fraction):
+            if s != 1:
+                errors.append(f"row {i}: sums to {s}, expected 1")
+        elif abs(s - 1.0) > ROW_SUM_TOL:
+            errors.append(f"row {i}: sums to {s!r}, expected 1")
+    return errors

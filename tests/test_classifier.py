@@ -24,7 +24,10 @@ from treegibbs import (
 )
 from treegibbs.fields import check_unordered, ti_fixed_points
 
-from conftest import pairwise_lattice_check, random_rational_model, relabeled, shifted
+from conftest import (
+    fraction_gcd_lattice, fraction_multiplicative_witness, pairwise_lattice_check, random_rational_model,
+    relabeled, set_commensurability_float, set_difference_set, shifted,
+)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -626,3 +629,140 @@ def test_library_tolerances_must_be_finite_and_positive(entry, tol):
 def test_classify_max_den_at_least_one_on_every_route(model):
     with pytest.raises(ValueError, match="max_den must be >= 1"):
         classify(model, max_den=0)
+
+
+# --- parity with the Fraction, set and loop oracles -------------------------
+
+@st.composite
+def wide_exact_tables(draw):
+    """q = 2..8 rational tables, some mixing small fractions with integers up to 2**80."""
+    q = draw(st.integers(2, 8))
+    small = st.fractions(Fraction(-3), Fraction(3), max_denominator=12)
+    entry = st.one_of(small, st.integers(-2**80, 2**80).map(Fraction)) if draw(st.booleans()) else small
+    if draw(st.booleans()):
+        entry = st.just(draw(small))       # a constant table
+    return [[draw(entry) for _ in range(q)] for _ in range(q)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_exact_tables(), st.fractions(Fraction(1, 6), Fraction(4), max_denominator=6))
+@example([[Fraction(0), Fraction(1, 7)], [Fraction(2**70), Fraction(-2**70, 3)]], Fraction(1))
+def test_exact_route_matches_fraction_oracle(table, beta):
+    m = generic_model(table, 2, beta)
+    want = fraction_gcd_lattice(m)
+    c = classify(m)
+    q = m.q
+    if want is None:
+        assert (c.verdict, c.generator, c.gamma, c.exponents) == ("II1", None, None, ((0,) * q,) * q)
+    else:
+        g, e = want
+        assert (c.verdict, c.generator, c.gamma, c.exponents) == ("III_family", g, math.exp(-float(g)), e)
+        assert type(c.generator) is Fraction
+    assert commensurability_exact(difference_set(m)) == (None if want is None else want[0])
+
+
+def test_exact_exponents_past_2_63_are_python_ints():
+    m = generic_model([[Fraction(0), Fraction(1, 7)], [Fraction(2**70), Fraction(-2**70, 3)]], 2, 1)
+    c = classify(m)
+    assert c.generator == Fraction(1, 21)
+    assert c.exponents == ((0, 3), (21 * 2**70, -7 * 2**70))
+    assert all(type(v) is int for row in c.exponents for v in row)
+
+
+@st.composite
+def stochastic_matrices_q8(draw):
+    """q = 2..8 rational stochastic matrices: geometric lattices, constant, rank two, free."""
+    q = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["lattice", "constant", "rank-two", "free"]))
+    if kind == "lattice":
+        alpha = draw(st.fractions(Fraction(1, 9), Fraction(8, 9), max_denominator=9))
+        weights = [alpha**e for e in draw(st.lists(st.integers(0, 6), min_size=q, max_size=q))]
+    elif kind == "constant":
+        weights = [Fraction(1)] * q
+    elif kind == "rank-two":
+        # ratios 2 and 3 are multiplicatively independent; the other weights are powers of 6
+        weights = [Fraction(1), Fraction(2), Fraction(3)][:q] + [Fraction(6) ** draw(st.integers(0, 3))
+                                                                  for _ in range(q - 3)]
+    else:
+        weights = [Fraction(draw(st.integers(1, 60))) for _ in range(q)]
+    rows = [[weights[p] for p in draw(st.permutations(range(q)))] for _ in range(q)]
+    return [[v / sum(row) for v in row] for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(stochastic_matrices_q8())
+@example([[Fraction(1, 8)] * 8] * 8)
+@example([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]] * 3)
+def test_multiplicative_route_matches_fraction_oracle(P):
+    w = fraction_multiplicative_witness(P)
+    assert commensurability_multiplicative(P) == w
+    c = classify(markov_model(P, 2))
+    q = len(P)
+    if w is None:
+        assert (c.verdict, c.generator, c.gamma, c.exponents) == ("incommensurable", None, None, None)
+    elif w.alpha is None:
+        assert (c.verdict, c.generator, c.gamma, c.exponents) == ("II1", None, None, ((0,) * q,) * q)
+    else:
+        negated = tuple(tuple(-e for e in row) for row in w.exponents)
+        assert (c.verdict, c.generator, c.gamma, c.exponents) == (
+            "III_family", -math.log(float(w.alpha)), float(w.alpha), negated)
+        assert c.evidence["alpha"] == w.alpha and type(w.alpha) is Fraction
+
+
+@st.composite
+def float_tables(draw):
+    """q = 2..8 float tables: uniform, with +-0.0 entries, with chains of gaps of at most
+    1e-12, or integer multiples of sqrt(2)."""
+    q = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["uniform", "signed-zeros", "chain", "sqrt2"]))
+    if kind == "sqrt2":
+        scale = math.sqrt(2) * draw(st.integers(1, 3))
+        vals = [scale * draw(st.integers(-6, 6)) for _ in range(q * q)]
+    else:
+        vals = [draw(st.floats(-3, 3)) for _ in range(q * q)]
+    if kind == "signed-zeros":
+        vals = [draw(st.sampled_from([v, 0.0, -0.0])) for v in vals]
+    elif kind == "chain":
+        x = vals[0]
+        for i in draw(st.lists(st.integers(0, q * q - 1), max_size=q * q)):
+            x += draw(st.floats(1e-14, 1e-12))
+            vals[i] = x
+    beta = draw(st.sampled_from([1.0, 0.5, 0.25])) if kind == "chain" else draw(st.floats(0.25, 4))
+    return generic_model([vals[i:i + q] for i in range(0, q * q, q)], 2, beta)
+
+
+def chained_table():
+    """A q = 3 table whose entries step by 4e-13, so its products chain below 1e-12."""
+    vals = [1.0 + 4e-13 * i for i in range(8)] + [-0.0]
+    return generic_model([vals[0:3], vals[3:6], vals[6:9]], 2, 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(float_tables())
+@example(chained_table())
+@example(generic_model([[0.0, -0.0], [-0.0, 0.5]], 2, 1.0))
+@example(generic_model([[0.0, 0.0], [1.0, 2.225073858507203e-309]], 2, 1.0))
+def test_float_route_matches_set_oracle(m):
+    got, want = difference_set(m), set_difference_set(m)
+    assert got == want
+    assert [d.hex() for d in got] == [d.hex() for d in want]     # -0.0 is not 0.0 here
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "difference_set", set_difference_set)
+        mp.setattr(classifier, "commensurability_float", set_commensurability_float)
+        try:
+            oracle = classify(m)
+        except OverflowError:
+            # a subnormal difference makes a ratio overflow to inf, which has no Fraction
+            oracle = None
+    if oracle is None:
+        with pytest.raises(OverflowError):
+            classify(m)
+    else:
+        assert classify(m) == oracle
+
+
+def test_chained_differences_are_merged():
+    m = chained_table()
+    v = m.lam_float.ravel()
+    assert len(difference_set(m)) < len(np.unique(v[:, None] - v[None, :]))
+    assert difference_set(m) == set_difference_set(m)

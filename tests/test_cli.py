@@ -345,11 +345,11 @@ def test_rendered_multipliers_match_json_dumps(q):
 
 def test_rendered_levels_match_json_dumps():
     # negative values, -0.0, 1e16 and 1e-7 (floats whose repr has an exponent),
-    # multiplicities past 2**32, a single level, and non-finite levels, which
-    # are left to json, spliced in at report depth between json.dumps-encoded fields
+    # multiplicities past 2**32 and a single level, spliced in at report depth
+    # between json.dumps-encoded fields
     rng = np.random.default_rng(3)
     spreads = [np.array([-2.5, -0.0, 1e-7, 0.1, 1e16]), np.array([-1e300]),
-               np.sort(rng.uniform(-50, 50, size=200)), np.array([-np.inf, 1.0, np.inf, np.nan])]
+               np.sort(rng.uniform(-50, 50, size=200))]
     for levels in spreads:
         counts = rng.integers(1, 2**40, size=levels.size)
         counts[0] = 2**62
@@ -357,6 +357,17 @@ def test_rendered_levels_match_json_dumps():
         listed = [{"value": float(v), "multiplicity": int(c)} for v, c in zip(levels, counts)]
         want = json.dumps({**report, "levels": listed}, indent=2, default=_json_default) + "\n"
         assert _encode({**report, "levels": _rendered_levels(levels, counts)}) == want
+
+
+def test_spectrum_with_overflowing_energies_exits_3(tmp_path, capsys):
+    # every entry is finite, but the edge sums of the radius-1 ball overflow to inf
+    path = write(tmp_path, "huge.json", {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                                         "lambda": [[1e308, 1e308], [1e308, 1e308]]})
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore"):
+        code = main(["spectrum", "--model", path, "--n", "1", "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert "energies beta*H over the ball are not all finite" in capsys.readouterr().err
 
 
 def test_help_lists_only_read_options(capsys):

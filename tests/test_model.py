@@ -19,7 +19,9 @@ from treegibbs import (
 )
 from treegibbs.model import ModelError
 
-from conftest import OVERFLOWING_MODELS, UNREAD_KEY_MODELS, boundary_energy, energy, shifted
+from conftest import (
+    OVERFLOWING_MODELS, UNREAD_KEY_MODELS, boundary_energy, energy, fraction_row_errors, shifted,
+)
 
 
 @pytest.mark.parametrize("q", range(2, 7))
@@ -351,3 +353,32 @@ def test_markov_model_is_generic_model_on_its_table(spoiled, k):
     m = markov_model(P, k)
     assert_same_model(m, generic_model([[-math.log(p) for p in row] for row in P], k, 1))
     assert (m.provenance, m.J, repr(m.P)) == ("markov", None, repr(tuple(map(tuple, P))))
+
+
+@st.composite
+def spoiled_rows(draw):
+    """q = 2..8 stochastic matrices, all Fraction or all float, with some rows spoiled:
+    an entry doubled, zero, negative or (in Fractions) positive with a float of 0.0."""
+    q = draw(st.integers(2, 8))
+    P = [[Fraction(v) for v in draw(st.lists(st.integers(1, 30), min_size=q, max_size=q))]
+         for _ in range(q)]
+    P = [[v / sum(row) for v in row] for row in P]
+    exact = draw(st.booleans())
+    spoils = ["doubled", "zero", "negative"] + (["underflow"] if exact else [])
+    for i, j, spoil in draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1),
+                                               st.sampled_from(spoils)), max_size=3)):
+        P[i][j] = {"doubled": 2 * P[i][j], "zero": 0 * P[i][j], "negative": -P[i][j],
+                   "underflow": Fraction(1, 10**400)}[spoil]
+    return P if exact else [[float(v) for v in row] for row in P]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spoiled_rows())
+def test_markov_row_errors_match_fraction_oracle(P):
+    want = fraction_row_errors(P)
+    if not want:
+        assert markov_model(P, 2).P == tuple(map(tuple, P))
+        return
+    with pytest.raises(ModelError) as exc:
+        markov_model(P, 2)
+    assert str(exc.value) == "; ".join(want)
