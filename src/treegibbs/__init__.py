@@ -3,7 +3,7 @@
 Library layout:
 
   topology    finite balls of the tree (shells, children, vertex words)
-  model       spin simplex, coupling tables, log-weights, model files
+  model       coupling tables, log-weights, model files
   fields      boundary-field recursion, propagation, fixed points
   measures    exact finite-volume measures and consistency diagnostics
   classifier  factor-type classification from coupling-difference arithmetic
@@ -13,14 +13,12 @@ Library layout:
 from .topology import Ball, build_ball, distance
 from .model import (
     LambdaModel,
-    SpinSet,
     generic_model,
     markov_model,
     model_from_dict,
     model_to_dict,
     potential_norm,
     potts_model,
-    simplex_vectors,
 )
 from .fields import (
     FixedPointResult,
@@ -55,8 +53,8 @@ from .classifier import (
 
 __all__ = [
     "Ball", "build_ball", "distance",
-    "LambdaModel", "SpinSet", "generic_model", "markov_model", "model_from_dict", "model_to_dict",
-    "potential_norm", "potts_model", "simplex_vectors",
+    "LambdaModel", "generic_model", "markov_model", "model_from_dict", "model_to_dict",
+    "potential_norm", "potts_model",
     "FixedPointResult", "ReducedFieldAssignment", "check_unordered", "propagate_fields",
     "recursion_map", "ti_fixed_points", "zero_fields",
     "FiniteVolumeMeasure", "consistency_residual", "correlation_decay", "dlr_conditional",

@@ -227,7 +227,7 @@ def commensurability_float(
     _check_tol(tol, max_den)
     mags = np.abs(np.asarray(deltas, dtype=float))
     mags = np.unique(mags[mags != 0]).tolist()
-    if not mags:
+    if not mags or not math.isfinite(mags[-1] / mags[0]):   # past a subnormal base a ratio overflows
         return None
     base = mags[0]
     fracs = []

@@ -1,10 +1,12 @@
 """Boundary-field recursion on the tree: evaluation, propagation, fixed points.
 
-Fields are stored in reduced form h' (the measure-side field is
-h = ((q-1)/q) h'), as coordinate vectors with respect to the first q-1
-simplex spin vectors.  The one-step map F sends the reduced field of a
-direct successor to its contribution at the parent; measure consistency is
-equivalent to h'_x = sum_{y in S(x)} F(h'_y) at every interior vertex.
+A field is stored in reduced form h' in R^{q-1}: h'_a is the log-weight it
+gives spin a relative to spin q-1, and ``_extend``, which ``measures`` shares,
+appends the 0 of spin q-1.  (The paper's h = ((q-1)/q) sum_a h'_a eta_a pairs
+with spin vector eta_b as h'_b - sum(h')/q: a constant apart, which cancels.)
+The one-step map F sends the reduced field of a direct successor to its
+contribution at the parent; measure consistency is equivalent to
+h'_x = sum_{y in S(x)} F(h'_y) at every interior vertex.
 
 F is batched: ``recursion_map`` maps any (..., q-1) array of fields at once.
 Propagation is one inward sweep (``topology.sweep_up``) with F as the

@@ -2,11 +2,13 @@
 
 Configurations on a ball are indexed as mixed-radix integers over the
 breadth-first vertex order, root digit most significant, so marginalizing
-to a smaller ball is a reshape.  Everything here is exact (no sampling);
-past the enumeration cap an operation fails loudly.  One kernel,
-``_edge_energies``, builds every energy vector, and no configuration
-matrix: it grows the q^|V| vector one vertex at a time, then scales it and
-adds the per-vertex terms block by cache-sized block.  The consistency
+to a smaller ball is a reshape.  A boundary field h'_x enters only as the
+log-weight it gives spin sigma(x), read as ``fields`` reads it (0 for spin
+q-1).  Everything here is exact (no sampling); past the enumeration cap an
+operation fails loudly.  One kernel, ``_edge_energies``, builds every
+energy vector, and no configuration matrix: it grows the q^|V| vector one
+vertex at a time, then scales it and adds the per-vertex terms block by
+cache-sized block.  The consistency
 residual sums shell n out leaf by leaf, so it enumerates only V_{n-1};
 ``finite_volume_measure`` and ``marginalize`` enumerate V_n and are its
 oracle, called by no command.  The two-point correlation uses exact leaf
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ReducedFieldAssignment, _log_transfer
+from .fields import ReducedFieldAssignment, _extend, _log_transfer
 from .model import LambdaModel
 from .topology import Ball, build_ball, sweep_up
 
@@ -119,11 +121,12 @@ class FiniteVolumeMeasure:
         return p
 
 
-def _pairings(model: LambdaModel, hprime: np.ndarray) -> np.ndarray:
-    """Per row h'_x of ``hprime``, the pairing h_x . eta_a with each spin a, h_x = ((q-1)/q) h'_x."""
-    q = model.q
-    gram_part = model.spin.gram[: q - 1, :]          # (q-1, q)
-    return np.array([(q - 1) / q * (h @ gram_part) for h in hprime])
+def _field_tables(model: LambdaModel, fields: ReducedFieldAssignment) -> np.ndarray:
+    """Per vertex x, the log-weight h'_x gives each spin (``fields._extend``), shape (|V|, q)."""
+    if fields.hprime.shape[1:] != (model.q - 1,):
+        raise ValueError(f"fields must have {model.q - 1} components per vertex, "
+                         f"got shape {fields.hprime.shape}")
+    return _extend(fields.hprime)
 
 
 def finite_volume_measure(
@@ -132,14 +135,14 @@ def finite_volume_measure(
     """The Gibbs measure on the fields' ball, radius n, with their boundary fields on shell n.
 
     Log-weight of a configuration: -beta*H(sigma) plus, for each boundary
-    vertex x, the pairing h_x . eta_{sigma(x)} (``_pairings``: h'_x is read
-    in the eta-basis, so it goes through the Gram matrix).  No command calls
-    this; it is the enumeration oracle of ``consistency_residual``.
+    vertex x, the log-weight h'_x gives spin sigma(x) (0 for spin q-1).  No
+    command calls this; it is the enumeration oracle of
+    ``consistency_residual``.
     """
     ball, n = fields.ball, fields.ball.n
-    # weight per spin value of each boundary vertex's pairing, added after the -beta scale
-    pairs = zip(ball.shells[n], _pairings(model, fields.hprime[ball.shell_slice(n)]))
-    logw = _edge_energies(model, ball, cap, -model.beta_float, pairs)
+    # each boundary vertex's table, added after the -beta scale
+    tables = _field_tables(model, fields)[ball.shell_slice(n)]
+    logw = _edge_energies(model, ball, cap, -model.beta_float, zip(ball.shells[n], tables))
     return FiniteVolumeMeasure(ball=ball, q=model.q, logweights=logw, logZ=float(_logsumexp(logw)))
 
 
@@ -166,8 +169,8 @@ def consistency_residual(
     The largest |difference| between the marginal on V_{n-1} of the level-n
     measure and the measure from the shell-(n-1) fields; 0 exactly when the
     field recursion holds on shell n-1.  Shell n is summed out leaf by leaf:
-    in the marginal, each shell-(n-1) vertex carries, in place of its pairing,
-    sum_{children y} log sum_b e^{-beta*lam(a, b) + pair_y(b)} per spin a.
+    in the marginal, each shell-(n-1) vertex carries, in place of its field
+    table, sum_{children y} log sum_b e^{-beta*lam(a, b) + h'_y(b)} per spin a.
     No level-n array is built; ``cap`` bounds the q^|V_{n-1}| configurations.
     """
     ball, n = fields.ball, fields.ball.n
@@ -175,11 +178,11 @@ def consistency_residual(
         raise ValueError("need a ball of radius >= 1 to compare two levels")
     inner = build_ball(ball.k, n - 1)
     rim = inner.shell_slice(n - 1)
-    pairs = _pairings(model, fields.hprime[ball.shell_slice(n)])
-    summed = _log_transfer(model, pairs.reshape(rim.stop - rim.start, -1, model.q)).sum(axis=1)
+    tables = _field_tables(model, fields)
+    leaves = tables[ball.shell_slice(n)].reshape(rim.stop - rim.start, -1, model.q)
     probs = []
-    for tables in (summed, _pairings(model, fields.hprime[rim])):
-        logw = _edge_energies(model, inner, cap, -model.beta_float, zip(inner.shells[n - 1], tables))
+    for rim_tables in (_log_transfer(model, leaves).sum(axis=1), tables[rim]):
+        logw = _edge_energies(model, inner, cap, -model.beta_float, zip(inner.shells[n - 1], rim_tables))
         probs.append(FiniteVolumeMeasure(inner, model.q, logw, float(_logsumexp(logw))).probabilities())
     return float(np.max(np.abs(probs[0] - probs[1])))
 

@@ -1,11 +1,12 @@
-"""Nearest-neighbor lambda-models on trees: spin simplex, coupling tables, model files.
+"""Nearest-neighbor lambda-models on trees: coupling tables, log-weights, model files.
 
-A model is a q x q table lam[i][j] of pair couplings between simplex spin
-vectors, together with a tree order k and an inverse temperature beta.  The
-table may be exact (all entries Fraction) or floating; exact tables enable
-exact commensurability analysis downstream.  Edge terms are oriented
-parent -> child, i.e. an edge <x, y> with x closer to the root contributes
-lam[sigma(x)][sigma(y)]; for symmetric tables the orientation is immaterial.
+A model is a q x q table lam[i][j] of pair couplings between the spin
+values 0..q-1 (the paper's simplex spin vectors), together with a tree
+order k and an inverse temperature beta.  The table may be exact (all
+entries Fraction) or floating; exact tables enable exact commensurability
+analysis downstream.  Edge terms are oriented parent -> child, i.e. an edge
+<x, y> with x closer to the root contributes lam[sigma(x)][sigma(y)]; for
+symmetric tables the orientation is immaterial.
 """
 
 from __future__ import annotations
@@ -36,45 +37,12 @@ def _check_tol(tol: float, max_den: int = 1) -> None:
 
 
 @dataclass(frozen=True)
-class SpinSet:
-    """The q simplex spin vectors in R^{q-1}: unit norm, pairwise inner product -1/(q-1)."""
-
-    q: int
-    eta: np.ndarray          # (q, q-1) explicit coordinates
-    gram: np.ndarray         # (q, q) pairwise inner products
-
-
-def simplex_vectors(q: int) -> SpinSet:
-    """Explicit coordinates of the q simplex spin vectors.
-
-    Deterministic closed form: the centered standard-basis vectors of R^q,
-    normalized, expressed in the Helmert orthonormal basis of the sum-zero
-    hyperplane.  The resulting Gram matrix matches the defining relations
-    to machine precision.
-    """
-    if q < 2:
-        raise ModelError(f"need q >= 2 spin values, got {q}")
-    # centered, normalized corners of the standard simplex in R^q
-    v = np.eye(q) - 1.0 / q
-    v /= math.sqrt(1.0 - 1.0 / q)
-    # Helmert basis of the hyperplane {sum = 0}: rows m = 1..q-1
-    h = np.zeros((q - 1, q))
-    for m in range(1, q):
-        h[m - 1, :m] = 1.0
-        h[m - 1, m] = -m
-        h[m - 1] /= math.sqrt(m * (m + 1))
-    eta = v @ h.T                       # (q, q-1)
-    return SpinSet(q=q, eta=eta, gram=eta @ eta.T)
-
-
-@dataclass(frozen=True)
 class LambdaModel:
     """A lambda-model: tree order, inverse temperature, q x q coupling table.
 
-    The spin set is built from q on first use.  ``provenance`` records how
-    the table was built ("generic", "potts", "markov"); ``P`` is kept for
-    markov models so the classifier can work multiplicatively on the
-    stochastic matrix itself.
+    ``provenance`` records how the table was built ("generic", "potts",
+    "markov"); ``P`` is kept for markov models so the classifier can work
+    multiplicatively on the stochastic matrix itself.
     """
 
     k: int
@@ -87,10 +55,6 @@ class LambdaModel:
     @property
     def q(self) -> int:
         return len(self.lam)
-
-    @cached_property
-    def spin(self) -> SpinSet:
-        return simplex_vectors(self.q)
 
     @property
     def is_exact(self) -> bool:

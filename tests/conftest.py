@@ -9,7 +9,7 @@ from treegibbs import classify, generic_model
 from treegibbs.classifier import (
     DEFAULT_FLOAT_TOL, DEFAULT_MAX_DEN, FloatLattice, MultiplicativeWitness, _coprime_base, _kind,
 )
-from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, recursion_map, zero_fields
+from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, _extend, recursion_map, zero_fields
 from treegibbs.measures import (
     DEFAULT_CAP, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
     marginalize,
@@ -110,13 +110,12 @@ def add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None
 
 
 def per_term_logweights(model: LambdaModel, fields: ReducedFieldAssignment, cap: int):
-    """(log-weights, logZ) of ``finite_volume_measure``: scale by -beta, then add each pairing."""
+    """(log-weights, logZ) of ``finite_volume_measure``: scale by -beta, then add each field table."""
     ball, q = fields.ball, model.q
     logw = _edge_energies(model, ball, cap, scale=1.0)
     logw *= -model.beta_float
-    gram_part = model.spin.gram[: q - 1, :]
     for x in ball.shells[ball.n]:
-        add_vertex_term(logw, q, x, (q - 1) / q * (fields.hprime[x] @ gram_part))
+        add_vertex_term(logw, q, x, _extend(fields.hprime[x]))
     return logw, float(_logsumexp(logw))
 
 
@@ -138,7 +137,7 @@ def per_term_dlr_conditional(model: LambdaModel, ball: Ball, omega: Sequence[int
 def zero_field_markov_residual(model: LambdaModel, n: int) -> float:
     """``markov_property_residual`` through ``finite_volume_measure`` with zero fields.
 
-    Each boundary vertex adds its all-zero pairing table, which can only turn
+    Each boundary vertex adds its all-zero field table, which can only turn
     a -0.0 log-weight into +0.0; exp maps both to 1.0.
     """
     ball = Ball(model.k, n + 1)
@@ -332,7 +331,7 @@ def set_commensurability_float(deltas, max_den: int = DEFAULT_MAX_DEN, tol: floa
     """``commensurability_float`` with its magnitudes taken as a Python set and the gcd a
     ``reduce`` of Fraction gcds."""
     mags = sorted({abs(float(d)) for d in deltas if d != 0})
-    if not mags:
+    if not mags or not math.isfinite(mags[-1] / mags[0]):
         return None
     base = mags[0]
     fracs = []

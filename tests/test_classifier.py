@@ -749,16 +749,8 @@ def test_float_route_matches_set_oracle(m):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifier, "difference_set", set_difference_set)
         mp.setattr(classifier, "commensurability_float", set_commensurability_float)
-        try:
-            oracle = classify(m)
-        except OverflowError:
-            # a subnormal difference makes a ratio overflow to inf, which has no Fraction
-            oracle = None
-    if oracle is None:
-        with pytest.raises(OverflowError):
-            classify(m)
-    else:
-        assert classify(m) == oracle
+        oracle = classify(m)
+    assert classify(m) == oracle
 
 
 def test_chained_differences_are_merged():

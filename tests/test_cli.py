@@ -703,6 +703,14 @@ def test_classify_underflowing_float_generator_exit_0(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "incommensurable"
 
 
+def test_classify_subnormal_difference_is_incommensurable(tmp_path, capsys):
+    # the ratio of 1.0 to a subnormal difference overflows to inf, which has no Fraction
+    path = write(tmp_path, "g.json", {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
+                                      "lambda": [[0.0, 0.0], [1.0, 2.225073858507203e-309]]})
+    code, out = run(capsys, ["classify", "--model", path])
+    assert code == 0 and json.loads(out)["verdict"] == "incommensurable"
+
+
 def test_classify_failed_lattice_refinement_is_incommensurable(tmp_path, capsys):
     # --max-den 1 --tol 0.4 accepts a generator that the q^4 refinement then refutes
     path = write(tmp_path, "g.json", {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,

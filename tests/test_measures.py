@@ -27,7 +27,7 @@ from treegibbs import (
     zero_fields,
 )
 from treegibbs.classifier import finite_volume_spectrum
-from treegibbs.fields import ReducedFieldAssignment
+from treegibbs.fields import ReducedFieldAssignment, _extend
 from treegibbs.measures import (
     BLOCK, DEFAULT_CAP, EnumerationCapError, _edge_energies, _logsumexp, _tv_to_first_column,
 )
@@ -39,9 +39,10 @@ from conftest import (
 
 
 def brute_force_probs(model, ball, fields):
-    """Independent enumeration oracle: explicit weights, explicit pairing."""
+    """Independent enumeration oracle: explicit weights, and the paper's pairing of the field
+    h = ((q-1)/q) sum_i h'_i eta_i with eta_sigma, from the defining inner products
+    <eta_i, eta_j> = 1 if i == j else -1/(q-1)."""
     q = model.q
-    eta = model.spin.eta
     lam = model.lam_float
     beta = model.beta_float
     configs = enumerate_configs(q, ball.num_vertices, 2**22)
@@ -50,8 +51,9 @@ def brute_force_probs(model, ball, fields):
         e = sum(lam[sigma[u], sigma[v]] for u, v in ball.edges)
         boundary = 0.0
         for x in ball.shells[ball.n]:
-            hvec = (q - 1) / q * fields.hprime[x] @ eta[: q - 1]
-            boundary += hvec @ eta[sigma[x]]
+            s = sigma[x]
+            boundary += (q - 1) / q * sum(h * (1.0 if i == s else -1.0 / (q - 1))
+                                          for i, h in enumerate(fields.hprime[x]))
         weights.append(math.exp(-beta * e + boundary))
     w = np.array(weights)
     return w / w.sum()
@@ -127,9 +129,8 @@ def test_broadcast_enumeration_matches_gather():
                         assert e.tobytes() == bytes(e.nbytes)   # every energy is +0.0
                     flds = ReducedFieldAssignment(b, rng.uniform(-2, 2, size=(b.num_vertices, q - 1)))
                     logw = -m.beta_float * e
-                    gram_part = m.spin.gram[: q - 1, :]
                     for x in b.shells[n]:
-                        logw += ((q - 1) / q * (flds.hprime[x] @ gram_part))[configs[:, x]]
+                        logw += _extend(flds.hprime[x])[configs[:, x]]
                     mu = finite_volume_measure(m, flds)
                     assert mu.logweights.tobytes() == logw.tobytes(), (q, k, n, m.lam)
                     assert np.float64(mu.logZ).tobytes() == np.float64(logsumexp(logw)).tobytes()
@@ -176,11 +177,10 @@ def test_blocked_terms_match_one_pass_per_term():
         b = build_ball(k, n)
         assert n == 0 or q**b.num_vertices > 2 * BLOCK     # three blocks or more
         m = generic_model(rng.uniform(-1.5, 1.5, size=(q, q)).tolist(), k, 0.7)
-        gram_part = m.spin.gram[: q - 1, :]
-        # signed zeros and the least subnormals: at q = 2 half of their pairings are -0.0
+        # signed zeros and the least subnormals: about a quarter of the field components are -0.0
         signed = rng.choice([-5e-324, 5e-324, -0.0, 0.0], size=(b.num_vertices, q - 1))
-        pairings = np.array([(q - 1) / q * (signed[x] @ gram_part) for x in b.shells[n]])
-        negative_zeros += int(np.count_nonzero(np.signbit(pairings) & (pairings == 0)))
+        tables = _extend(signed[b.shell_slice(n)])
+        negative_zeros += int(np.count_nonzero(np.signbit(tables) & (tables == 0)))
         for h in (np.zeros((b.num_vertices, q - 1)), rng.uniform(-2, 2, size=(b.num_vertices, q - 1)), signed):
             flds = ReducedFieldAssignment(b, h)
             mu = finite_volume_measure(m, flds)
@@ -412,13 +412,26 @@ def test_single_edge_boltzmann_weights():
     assert p[0] == pytest.approx(math.exp(2) / z)
 
 
-def test_measure_matches_oracle_with_fields():
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_measure_matches_oracle_with_fields(q, k):
+    # the zero-padded field tables give the paper's simplex pairing's probabilities
     rng = np.random.default_rng(5)
-    m = random_rational_model(rng, 3, 2)
-    b = build_ball(2, 1)
-    flds = ReducedFieldAssignment(b, rng.uniform(-2, 2, size=(b.num_vertices, 2)))
+    m = random_rational_model(rng, q, k)
+    b = build_ball(k, 1)
+    flds = ReducedFieldAssignment(b, rng.uniform(-2, 2, size=(b.num_vertices, q - 1)))
     mu = finite_volume_measure(m, flds)
     assert np.allclose(mu.probabilities(), brute_force_probs(m, b, flds), atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_fields_of_the_wrong_width_rejected(width):
+    # q = 3 fields have q-1 = 2 components per vertex
+    m = potts_model(3, 1, 1, 2)
+    flds = ReducedFieldAssignment(build_ball(2, 1), np.zeros((4, width)))
+    for f in (finite_volume_measure, consistency_residual):
+        with pytest.raises(ValueError, match=r"fields must have 2 components per vertex, got shape \(4, "):
+            f(m, flds)
 
 
 def test_root_marginal_symmetric_potts():
@@ -515,7 +528,7 @@ def test_consistency_residual_builds_no_level_n_measure():
     # level-1 measures 4^4; enumerating level n peaked at about 17 MB
     m = potts_model(4, 1, Fraction(5, 4), 2)
     flds = propagate_fields(m, build_ball(2, 2), np.full((6, 3), 0.25))
-    consistency_residual(m, flds)                # first-use caches (spin set, log-weights)
+    consistency_residual(m, flds)                # first-use caches (log-weights, ball tables)
     assert allocation_peak(lambda: consistency_residual(m, flds)) < 2**20
 
 
