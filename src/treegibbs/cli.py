@@ -172,7 +172,7 @@ def _load_field_assignment(
             if not (isinstance(vec, list) and len(vec) == model.q - 1
                     and all(type(v) in (int, float) for v in vec)):
                 raise model_mod.ModelError(f"field for {key!r} must be a list of {model.q - 1} numbers")
-            hprime[x], given[x] = [float(model_mod._as_number(v)) for v in vec], True
+            hprime[x], given[x] = [model_mod._coerce(v)[1] for v in vec], True
     propagated = fields.propagate_fields(model, ball, hprime[ball.shell_slice(ball.n)]).hprime
     propagated[given] = hprime[given]
     return fields.ReducedFieldAssignment(ball, propagated)

@@ -12,8 +12,9 @@ cache-sized block.  The consistency
 residual sums shell n out leaf by leaf, so it enumerates only V_{n-1};
 ``finite_volume_measure`` and ``marginalize`` enumerate V_n and are its
 oracle, called by no command.  The two-point correlation uses exact leaf
-elimination, one batched inward sweep (``topology.sweep_up``) over all
-clamped value pairs, so it reaches radii the cap forbids.
+elimination over the root paths of its two vertices only (every other
+vertex of a shell sends one shared message), so it reaches radii the cap
+forbids, in time and memory that do not grow with the ball.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .fields import ReducedFieldAssignment, _extend, _log_transfer
 from .model import LambdaModel
-from .topology import Ball, build_ball, sweep_up
+from .topology import Ball, _family, build_ball
 
 DEFAULT_CAP = 2**20
 BLOCK = 2**14    # entries of a configuration vector that one pass keeps in cache at a time
@@ -244,22 +245,49 @@ def _tv_to_first_column(cond: np.ndarray) -> float:
 def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.ndarray:
     """Correlation-defect matrix |P(s(x0)=i, s(x1)=j) - P(s(x0)=i) P(s(x1)=j)|.
 
-    Computed under the zero-field measure at radius n, by exact leaf
-    elimination: every clamped value pair (only the diagonal ones when
-    x0 == x1) is one row of a single inward sweep, linear in the ball size.
+    Computed under the zero-field measure at radius n by exact leaf
+    elimination, each clamped value pair (only the diagonal ones when
+    x0 == x1) one row.  Only the root paths of x0 and x1, at most 2n+1
+    vertices, are swept.  Every other vertex of shell m holds one shared
+    value, 0 on shell n and below it the sum of k copies of shell m+1's
+    shared message, so that message is computed once per shell.  A path
+    vertex adds to its clamped row its children's messages summed in child
+    order: the float operations ``topology.sweep_up`` performs on it over
+    the whole ball.  So a pair costs O(n) small steps, and the memory does
+    not grow with the ball.
     """
     ball = build_ball(model.k, n)
     nv = ball.num_vertices
     if not (0 <= x0 < nv and 0 <= x1 < nv):
         raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
-    q = model.q
+    q, k = model.q, model.k
     a0, a1 = np.divmod(np.arange(q * q), q)
     if x0 == x1:
         a0, a1 = a0[a0 == a1], a1[a0 == a1]
-    clamped = np.zeros((len(a0), nv, q))
-    clamped[:, x0] = np.where(np.arange(q) == a0[:, None], 0.0, -np.inf)
-    clamped[:, x1] = np.where(np.arange(q) == a1[:, None], 0.0, -np.inf)
-    root = sweep_up(ball, clamped, lambda x: _log_transfer(model, x))[:, 0, :]
+    rows = {}                                   # path vertex -> its clamped rows
+    for x, a in ((x0, a0), (x1, a1)):
+        rows[x] = np.where(np.arange(q) == a[:, None], 0.0, -np.inf)
+        while x:
+            x = _family(k, x)[0]
+            rows.setdefault(x, np.zeros((len(a0), q)))
+    shared = [None] * (n + 1)                   # shared[m]: what an off-path shell-m vertex sends
+    value = np.zeros(q)                         # an off-path vertex's value, 0 on shell n
+    for m in range(n, 0, -1):
+        shared[m] = _log_transfer(model, value)
+        value = np.zeros(q)
+        for _ in range(k):
+            value += shared[m]
+    sent = {}
+    for x in sorted(rows, reverse=True):        # breadth-first indexing: children before parents
+        m = ball.shell_of(x)
+        if m < n:
+            total = np.zeros_like(rows[x])
+            for y in _family(k, x)[1]:
+                total += sent.get(y, shared[m + 1])
+            rows[x] += total
+        if x:
+            sent[x] = _log_transfer(model, rows[x])
+    root = rows[0]
     weights = np.exp(root - root.max()).sum(axis=-1)
     joint = np.zeros((q, q))
     joint[a0, a1] = weights / weights.sum()

@@ -65,7 +65,17 @@ class LambdaModel:
 
     @property
     def lam_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.lam])
+        """The table in floating point, converted on first read and read-only.
+
+        A property over the cached ``_lam_float``, so ``bench/tracer.py`` can wrap it to count reads.
+        """
+        return self._lam_float
+
+    @cached_property
+    def _lam_float(self) -> np.ndarray:
+        a = np.array([[float(v) for v in row] for row in self.lam])
+        a.flags.writeable = False
+        return a
 
     @property
     def beta_float(self) -> float:
@@ -82,26 +92,31 @@ class LambdaModel:
         return a
 
 
-def _as_number(x) -> Number:
-    """Coerce ints/Fractions to Fraction, keep floats floating; either must have a finite float."""
+def _coerce(x) -> tuple[Number, float]:
+    """ints/Fractions as Fraction, floats kept floating, each with its float, which must be finite.
+
+    The float is taken once here, so a parsed table converts each entry once.
+    """
     if isinstance(x, int):
         x = Fraction(x)
     if not isinstance(x, (Fraction, float)):
         raise ModelError(f"unsupported numeric value {x!r}")
     try:
-        if math.isfinite(x):
-            return x
+        f = float(x)
     except OverflowError:
         raise ModelError("numeric values must be finite, got a rational past the float range") from None
-    raise ModelError(f"numeric values must be finite, got {x!r}")
+    if not math.isfinite(f):
+        raise ModelError(f"numeric values must be finite, got {x!r}")
+    return x, f
 
 
-def _homogeneous_table(rows) -> tuple[tuple[Number, ...], ...]:
-    """Coerce a table to one kind: all-Fraction if possible, else all-float."""
-    table = [[_as_number(v) for v in row] for row in rows]
-    if any(isinstance(v, float) for row in table for v in row):
-        table = [[float(v) for v in row] for row in table]
-    return tuple(tuple(row) for row in table)
+def _homogeneous_table(rows) -> tuple[tuple[tuple[Number, ...], ...], list[list[float]]]:
+    """Coerce a table to one kind, all-Fraction if possible, else all-float; also its floats."""
+    pairs = [[_coerce(v) for v in row] for row in rows]
+    floats = [[f for _, f in row] for row in pairs]
+    if any(isinstance(v, float) for row in pairs for v, _ in row):
+        return tuple(tuple(row) for row in floats), floats
+    return tuple(tuple(v for v, _ in row) for row in pairs), floats
 
 
 def generic_model(lam, k: int, beta) -> LambdaModel:
@@ -112,16 +127,16 @@ def generic_model(lam, k: int, beta) -> LambdaModel:
     that range the weights, transfer matrices and difference set would hold
     infinities or NaN.
     """
-    table = _homogeneous_table(lam)
+    table, floats = _homogeneous_table(lam)
     q = len(table)
     if q < 2 or any(len(row) != q for row in table):
         raise ModelError("coupling table must be square with q >= 2")
-    beta = _as_number(beta)
+    beta, b = _coerce(beta)
     if not beta > 0:
         raise ModelError(f"inverse temperature must be positive, got {beta}")
     if k < 1:
         raise ModelError(f"tree order k must be >= 1, got {k}")
-    b, vals = float(beta), [float(v) for row in table for v in row]
+    vals = [v for row in floats for v in row]
     if not (all(math.isfinite(-b * v) for v in vals) and math.isfinite(b * (max(vals) - min(vals)))):
         raise ModelError("beta*lambda and beta*(max lambda - min lambda) must be finite floats")
     return LambdaModel(k=k, beta=beta, lam=table)
@@ -135,7 +150,7 @@ def potts_model(q: int, J, beta, k: int) -> LambdaModel:
     """
     if q < 2:
         raise ModelError(f"need q >= 2, got {q}")
-    J = _as_number(J)
+    J = _coerce(J)[0]
     jp = (q - 1) * J / q
     off = jp / (q - 1)
     lam = [[(-jp if i == j else off) for j in range(q)] for i in range(q)]
@@ -150,12 +165,11 @@ def markov_model(P, k: int) -> LambdaModel:
     on the matrix itself (the log table is necessarily floating) so
     multiplicative commensurability can be decided exactly.
     """
-    rows = _homogeneous_table(P)
+    rows, floats = _homogeneous_table(P)
     q = len(rows)
     if q < 2 or any(len(row) != q for row in rows):
         raise ModelError("stochastic matrix must be square with q >= 2")
     exact = isinstance(rows[0][0], Fraction)
-    floats = [[float(v) for v in row] for row in rows]
     errors = []
     for i, (row, frow) in enumerate(zip(rows, floats)):
         if any(not (p > 0) for p in frow):     # -log p must be finite
@@ -199,7 +213,7 @@ def _number_from_json(v) -> Number:
     if isinstance(v, bool):
         raise ModelError(f"bad numeric value {v!r}")
     if isinstance(v, (int, float)):
-        return _as_number(v)
+        return _coerce(v)[0]
     raise ModelError(f"bad numeric value {v!r}")
 
 

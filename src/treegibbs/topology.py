@@ -29,7 +29,8 @@ class Ball:
     is a contiguous range of (k+1)*k^(m-1) vertices for m >= 1, and shell m+1
     lists the children of shell m's vertices parent by parent, in shell-m
     order (``sweep_up``, ``marginalize`` and the consistency and Markov
-    residuals rely on this).  Vertex tables are built on first read:
+    residuals rely on this), so a vertex's parent and children have the
+    closed form ``_family``.  Vertex tables are built on first read:
     ``shells``, ``parent`` (-1 at the root), ``edges`` (one (parent, child)
     pair per non-root vertex), ``children`` and ``words``, the reduced words
     over generator labels 1..k+1 (no two adjacent letters equal) addressing
@@ -67,8 +68,7 @@ class Ball:
 
     @cached_property
     def parent(self) -> tuple[int, ...]:
-        # children come in blocks in parent order: the root's are 1..k+1, x >= 1's are k*x+2..k*x+k+1
-        return (-1,) + tuple(max(0, (y - 2) // self.k) for y in range(1, self.num_vertices))
+        return tuple(_family(self.k, y)[0] for y in range(self.num_vertices))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -76,10 +76,8 @@ class Ball:
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        children: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for x, y in self.edges:
-            children[x].append(y)
-        return tuple(tuple(c) for c in children)
+        interior = self._offsets[self.n]
+        return tuple(tuple(_family(self.k, x)[1]) if x < interior else () for x in range(self.num_vertices))
 
     @cached_property
     def words(self) -> tuple[tuple[int, ...], ...]:
@@ -95,6 +93,19 @@ class Ball:
         return {w: x for x, w in enumerate(self.words)}
 
 
+def _family(k: int, x: int) -> tuple[int, range]:
+    """Parent (-1 at the root) and children of vertex x of the order-k tree, in closed form.
+
+    Breadth-first indexing lists children in blocks, parent by parent: the
+    root's are 1..k+1 and those of x >= 1 are k*x+2..k*x+k+1, so y >= 1 has
+    parent max(0, (y-2)//k).  The children are those of the unbounded tree;
+    a ball's shell-n vertices have none.
+    """
+    if x == 0:
+        return -1, range(1, k + 2)
+    return max(0, (x - 2) // k), range(k * x + 2, k * x + k + 2)
+
+
 @lru_cache(maxsize=None)
 def build_ball(k: int, n: int) -> Ball:
     """The radius-n ball of the order-k Cayley tree, one shared instance per (k, n)."""
@@ -107,7 +118,8 @@ def sweep_up(ball: Ball, values: np.ndarray, message: Callable[[np.ndarray], np.
 
     ``values`` has shape (..., num_vertices, d); ``message`` maps a whole
     shell's rows, (..., shell size, d), to what they send their parents.
-    Returns a new array.
+    Returns a new array.  Field propagation uses it; the two-point
+    elimination repeats its float operations on the root paths only.
     """
     out = np.array(values, dtype=float)
     for m in range(ball.n - 1, -1, -1):
@@ -127,9 +139,9 @@ def distance(ball: Ball, x: int, y: int) -> int:
     d = 0
     while x != y:
         if ball.shell_of(x) >= ball.shell_of(y):
-            x = ball.parent[x]
+            x = _family(ball.k, x)[0]
         else:
-            y = ball.parent[y]
+            y = _family(ball.k, y)[0]
         d += 1
     return d
 

@@ -9,13 +9,15 @@ from treegibbs import classify, generic_model
 from treegibbs.classifier import (
     DEFAULT_FLOAT_TOL, DEFAULT_MAX_DEN, FloatLattice, MultiplicativeWitness, _coprime_base, _kind,
 )
-from treegibbs.fields import FixedPointResult, ReducedFieldAssignment, _extend, recursion_map, zero_fields
+from treegibbs.fields import (
+    FixedPointResult, ReducedFieldAssignment, _extend, _log_transfer, recursion_map, zero_fields,
+)
 from treegibbs.measures import (
     DEFAULT_CAP, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
     marginalize,
 )
 from treegibbs.model import ROW_SUM_TOL, LambdaModel, Number
-from treegibbs.topology import Ball
+from treegibbs.topology import Ball, sweep_up
 
 
 # Model files whose couplings have no finite float image, or whose log-weights
@@ -161,6 +163,31 @@ def enumerated_consistency_residual(
     prefix = ReducedFieldAssignment(inner, fields.hprime[:inner.num_vertices])
     mu_prev = finite_volume_measure(model, prefix, cap=cap)
     return float(np.max(np.abs(marg.probabilities() - mu_prev.probabilities())))
+
+
+def full_sweep_two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.ndarray:
+    """``two_point_correlation`` by eliminating the whole ball: every clamped value pair (only
+    the diagonal ones when x0 == x1) is one row of a single ``sweep_up`` over every vertex.
+
+    The library's function before it swept only the root paths of x0 and x1, kept as written
+    then; the two agree bit for bit.
+    """
+    ball = Ball(model.k, n)
+    nv = ball.num_vertices
+    if not (0 <= x0 < nv and 0 <= x1 < nv):
+        raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
+    q = model.q
+    a0, a1 = np.divmod(np.arange(q * q), q)
+    if x0 == x1:
+        a0, a1 = a0[a0 == a1], a1[a0 == a1]
+    clamped = np.zeros((len(a0), nv, q))
+    clamped[:, x0] = np.where(np.arange(q) == a0[:, None], 0.0, -np.inf)
+    clamped[:, x1] = np.where(np.arange(q) == a1[:, None], 0.0, -np.inf)
+    root = sweep_up(ball, clamped, lambda x: _log_transfer(model, x))[:, 0, :]
+    weights = np.exp(root - root.max()).sum(axis=-1)
+    joint = np.zeros((q, q))
+    joint[a0, a1] = weights / weights.sum()
+    return np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0)))
 
 
 def random_rational_table(rng: np.random.Generator, q: int):

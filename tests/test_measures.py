@@ -15,6 +15,7 @@ import treegibbs
 from treegibbs import (
     build_ball,
     consistency_residual,
+    correlation_decay,
     dlr_conditional,
     finite_volume_measure,
     generic_model,
@@ -31,10 +32,12 @@ from treegibbs.fields import ReducedFieldAssignment, _extend
 from treegibbs.measures import (
     BLOCK, DEFAULT_CAP, EnumerationCapError, _edge_energies, _logsumexp, _tv_to_first_column,
 )
+from treegibbs.topology import _family
 
 from conftest import (
-    enumerate_configs, enumerated_consistency_residual, per_term_dlr_conditional,
-    per_term_logweights, random_rational_model, relabeled, shifted, zero_field_markov_residual,
+    enumerate_configs, enumerated_consistency_residual, full_sweep_two_point_correlation,
+    per_term_dlr_conditional, per_term_logweights, random_rational_model, relabeled, shifted,
+    zero_field_markov_residual,
 )
 
 
@@ -642,6 +645,75 @@ def test_two_point_matches_enumeration():
                             assert np.allclose(
                                 two_point_correlation(m, x0, x1, n), defect_oracle, atol=1e-12
                             ), (q, k, n, x0, x1, m.lam)
+
+
+def elimination_model(kind: str, rng: np.random.Generator, q: int, k: int):
+    """A float, exact or (rational) Markov table for the two-point elimination tests."""
+    if kind == "float":
+        return generic_model(rng.uniform(-1.5, 1.5, size=(q, q)).tolist(), k, 0.7)
+    if kind == "exact":
+        return random_rational_model(rng, q, k)
+    counts = rng.integers(1, 9, size=(q, q))
+    return markov_model([[Fraction(int(c), int(row.sum())) for c in row] for row in counts], k)
+
+
+# every vertex pair on the balls of EVERY_PAIR (at most 17 vertices); on the
+# 81- to 161-vertex balls of SAMPLED, named pairs and a random sample
+EVERY_PAIR = {1: (0, 5), 2: (2,), 3: (2,), 9: (1,)}
+SAMPLED = {1: 40, 2: 5, 3: 4, 9: 2}
+
+
+@pytest.mark.parametrize("kind", ["float", "exact", "markov"])
+def test_two_point_equals_full_ball_sweep_bit_for_bit(kind):
+    rng = np.random.default_rng(["float", "exact", "markov"].index(kind))
+    for q in (2, 3, 4):
+        for k, radii in EVERY_PAIR.items():
+            m = elimination_model(kind, rng, q, k)
+            cases = [(x0, x1, n) for n in radii for x0 in range(build_ball(k, n).num_vertices)
+                     for x1 in range(build_ball(k, n).num_vertices)]
+            n = SAMPLED[k]
+            last = build_ball(k, n).num_vertices - 1
+            named = [(last, last), (_family(k, last)[0], last), (last, last - 1), (1, last), (0, last)]
+            cases += [(x0, x1, n) for x0, x1 in named + rng.integers(0, last + 1, (20, 2)).tolist()]
+            for x0, x1, n in cases:
+                assert np.array_equal(two_point_correlation(m, x0, x1, n),
+                                      full_sweep_two_point_correlation(m, x0, x1, n)), (q, k, n, x0, x1)
+
+
+@pytest.mark.parametrize("k,top", [(1, 6), (2, 6), (3, 6), (9, 3)])
+def test_correlation_decay_equals_full_ball_sweep_rows(k, top):
+    rng = np.random.default_rng(k)
+    for kind in ("float", "exact", "markov"):
+        m = elimination_model(kind, rng, 3, k)
+        for n in range(1, top + 1):
+            ball = build_ball(k, n)
+            rows = [(d, float(np.max(full_sweep_two_point_correlation(m, 0, ball.shell_slice(d).start, n))))
+                    for d in range(1, n + 1)]
+            assert correlation_decay(m, n) == rows, (kind, n)
+
+
+def test_two_point_memory_does_not_grow_with_the_ball():
+    # Potts q=3, k=2 at radius 20: 3,145,726 vertices, where one full-ball
+    # sweep of the 9 clamped pairs would hold 9 * 3 floats per vertex (680 MB)
+    m = potts_model(3, 1, 1, 2)
+    ball = build_ball(2, 20)
+    last = ball.num_vertices - 1
+    assert last + 1 == 3_145_726
+    tracemalloc.start()
+    try:
+        defect = two_point_correlation(m, 0, last, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "parent" not in vars(ball) and "children" not in vars(ball)
+    # the free-boundary law at distance 20: (1/q) M^20, M the row-normalised
+    # e^{-beta*lam}.  The root's log-weights grow with the ball (about 10^6
+    # here), so their differences carry an absolute error near |V| * 2^-52.
+    M = np.exp(m.log_weights)
+    M /= M.sum(axis=1, keepdims=True)
+    joint = np.linalg.matrix_power(M, 20) / 3
+    assert np.allclose(defect, np.abs(joint - 1 / 9), rtol=0, atol=ball.num_vertices * 2.0**-52)
 
 
 def test_two_point_decay_high_temperature():

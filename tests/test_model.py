@@ -152,6 +152,28 @@ def test_log_weights_cached_read_only():
         a[0, 0] = 1.0
 
 
+def test_lam_float_cached_read_only():
+    for m in (potts_model(3, Fraction(3, 2), Fraction(1, 2), 2), generic_model([[0.5, 1], [2, 0.25]], 2, 1)):
+        a = m.lam_float
+        assert a is m.lam_float
+        assert a.tolist() == [[float(v) for v in row] for row in m.lam]
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_number_errors_keep_their_text():
+    huge = Fraction(10**400)
+    for bad, text in ((huge, "numeric values must be finite, got a rational past the float range"),
+                      (math.nan, "numeric values must be finite, got nan"),
+                      ("1/2", "unsupported numeric value '1/2'")):
+        with pytest.raises(ModelError) as exc:
+            generic_model([[0, bad], [0, 0]], 2, 1)
+        assert str(exc.value) == text
+        with pytest.raises(ModelError) as exc:
+            generic_model([[0, 1], [1, 0]], 2, bad)
+        assert str(exc.value) == text
+
+
 def test_equal_models_are_equal_values_and_classify_builds_no_spin_set():
     a, b = potts_model(3, 1, 1, 2), potts_model(3, 1, 1, 2)
     classify(a)     # a's first-use caches enter neither equality nor the hash

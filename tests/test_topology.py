@@ -96,6 +96,14 @@ def test_distance_matches_bfs_oracle():
     assert distance(b, 5, 5) == 0
 
 
+def test_distance_reads_no_vertex_table():
+    b = build_ball.__wrapped__(2, 12)  # a fresh ball, with no table read yet
+    # vertex 1 lies under the root's first child, the last vertex under its last one
+    assert distance(b, 1, b.num_vertices - 1) == 13
+    assert distance(b, b.num_vertices - 1, b.num_vertices - 2) == 2
+    assert "parent" not in vars(b) and "children" not in vars(b)
+
+
 def test_two_w1_leaves_are_distance_two():
     b = build_ball(2, 1)
     x, y = b.shells[1][0], b.shells[1][1]
