@@ -41,7 +41,7 @@ import numpy as np
 
 from . import measures
 from .model import LambdaModel, _check_tol
-from .topology import Ball
+from .topology import Ball, _family
 
 DEFAULT_MAX_DEN = 10**6
 DEFAULT_FLOAT_TOL = 1e-9
@@ -373,22 +373,66 @@ def finite_volume_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct configuration energy levels beta*H over a ball, ascending, and their multiplicities.
 
-    The q^|V| energies are sorted in place and each run of equal values is
-    one level (what ``np.unique`` does after copying them).  The edge
+    Bit for bit the runs of the sorted q^|V| products beta*H, H the float sum
+    over v = 1, 2, ... (breadth-first) of lam(sigma_parent(v), sigma_v) from
+    +0.0; but configurations are grouped as they grow.  A group is ``code``,
+    the spins of the live vertices (children still to add; oldest digit
+    least significant, so code % q is the next vertex's parent), ``val``, its
+    partial sum, and ``cnt``.  Groups with equal code and val (never -0.0)
+    get the same float operations from then on, so they merge after each
+    step that adds a leaf or drops a parent.  The sums are sorted, not the
+    products, so where beta*H underflows a zero level is -0.0 if any of its
+    energies is (sorting the products left that sign to chance).
+    ``cap`` bounds q^|V| as for the enumerating measures.  The edge
     potential carries the opposite sign (its diagonal is -beta*lam), so the
     operator spectrum is the mirror image of this set; the difference set,
     which drives classification, is the same for both conventions.  Raises
     ValueError when an energy is not a finite float (finite couplings can
     sum past the float range).
     """
-    e = measures._edge_energies(model, ball, cap, model.beta_float)
-    e.sort()
+    q, k, nv = model.q, ball.k, ball.num_vertices
+    measures._check_cap(q, nv, cap)
+    lam = model.lam_float
+    interior = ball.shell_slice(-1).start        # vertices before it have children
+    live = min(interior, 1)                      # the root is live unless it is the whole ball
+    code, val, cnt = np.arange(q) * live, np.zeros(q), np.ones(q, dtype=np.int64)
+    for v in range(1, nv):
+        rows = lam.take(code % q, axis=0)        # the parent's row of lam, per group
+        rows += val[:, None]
+        val, cnt = rows.ravel(), np.repeat(cnt, q)
+        dropped = v == _family(k, _family(k, v)[0])[1][-1]      # v is its parent's last child
+        if dropped:
+            code //= q
+            live -= 1
+        if v < interior:                         # v is live: its spin is the newest digit
+            code = (code[:, None] + np.arange(q) * q**live).ravel()
+            live += 1
+            if not dropped:
+                continue                         # a new digit keeps the groups distinct
+        elif live:
+            code = np.repeat(code, q)
+        else:
+            break                                # v is the last vertex: the levels merge below
+        order = np.argsort(val)                  # then a stable radix sort by the narrowed code
+        order = order[np.argsort(code.astype(np.min_scalar_type(q**live))[order], kind="stable")]
+        code, val, cnt = code[order], val[order], cnt[order]
+        starts = _run_starts(val, code)
+        code, val, cnt = code[starts], val[starts], np.add.reduceat(cnt, starts)
+    order = np.argsort(val)
+    e, cnt = val[order] * model.beta_float, cnt[order]
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):    # sorting puts inf and NaN at the ends
         raise ValueError("the energies beta*H over the ball are not all finite floats")
-    first = np.empty(e.size, dtype=bool)         # True where a level starts
-    first[0] = True
-    np.not_equal(e[1:], e[:-1], out=first[1:])
-    return e[first], np.diff(np.flatnonzero(first), append=e.size)
+    starts = _run_starts(e)
+    return e[starts], np.add.reduceat(cnt, starts)
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where a run of equal entries (equal in every key) starts, in arrays sorted by the keys."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
 
 
 def spectrum_lattice_check(

@@ -5,10 +5,12 @@ breadth-first vertex order, root digit most significant, so marginalizing
 to a smaller ball is a reshape.  A boundary field h'_x enters only as the
 log-weight it gives spin sigma(x), read as ``fields`` reads it (0 for spin
 q-1).  Everything here is exact (no sampling); past the enumeration cap an
-operation fails loudly.  One kernel, ``_edge_energies``, builds every
-energy vector, and no configuration matrix: it grows the q^|V| vector one
-vertex at a time, then scales it and adds the per-vertex terms block by
-cache-sized block.  The consistency
+operation fails loudly (``_check_cap``, which the spectrum shares).  One
+kernel, ``_edge_energies``, builds every energy vector, and no
+configuration matrix: it grows the q^|V| vector one vertex at a time, then
+scales it and adds the per-vertex terms block by cache-sized block.  The
+spectrum builds none: it groups configurations by partial energy
+(``classifier.finite_volume_spectrum``).  The consistency
 residual sums shell n out leaf by leaf, so it enumerates only V_{n-1};
 ``finite_volume_measure`` and ``marginalize`` enumerate V_n and are its
 oracle, called by no command.  The two-point correlation uses exact leaf
@@ -57,6 +59,18 @@ def _logsumexp(a: np.ndarray, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
+def _check_cap(q: int, num_vertices: int, cap: int) -> None:
+    """Refuse more than min(cap, 2^63 - 1) configurations, before any array is built.
+
+    Configuration indices and multiplicities are int64.  Past 63 vertices
+    q^|V| >= 2^64 is over every cap, and the power is not formed.
+    """
+    limit = min(cap, 2**63 - 1)
+    if num_vertices > 63 or q**num_vertices > limit:
+        count = "" if num_vertices > 63 else f" = {q**num_vertices}"
+        raise EnumerationCapError(f"{q}^{num_vertices}{count} configurations exceed the enumeration cap {limit}")
+
+
 def _edge_energies(model: LambdaModel, ball: Ball, cap: int, scale: float, terms=()) -> np.ndarray:
     """scale*H(sigma) plus table[sigma_x] for each (x, table) of ``terms``, per configuration index.
 
@@ -74,8 +88,7 @@ def _edge_energies(model: LambdaModel, ball: Ball, cap: int, scale: float, terms
     repeated over its run of q^(|V|-1-x) entries, then tiled): one add each.
     """
     q, nv = model.q, ball.num_vertices
-    if q**nv > cap:
-        raise EnumerationCapError(f"{q}^{nv} = {q**nv} configurations exceed the enumeration cap {cap}")
+    _check_cap(q, nv, cap)
     lam = model.lam_float
     e = np.zeros(q)
     for u, v in ball.edges:

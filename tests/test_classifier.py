@@ -22,11 +22,12 @@ from treegibbs import (
     potts_theta,
     spectrum_lattice_check,
 )
-from treegibbs.fields import check_unordered, ti_fixed_points
+from treegibbs.fields import check_unordered, ti_fixed_points, zero_fields
+from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, finite_volume_measure
 
 from conftest import (
-    fraction_gcd_lattice, fraction_multiplicative_witness, pairwise_lattice_check, random_rational_model,
-    relabeled, set_commensurability_float, set_difference_set, shifted,
+    enumerated_spectrum, fraction_gcd_lattice, fraction_multiplicative_witness, pairwise_lattice_check,
+    random_rational_model, relabeled, set_commensurability_float, set_difference_set, shifted,
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -459,6 +460,122 @@ def test_lattice_check_memory_is_linear_in_the_levels(table):
         tracemalloc.stop()
     assert (g is None, ok) == ((True, False) if table == "float-noise" else (False, True))
     assert peak < 2 * 2**20
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A ball with q <= 4, k <= 3, n <= 3 and q^|V| <= 2^14, and a model of one table family.
+
+    Float tables get signed zeros.  "overflow" tables are finite couplings whose
+    energies, or their beta multiples, leave the float range.  No energy beta*H
+    underflows to zero, where the enumeration's sort would pick the sign of a zero
+    level arbitrarily.
+    """
+    q, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    n = draw(st.sampled_from([n for n in range(4) if q ** build_ball(k, n).num_vertices <= 2**14]))
+    family = draw(st.sampled_from(["exact", "noise", "sqrt2", "markov", "potts", "overflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta = draw(st.sampled_from([0.75, 1.0, 1e-300]))
+    if family == "exact":
+        lam = [[Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 8))) for _ in range(q)]
+               for _ in range(q)]
+        model = generic_model(lam, k, Fraction(int(rng.integers(1, 4)), 2))
+    elif family == "markov":
+        model = markov_model([[Fraction(int(v), int(r.sum())) for v in r] for r in rng.integers(1, 10, (q, q))], k)
+    elif family == "potts":                      # a float J = 0.0 puts -0.0 on the diagonal
+        model = potts_model(q, draw(st.sampled_from([Fraction(5, 4), 1.25, 0.0])), beta, k)
+    elif family == "overflow":
+        scale, beta = draw(st.sampled_from([(1e308, 1.0), (1e308, 1e-300), (1e300, 1e8)]))
+        model = generic_model((scale * rng.choice([-1, 1]) * rng.uniform(0.5, 1, (q, q))).tolist(), k, beta)
+    else:
+        if family == "noise":
+            lam = rng.uniform(-2, 2, (q, q))
+        else:
+            lam = rng.integers(-6, 7, (q, q)) * SQRT2 / int(rng.integers(1, 4))
+        zeros = rng.random((q, q)) < 0.25
+        lam[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+        model = generic_model(lam.tolist(), k, beta)
+    return model, build_ball(k, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_cases())
+def test_grouped_spectrum_matches_enumeration(case):
+    # the bytes of sorting all q^|V| energies: levels, multiplicities and their
+    # dtype, or the same ValueError
+    model, ball = case
+    with np.errstate(over="ignore"):
+        try:
+            want = enumerated_spectrum(model, ball)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                finite_volume_spectrum(model, ball)
+            assert str(got.value) == str(exc)
+            return
+        levels, counts = finite_volume_spectrum(model, ball)
+    assert levels.tobytes() == want[0].tobytes()
+    assert counts.dtype == want[1].dtype and counts.tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("table", ["float-noise", "exact-fine-lattice", "potts"])
+def test_grouped_spectrum_matches_enumeration_at_the_cap(table):
+    # q=4, k=2, n=2: 2^20 configurations, the most the default cap enumerates, on
+    # the two tables of the memory test above (52,023 and 89,541 levels) and a
+    # Potts table of 10 levels
+    rng = np.random.default_rng(7)
+    if table == "float-noise":
+        m = generic_model(rng.uniform(-2, 2, (4, 4)).tolist(), 2, 0.75)
+    elif table == "exact-fine-lattice":
+        m = generic_model([[Fraction(int(rng.integers(-10**4, 10**4)), 97) for _ in range(4)]
+                           for _ in range(4)], 2, 1)
+    else:
+        m = potts_model(4, Fraction(5, 4), 1, 2)
+    levels, counts = finite_volume_spectrum(m, build_ball(2, 2))
+    want = enumerated_spectrum(m, build_ball(2, 2))
+    assert levels.tobytes() == want[0].tobytes() and counts.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("q,k,n,cap", [(2, 2, 3, 2**22), (3, 1, 6, 3**13), (3, 2, 2, DEFAULT_CAP),
+                                       (5, 1, 3, DEFAULT_CAP)])
+def test_potts_spectrum_known_answer(q, k, n, cap):
+    # J = q/(q-1), so J' = (q-1)J/q = 1: an edge of equal spins gives -1, one of
+    # unequal spins 1/(q-1), dyadic for these q, so every float sum is exact.
+    # With j of the |E| edges unequal the level is beta*(j*q/(q-1) - |E|), with
+    # multiplicity q * C(|E|, j) * (q-1)^j.  The first two balls are past the
+    # default cap, but small enough that a grouping which stopped merging would
+    # still fit in memory.
+    ball = build_ball(k, n)
+    edges = ball.num_vertices - 1
+    beta = Fraction(1, 2)
+    levels, counts = finite_volume_spectrum(potts_model(q, Fraction(q, q - 1), beta, k), ball, cap=cap)
+    assert levels.tolist() == [float(beta * (Fraction(j * q, q - 1) - edges)) for j in range(edges + 1)]
+    assert counts.tolist() == [q * math.comb(edges, j) * (q - 1) ** j for j in range(edges + 1)]
+    assert sum(counts.tolist()) == q**ball.num_vertices <= cap
+
+
+def test_zero_level_sign_does_not_depend_on_the_sort():
+    # beta*H underflows to -0.0 for a negative H and to +0.0 for a positive
+    # one; the level they share is -0.0, and +0.0 only when no energy is -0.0
+    mixed = generic_model([[-1e-300, 1e-300], [0.0, 2.0]], 1, 1e-300)
+    levels, counts = finite_volume_spectrum(mixed, build_ball(1, 1))
+    assert levels.tobytes() == np.array([-0.0, 2e-300, 4e-300]).tobytes() and counts.tolist() == [5, 2, 1]
+    positive = generic_model([[1e-300] * 2] * 2, 1, 1e-300)
+    levels, counts = finite_volume_spectrum(positive, build_ball(1, 1))
+    assert levels.tobytes() == np.array([0.0]).tobytes() and counts.tolist() == [8]
+
+
+def test_spectrum_cap_is_checked_before_any_array():
+    # 2^141 configurations on the k=1 chain of radius 70: within the cap asked for,
+    # but past the int64 multiplicities (2^63 - 1), so refused before any array
+    # is built; the measures share the check
+    ball = build_ball(1, 70)
+    model = potts_model(2, 1, 1, 1)
+    with pytest.raises(EnumerationCapError, match="enumeration cap 9223372036854775807"):
+        finite_volume_spectrum(model, ball, cap=10**50)
+    with pytest.raises(EnumerationCapError, match="enumeration cap"):
+        finite_volume_spectrum(potts_model(2, 1, 1, 2), build_ball(2, 3), cap=2**21)
+    with pytest.raises(EnumerationCapError, match="enumeration cap 9223372036854775807"):
+        finite_volume_measure(model, zero_fields(ball, 2), cap=10**50)
 
 
 # --- the lattice witness: the q x q exponent table --------------------------

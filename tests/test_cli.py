@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -561,7 +562,11 @@ def test_spectrum_report(potts3, capsys):
     assert sum(l["multiplicity"] for l in report["levels"]) == 3**4
 
 
-def test_spectrum_enumerates_once(potts3, monkeypatch, capsys):
+def test_spectrum_builds_no_energy_vector(potts3, monkeypatch, capsys):
+    # the spectrum groups configurations by partial energy and calls the
+    # enumeration kernel zero times; on an exact dyadic q=4, k=2, n=2 table
+    # (2^20 configurations, whose energy vector alone is 8 MiB; about 270
+    # levels) it peaks below 1 MiB
     calls = []
     edge_energies = measures._edge_energies
 
@@ -572,7 +577,28 @@ def test_spectrum_enumerates_once(potts3, monkeypatch, capsys):
     monkeypatch.setattr(measures, "_edge_energies", counting)
     code, _ = run(capsys, ["spectrum", "--model", potts3, "--n", "1"])
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == 0
+    rng = np.random.default_rng(0)
+    lam = [[Fraction(int(rng.integers(-6, 7)), int(rng.choice([1, 2, 4]))) for _ in range(4)] for _ in range(4)]
+    m = treegibbs.generic_model(lam, 2, Fraction(2, 3))
+    tracemalloc.start()
+    try:
+        levels, counts = treegibbs.finite_volume_spectrum(m, topology.build_ball(2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2**20 and len(levels) > 100
+    assert peak < 2**20
+
+
+def test_spectrum_past_int64_multiplicities_exits_3(tmp_path, capsys):
+    # Potts q=2 on the k=1 chain of radius 70: 141 vertices are within --cap
+    # 10**50, but 2^141 configurations are past the int64 multiplicities
+    path = write(tmp_path, "chain.json", {"kind": "potts", "q": 2, "k": 1, "beta": "1/1", "J": "1/1"})
+    out = tmp_path / "report.json"
+    code = main(["spectrum", "--model", path, "--n", "70", "--cap", str(10**50), "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert "enumeration cap" in capsys.readouterr().err
 
 
 def test_spectrum_uses_max_den(tmp_path, capsys):

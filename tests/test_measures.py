@@ -199,9 +199,9 @@ def test_blocked_terms_match_one_pass_per_term():
 
 
 def test_spectrum_and_probabilities_allocate_about_one_vector():
-    # Potts q=4, k=2, n=2: the spectrum sorts its own energy vector in place
-    # and marks level starts in a boolean mask, so besides the energies only
-    # their 1/q-size predecessor (while they grow) and the mask are alive;
+    # Potts q=4, k=2, n=2: the spectrum groups configurations by partial
+    # energy and builds no energy vector, so it stays far below the bound
+    # that sorting one in place met;
     # probabilities() exponentiates its one vector in place and checks it
     # through a boolean mask.  Slack as in the enumeration test above
     m = potts_model(4, Fraction(5, 4), 1, 2)
