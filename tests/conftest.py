@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from treegibbs import classify, generic_model
@@ -188,6 +189,40 @@ def full_sweep_two_point_correlation(model: LambdaModel, x0: int, x1: int, n: in
     joint = np.zeros((q, q))
     joint[a0, a1] = weights / weights.sum()
     return np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0)))
+
+
+def as_mpf(x: Number) -> mpmath.mpf:
+    """A Fraction or a float as an mpf, exactly (at the working precision for a Fraction)."""
+    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x)
+
+
+def mp_correlation_decay(model: LambdaModel, n: int, dps: int = 50) -> list:
+    """``correlation_decay`` at ``dps`` digits from the stored table, in the probability domain.
+
+    w_m(j) is the weight of the subtree below a shell-m vertex at spin j (1 on shell n),
+    t_m(i) = sum_j e^{-beta*lam[i][j]} w_m(j), w_{m-1} = t_m^k, the shell-m kernel is
+    K_m[i, j] = e^{-beta*lam[i][j]} w_m(j) / t_m(i), and the root law is proportional to
+    t_1^{k+1}.  Row d is max_ij p_0(i)*|C_d[i, j]|, with C_d = C_{d-1}(K_d - 1 p_d^T) from
+    C_0 = I - 1 p_0^T, which at 50 digits holds every digit a float defect can.  Rows are mpf.
+    """
+    q, k = model.q, model.k
+    with mpmath.workdps(dps):
+        beta = as_mpf(model.beta)
+        e = [[mpmath.exp(-beta * as_mpf(v)) for v in row] for row in model.lam]
+        w, kernels = [mpmath.mpf(1)] * q, []
+        for _ in range(n):
+            t = [mpmath.fsum(e[i][j] * w[j] for j in range(q)) for i in range(q)]
+            kernels.append(mpmath.matrix([[e[i][j] * w[j] / t[i] for j in range(q)] for i in range(q)]))
+            w = [x**k for x in t]
+        root = [x ** (k + 1) for x in t]
+        p = mpmath.matrix([[x / mpmath.fsum(root) for x in root]])
+        p0, ones = list(p), mpmath.ones(q, 1)
+        centred, rows = mpmath.eye(q) - ones * p, []
+        for d, kernel in enumerate(reversed(kernels), 1):
+            p = p * kernel
+            centred = centred * (kernel - ones * p)
+            rows.append((d, max(p0[i] * abs(centred[i, j]) for i in range(q) for j in range(q))))
+    return rows
 
 
 def enumerated_spectrum(model: LambdaModel, ball: Ball, cap: int = DEFAULT_CAP):

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,9 +36,9 @@ from treegibbs.measures import (
 from treegibbs.topology import _family
 
 from conftest import (
-    enumerate_configs, enumerated_consistency_residual, full_sweep_two_point_correlation,
-    per_term_dlr_conditional, per_term_logweights, random_rational_model, relabeled, shifted,
-    zero_field_markov_residual,
+    as_mpf, enumerate_configs, enumerated_consistency_residual, full_sweep_two_point_correlation,
+    mp_correlation_decay, per_term_dlr_conditional, per_term_logweights, random_rational_model,
+    relabeled, shifted, zero_field_markov_residual,
 )
 
 
@@ -682,14 +683,101 @@ def test_two_point_equals_full_ball_sweep_bit_for_bit(kind):
 
 @pytest.mark.parametrize("k,top", [(1, 6), (2, 6), (3, 6), (9, 3)])
 def test_correlation_decay_equals_full_ball_sweep_rows(k, top):
+    # the full-ball sweep subtracts P(i)*P(j) from a joint formed from log-weights that grow
+    # with the ball, so its own absolute error is about |V| * 2^-52
     rng = np.random.default_rng(k)
     for kind in ("float", "exact", "markov"):
         m = elimination_model(kind, rng, 3, k)
         for n in range(1, top + 1):
             ball = build_ball(k, n)
-            rows = [(d, float(np.max(full_sweep_two_point_correlation(m, 0, ball.shell_slice(d).start, n))))
+            want = [np.max(full_sweep_two_point_correlation(m, 0, ball.shell_slice(d).start, n))
                     for d in range(1, n + 1)]
-            assert correlation_decay(m, n) == rows, (kind, n)
+            rows = correlation_decay(m, n)
+            assert [d for d, _ in rows] == list(range(1, n + 1))
+            assert np.allclose([v for _, v in rows], want, rtol=0, atol=ball.num_vertices * 2.0**-52), (kind, n)
+
+
+def free_law_rows(M: mpmath.matrix, n: int) -> list:
+    """Max |(1/q) M^d - 1/q^2| for d = 1..n, the free-boundary defect of a doubly stochastic M."""
+    q = M.rows
+    power, rows = mpmath.eye(q), []
+    for _ in range(n):
+        power = power * M
+        rows.append(max(abs(power[i, j] / q - mpmath.mpf(1) / q**2) for i in range(q) for j in range(q)))
+    return rows
+
+
+def potts_law_matrix(m) -> mpmath.matrix:
+    """The row-normalised e^{-beta*lam} of a Potts model with beta = 1, at 60 digits."""
+    with mpmath.workdps(60):
+        e = [[mpmath.exp(-as_mpf(v)) for v in row] for row in m.lam]
+        return mpmath.matrix([[x / mpmath.fsum(row) for x in row] for row in e])
+
+
+def doubly_stochastic_tables(rng: np.random.Generator, q: int, k: int):
+    """Potts tables across both signs of J, with |k*lambda_2| up to about 2.96, and strictly
+    positive circulant stochastic matrices (sum_r c_r S^r, S the cyclic shift), each with the
+    exact M of its law."""
+    for J in (Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(5)):
+        m = potts_model(q, J, 1, k)
+        yield m, potts_law_matrix(m)
+    for _ in range(3):
+        c = rng.integers(1, 9, size=q)
+        P = [[Fraction(int(c[(j - i) % q]), int(c.sum())) for j in range(q)] for i in range(q)]
+        with mpmath.workdps(60):
+            M = mpmath.matrix([[as_mpf(v) for v in row] for row in P])
+        yield markov_model(P, k), M
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_correlation_decay_follows_the_free_law_relatively(q):
+    # every row within 1e-12 relative of (1/q) M^d, at 60 digits: the centred product keeps
+    # small defects as accurate as large ones.  Rows of these tables are permutations of one
+    # another, so the zero field is an exact fixed point of the stored float table too.
+    rng = np.random.default_rng(q)
+    for k in (1, 2, 3):
+        for m, M in doubly_stochastic_tables(rng, q, k):
+            with mpmath.workdps(60):
+                want = free_law_rows(M, 20)
+            rows = correlation_decay(m, 20)
+            err = max(abs(v / w - 1) for (_, v), w in zip(rows, want))
+            assert err <= 1e-12, (q, k, m.lam, float(err))
+
+
+@pytest.mark.parametrize("kind", ["float", "exact", "markov"])
+def test_correlation_decay_matches_a_50_digit_root_path_product(kind):
+    rng = np.random.default_rng(["float", "exact", "markov"].index(kind) + 40)
+    for q in (2, 3, 4):
+        for k in (1, 2, 3):
+            m = elimination_model(kind, rng, q, k)
+            for n in (1, 6, 20):
+                rows, want = correlation_decay(m, n), mp_correlation_decay(m, n)
+                assert [d for d, _ in rows] == [d for d, _ in want]
+                err = max((abs(v / w - 1) for (_, v), (_, w) in zip(rows, want) if w > 1e-250), default=0)
+                assert err <= 1e-9, (q, k, n, m.lam, float(err))
+
+
+def test_correlation_decay_at_radius_1000():
+    # no ball is built, and kernels and rows take O(n*q^2) memory.  At J = 5 the free
+    # state is unstable under the recursion (k*lambda_2 = 1.96): rounding left in the
+    # subtree weights would grow to an ordered state well inside 1,000 shells.
+    for J in (1, 5):
+        m = potts_model(3, J, 1, 2)
+        tracemalloc.start()
+        try:
+            rows = correlation_decay(m, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert [d for d, _ in rows] == list(range(1, 1001))
+        values = np.array([v for _, v in rows])
+        assert np.all(np.isfinite(values)) and np.all(values >= 0)
+        with mpmath.workdps(60):
+            want = free_law_rows(potts_law_matrix(m), 30)
+        assert max(abs(v / w - 1) for v, w in zip(values, want)) <= 1e-12, J
+    ball = build_ball(2, 1000)
+    assert not {"shells", "parent", "edges", "children", "words"} & set(vars(ball))
 
 
 def test_two_point_memory_does_not_grow_with_the_ball():
