@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import measures
-from .model import LambdaModel, _check_tol
+from .model import LambdaModel, _check_tol, _kind
 from .topology import Ball, _family
 
 DEFAULT_MAX_DEN = 10**6
@@ -54,15 +54,6 @@ CAVEAT_INCOMMENSURABLE = (
     "no common lattice generator found; this is the necessary-condition "
     "pattern for type III_1, not a proof of it"
 )
-
-
-def _kind(model: LambdaModel) -> str:
-    """The kind of a model's coupling differences: its classifier route and ``evidence["kind"]``."""
-    if model.is_exact:
-        return "exact-rational"
-    if model.provenance == "markov" and all(isinstance(v, Fraction) for row in model.P for v in row):
-        return "symbolic-log-rational"
-    return "float"
 
 
 def difference_set(model: LambdaModel) -> tuple:
@@ -373,31 +364,35 @@ def finite_volume_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct configuration energy levels beta*H over a ball, ascending, and their multiplicities.
 
-    Bit for bit the runs of the sorted q^|V| products beta*H, H the float sum
-    over v = 1, 2, ... (breadth-first) of lam(sigma_parent(v), sigma_v) from
-    +0.0; but configurations are grouped as they grow.  A group is ``code``,
-    the spins of the live vertices (children still to add; oldest digit
-    least significant, so code % q is the next vertex's parent), ``val``, its
-    partial sum, and ``cnt``.  Groups with equal code and val (never -0.0)
-    get the same float operations from then on, so they merge after each
-    step that adds a leaf or drops a parent.  The sums are sorted, not the
-    products, so where beta*H underflows a zero level is -0.0 if any of its
-    energies is (sorting the products left that sign to chance).
-    ``cap`` bounds q^|V| as for the enumerating measures.  The edge
-    potential carries the opposite sign (its diagonal is -beta*lam), so the
-    operator spectrum is the mirror image of this set; the difference set,
-    which drives classification, is the same for both conventions.  Raises
-    ValueError when an energy is not a finite float (finite couplings can
-    sum past the float range).
+    Configurations are grouped as they grow.  A group is ``code``, the spins
+    of the live vertices (children still to add; oldest digit least
+    significant, so code % q is the next vertex's parent), ``val``, its
+    partial sum, and ``cnt``; groups with equal code and val get the same
+    operations from then on, so they merge after each step that adds a leaf
+    or drops a parent.  On the exact routes with a lattice (``classify``'s
+    exponent table m) the sums are of the integers m - m_a, a an entry where
+    m is least: equal energies merge exactly, one level per lattice point,
+    each formed once as |E|*beta*lam_a + g*s (correctly rounded on an exact
+    table).  On the float route, and where a sum or a level's integers could
+    pass 2^53, they are float sums of lam from +0.0 over v = 1, 2, ...
+    (breadth-first; never -0.0), which rounding can split, and the levels
+    are bit for bit the runs of the sorted q^|V| products beta*H; the sums
+    are sorted, not the products, so where beta*H underflows a zero level
+    is -0.0 if any of its energies is.  ``cap`` bounds q^|V| as for
+    the enumerating measures.  The edge potential carries the opposite sign
+    (its diagonal is -beta*lam), so the operator spectrum is the mirror
+    image of this set; the difference set, which drives classification, is
+    the same for both conventions.  Raises ValueError when an energy is not
+    a finite float (finite couplings can sum past the float range).
     """
     q, k, nv = model.q, ball.k, ball.num_vertices
     measures._check_cap(q, nv, cap)
-    lam = model.lam_float
+    table, level = _lattice_sums(model, nv - 1) or (model.lam_float, lambda s: s * model.beta_float)
     interior = ball.shell_slice(-1).start        # vertices before it have children
     live = min(interior, 1)                      # the root is live unless it is the whole ball
-    code, val, cnt = np.arange(q) * live, np.zeros(q), np.ones(q, dtype=np.int64)
+    code, val, cnt = np.arange(q) * live, np.zeros(q, table.dtype), np.ones(q, dtype=np.int64)
     for v in range(1, nv):
-        rows = lam.take(code % q, axis=0)        # the parent's row of lam, per group
+        rows = table.take(code % q, axis=0)      # the parent's row of the table, per group
         rows += val[:, None]
         val, cnt = rows.ravel(), np.repeat(cnt, q)
         dropped = v == _family(k, _family(k, v)[0])[1][-1]      # v is its parent's last child
@@ -419,11 +414,36 @@ def finite_volume_spectrum(
         starts = _run_starts(val, code)
         code, val, cnt = code[starts], val[starts], np.add.reduceat(cnt, starts)
     order = np.argsort(val)
-    e, cnt = val[order] * model.beta_float, cnt[order]
+    val, cnt = val[order], cnt[order]
+    starts = _run_starts(val)
+    e, cnt = level(val[starts]), np.add.reduceat(cnt, starts)
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):    # sorting puts inf and NaN at the ends
         raise ValueError("the energies beta*H over the ball are not all finite floats")
-    starts = _run_starts(e)
+    starts = _run_starts(e)                      # distinct sums can round to one level
     return e[starts], np.add.reduceat(cnt, starts)
+
+
+def _lattice_sums(model: LambdaModel, edges: int):
+    """(t, level) on an exact route with a lattice: the int64 table t = m - m_a, a an entry
+    where the exponent table m is least, and the map from a sum s of t over ``edges`` edges
+    to its level edges*beta*lam_a + g*s, as (num + step*s)/den in integers on an exact
+    table.  None on the float route, and where s or those integers could pass 2^53."""
+    if _kind(model) == "float" or (c := classify(model)).exponents is None:
+        return None
+    flat = [e for row in c.exponents for e in row]
+    low = min(flat)
+    top = edges * (max(flat) - low)              # the largest sum
+    at = flat.index(low)
+    base, g = edges * model.beta * model.lam[at // model.q][at % model.q], c.generator or 0
+    if model.is_exact:                           # in integers over a common denominator
+        den = math.lcm(base.denominator, g.denominator)
+        num, step = base.numerator * (den // base.denominator), g.numerator * (den // g.denominator)
+    else:                                        # a rational Markov matrix: floats
+        num, step, den = base, g, 1
+    if max(abs(num), abs(num + step * top), den, top) >= 2**53:
+        return None
+    table = np.array(flat, dtype=np.int64).reshape(model.q, model.q) - low
+    return table, lambda s: (num + step * s) / den
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ operation fails loudly (``_check_cap``, which the spectrum shares).  One
 kernel, ``_edge_energies``, builds every energy vector, and no
 configuration matrix: it grows the q^|V| vector one vertex at a time, then
 scales it and adds the per-vertex terms block by cache-sized block.  The
-spectrum builds none: it groups configurations by partial energy
-(``classifier.finite_volume_spectrum``).  The consistency
-residual sums shell n out leaf by leaf, so it enumerates only V_{n-1};
+spectrum builds none: it groups configurations by partial energy, an
+integer sum on the exact lattice routes
+(``classifier.finite_volume_spectrum``).  The consistency residual sums
+shell n out leaf by leaf, so it enumerates only V_{n-1};
 ``finite_volume_measure`` and ``marginalize`` enumerate V_n and are its
 oracle, called by no command.  The two-point correlation uses exact leaf
 elimination over the root paths of its two vertices only (every other
@@ -19,7 +20,7 @@ vertex of a shell sends one shared message), so it reaches radii the cap
 forbids, in time and memory that do not grow with the ball.  The
 correlation decay builds no ball at all: along a root path the zero-field
 spins form a Markov chain, and one pass multiplies its n centred q x q
-kernels.
+kernels (each one P itself for a rational stochastic matrix P).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import ReducedFieldAssignment, _extend, _log_transfer, _shifted_terms
-from .model import LambdaModel
+from .model import LambdaModel, _kind
 from .topology import Ball, _family, build_ball
 
 DEFAULT_CAP = 2**20
@@ -321,13 +322,19 @@ def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:
     The root law is p_0 proportional to e^{(k+1)*shared_1}.  Row d is
     max_ij p_0(i)*|C_d[i, j]| with C_d = K_1...K_d - 1 p_d^T formed as the
     centred product C_d = C_{d-1}(K_d - 1 p_d^T) from C_0 = I - 1 p_0^T, so
-    a defect keeps its relative accuracy however small it is.  O(n*q^3) in
-    all, with no ball built.
+    a defect keeps its relative accuracy however small it is.  On a rational
+    stochastic matrix P, e^{-beta*lam} is P, whose rows sum to 1 exactly:
+    every val is 0, so every K_m is the float P and p_0 is uniform, with no
+    rounding of e^{-lam} compounded through the subtree weights.  O(n*q^3)
+    in all, with no ball built.
     """
     if n < 0:
         raise ValueError(f"need ball radius n >= 0, got {n}")
     kernels, val, root = [], np.zeros(model.q), np.zeros(model.q)
-    for _ in range(n):                          # shells n down to 1
+    if _kind(model) == "symbolic-log-rational":
+        # every val is 0: no subtree weights to recur
+        kernels = [np.array(model.P, dtype=float)] * n
+    for _ in range(n - len(kernels)):           # shells n down to 1
         top, terms = _shifted_terms(model, val)
         # each row summed in sorted order: rows that are permutations of one another (Potts)
         # get equal sums, where rounding left in val would grow by k*lambda_2 per shell

@@ -92,6 +92,15 @@ class LambdaModel:
         return a
 
 
+def _kind(model: LambdaModel) -> str:
+    """The kind of a model's coupling differences: its classifier route and ``evidence["kind"]``."""
+    if model.is_exact:
+        return "exact-rational"
+    if model.provenance == "markov" and all(isinstance(v, Fraction) for row in model.P for v in row):
+        return "symbolic-log-rational"
+    return "float"
+
+
 def _coerce(x) -> tuple[Number, float]:
     """ints/Fractions as Fraction, floats kept floating, each with its float, which must be finite.
 

@@ -198,6 +198,8 @@ def as_mpf(x: Number) -> mpmath.mpf:
 
 def mp_correlation_decay(model: LambdaModel, n: int, dps: int = 50) -> list:
     """``correlation_decay`` at ``dps`` digits from the stored table, in the probability domain.
+    On a rational stochastic matrix e^{-beta*lam} is P itself, taken exactly; the stored
+    -log p are its float roundings.
 
     w_m(j) is the weight of the subtree below a shell-m vertex at spin j (1 on shell n),
     t_m(i) = sum_j e^{-beta*lam[i][j]} w_m(j), w_{m-1} = t_m^k, the shell-m kernel is
@@ -209,6 +211,8 @@ def mp_correlation_decay(model: LambdaModel, n: int, dps: int = 50) -> list:
     with mpmath.workdps(dps):
         beta = as_mpf(model.beta)
         e = [[mpmath.exp(-beta * as_mpf(v)) for v in row] for row in model.lam]
+        if _kind(model) == "symbolic-log-rational":
+            e = [[as_mpf(p) for p in row] for row in model.P]
         w, kernels = [mpmath.mpf(1)] * q, []
         for _ in range(n):
             t = [mpmath.fsum(e[i][j] * w[j] for j in range(q)) for i in range(q)]
@@ -240,6 +244,38 @@ def enumerated_spectrum(model: LambdaModel, ball: Ball, cap: int = DEFAULT_CAP):
     first[0] = True
     np.not_equal(e[1:], e[:-1], out=first[1:])
     return e[first], np.diff(np.flatnonzero(first), append=e.size)
+
+
+def regrouped_spectrum(model: LambdaModel, ball: Ball, generator, cap: int = DEFAULT_CAP):
+    """``enumerated_spectrum`` regrouped on the lattice generator*Z: its levels e with equal
+    rint((e - e_0)/generator), e_0 the lowest, are one level (all of them are without a
+    generator).  Returns the exact values of those levels, ascending, and their multiplicities.
+
+    A level's exact value is the energy beta*H of one of its configurations: a Fraction on an
+    exact table, and a 50-digit mpf, -sum log p over the edges, on a rational Markov matrix.
+    """
+    def classes(e, low):
+        if generator is None:
+            return np.zeros(e.size, dtype=np.int64)
+        return np.rint((e - low) / float(generator)).astype(np.int64)
+
+    levels, counts = enumerated_spectrum(model, ball, cap)
+    ids, where = np.unique(classes(levels, levels[0]), return_inverse=True)
+    multiplicity = np.zeros(ids.size, dtype=np.int64)
+    np.add.at(multiplicity, where, counts)
+    e = _edge_energies(model, ball, cap, model.beta_float)
+    seen, first = np.unique(classes(e, levels[0]), return_index=True)
+    assert np.array_equal(seen, ids)
+    exact = []
+    for index in first.tolist():
+        sigma = np.unravel_index(index, (model.q,) * ball.num_vertices)
+        if model.is_exact:
+            exact.append(model.beta * energy(model, ball, sigma))
+        else:
+            with mpmath.workdps(50):
+                exact.append(-mpmath.fsum(mpmath.log(as_mpf(model.P[sigma[u]][sigma[v]]))
+                                          for u, v in ball.edges))
+    return exact, multiplicity.tolist()
 
 
 def random_rational_table(rng: np.random.Generator, q: int):

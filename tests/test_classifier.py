@@ -27,7 +27,8 @@ from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, finite_volume_m
 
 from conftest import (
     enumerated_spectrum, fraction_gcd_lattice, fraction_multiplicative_witness, pairwise_lattice_check,
-    random_rational_model, relabeled, set_commensurability_float, set_difference_set, shifted,
+    random_rational_model, regrouped_spectrum, relabeled, set_commensurability_float, set_difference_set,
+    shifted,
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -451,7 +452,8 @@ def test_lattice_check_memory_is_linear_in_the_levels(table):
         m = generic_model([[Fraction(int(rng.integers(-10**4, 10**4)), 97) for _ in range(4)]
                            for _ in range(4)], 2, 1)
     levels, counts = finite_volume_spectrum(m, build_ball(2, 2))
-    assert len(levels) > 50_000 and counts.sum() == 2**20
+    # the exact table's levels are integer sums of its exponent table, one per lattice point
+    assert len(levels) == (52_023 if table == "float-noise" else 27_961) and counts.sum() == 2**20
     tracemalloc.start()
     try:
         ok, g, _ = spectrum_lattice_check(m, levels)
@@ -501,9 +503,17 @@ def spectrum_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(spectrum_cases())
 def test_grouped_spectrum_matches_enumeration(case):
-    # the bytes of sorting all q^|V| energies: levels, multiplicities and their
-    # dtype, or the same ValueError
+    # on the float route, the bytes of sorting all q^|V| energies: levels,
+    # multiplicities and their dtype, or the same ValueError; on an exact route
+    # with a lattice, those energies regrouped on it
     model, ball = case
+    c = classify(model)
+    if c.evidence["kind"] != "float" and c.exponents is not None:
+        levels, counts = finite_volume_spectrum(model, ball)
+        exact, multiplicity = regrouped_spectrum(model, ball, c.generator)
+        assert counts.dtype == np.int64 and counts.tolist() == multiplicity
+        assert np.allclose(levels, [float(v) for v in exact], rtol=1e-9, atol=0)
+        return
     with np.errstate(over="ignore"):
         try:
             want = enumerated_spectrum(model, ball)
@@ -520,8 +530,9 @@ def test_grouped_spectrum_matches_enumeration(case):
 @pytest.mark.parametrize("table", ["float-noise", "exact-fine-lattice", "potts"])
 def test_grouped_spectrum_matches_enumeration_at_the_cap(table):
     # q=4, k=2, n=2: 2^20 configurations, the most the default cap enumerates, on
-    # the two tables of the memory test above (52,023 and 89,541 levels) and a
-    # Potts table of 10 levels
+    # the two tables of the memory test above and a Potts table of 10 levels.  The
+    # float table's 52,023 levels are the enumeration's bytes; the exact one's 88,252
+    # float sums are 27,961 lattice levels, each its exact value rounded once.
     rng = np.random.default_rng(7)
     if table == "float-noise":
         m = generic_model(rng.uniform(-2, 2, (4, 4)).tolist(), 2, 0.75)
@@ -531,6 +542,10 @@ def test_grouped_spectrum_matches_enumeration_at_the_cap(table):
     else:
         m = potts_model(4, Fraction(5, 4), 1, 2)
     levels, counts = finite_volume_spectrum(m, build_ball(2, 2))
+    if table == "exact-fine-lattice":
+        exact, multiplicity = regrouped_spectrum(m, build_ball(2, 2), classify(m).generator)
+        assert counts.tolist() == multiplicity and levels.tolist() == [float(v) for v in exact]
+        return
     want = enumerated_spectrum(m, build_ball(2, 2))
     assert levels.tobytes() == want[0].tobytes() and counts.tobytes() == want[1].tobytes()
 
@@ -551,6 +566,93 @@ def test_potts_spectrum_known_answer(q, k, n, cap):
     assert levels.tolist() == [float(beta * (Fraction(j * q, q - 1) - edges)) for j in range(edges + 1)]
     assert counts.tolist() == [q * math.comb(edges, j) * (q - 1) ** j for j in range(edges + 1)]
     assert sum(counts.tolist()) == q**ball.num_vertices <= cap
+
+
+def test_potts_spectrum_levels_are_not_split_by_rounding():
+    # Potts q=3, k=2, beta = J = 1 at n = 2: an edge of equal spins gives -2/3 and one of
+    # unequal spins 1/3, so with j of the 9 edges unequal beta*H = j - 6.  Float partial
+    # sums of thirds split these 10 levels into 32; the exponent sums do not.
+    levels, counts = finite_volume_spectrum(potts_model(3, 1, 1, 2), build_ball(2, 2))
+    assert levels.tolist() == [float(j - 6) for j in range(10)]
+    assert counts.tolist() == [3 * math.comb(9, j) * 2**j for j in range(10)]
+
+
+@st.composite
+def lattice_spectrum_cases(draw):
+    """A ball with q <= 4, k <= 3, n <= 3 and q^|V| <= 2^14, and an exact table, an exact
+    Potts table, or a rational Markov matrix: with a lattice (rows permutations of the
+    weights alpha^e), or with random rows, whose ratios seldom lie on one."""
+    q, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    n = draw(st.sampled_from([n for n in range(4) if q ** build_ball(k, n).num_vertices <= 2**14]))
+    family = draw(st.sampled_from(["exact", "potts", "markov-lattice", "markov-random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fraction(lo, hi, den):
+        return Fraction(int(rng.integers(lo, hi + 1)), int(rng.integers(1, den + 1)))
+
+    if family == "exact":
+        model = generic_model([[fraction(-20, 20, 7) for _ in range(q)] for _ in range(q)], k,
+                              fraction(1, 3, 3))
+    elif family == "potts":
+        model = potts_model(q, fraction(-8, 8, 4), fraction(1, 3, 3), k)
+    elif family == "markov-lattice":
+        model = markov_model(lattice_stochastic(rng, q), k)
+    else:
+        model = markov_model([[Fraction(int(v), int(r.sum())) for v in r] for r in rng.integers(1, 10, (q, q))], k)
+    return model, build_ball(k, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_spectrum_cases())
+def test_exact_route_spectrum_is_the_regrouped_enumeration(case):
+    # with a lattice, one level per lattice point: the multiplicities of the enumerated
+    # energies regrouped on it, each level within 1e-12 relative of its Fraction value on
+    # exact tables and 1e-9 of its 50-digit value on Markov matrices; without one (a Markov
+    # matrix of rank >= 2), the float route's bytes
+    model, ball = case
+    c = classify(model)
+    levels, counts = finite_volume_spectrum(model, ball)
+    if c.exponents is None:
+        want = enumerated_spectrum(model, ball)
+        assert levels.tobytes() == want[0].tobytes() and counts.tolist() == want[1].tolist()
+        return
+    exact, multiplicity = regrouped_spectrum(model, ball, c.generator)
+    assert counts.tolist() == multiplicity and sum(multiplicity) == model.q**ball.num_vertices
+    rtol = 1e-12 if model.is_exact else 1e-9
+    assert len(levels) == len(exact)
+    for level, value in zip(levels.tolist(), exact):
+        assert abs(level - value) <= rtol * abs(value), (level, value)
+
+
+@pytest.mark.parametrize("lam", [
+    [[0, 1], [Fraction(1, 10**22), 0]],      # exponents near 10^22, past int64
+    [[0, 1], [2**62, -2**62]],               # exponent sums past 2^53
+    [[Fraction(1, 10**400), 0], [0, 0]],     # a common denominator past the float range
+    [[Fraction(1, 10**310), 1], [0, 0]],
+])
+def test_exact_tables_past_the_integer_sums_take_the_float_route(lam):
+    # where an exponent sum, or an integer of its map to a level, could pass 2^53, the
+    # spectrum is grouped on the float sums: the enumeration's bytes
+    model = generic_model(lam, 2, 1)
+    levels, counts = finite_volume_spectrum(model, build_ball(2, 1))
+    want = enumerated_spectrum(model, build_ball(2, 1))
+    assert levels.tobytes() == want[0].tobytes() and counts.tolist() == want[1].tolist()
+
+
+def test_constant_float_table_keeps_the_float_route():
+    # classify calls a constant float table II1 with "exact" confidence, but its kind is
+    # "float": nine float sums of 0.1 are 0.8999999999999999, where 9 * 0.1 is 0.9
+    model = generic_model([[0.1] * 2] * 2, 2, 1.0)
+    assert (classify(model).confidence, classify(model).evidence["kind"]) == ("exact", "float")
+    levels, counts = finite_volume_spectrum(model, build_ball(2, 2))
+    assert levels.tolist() == [0.8999999999999999] and counts.tolist() == [2**10]
+
+
+@pytest.mark.parametrize("lam", [[[10**308] * 2] * 2,[[10**308, 10**307], [0, 10**308]]])
+def test_exact_energies_past_the_float_range_are_refused(lam):
+    # finite exact couplings whose energies overflow: the float route's error, constant or not
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not all finite floats"):
+        finite_volume_spectrum(generic_model(lam, 2, 1), build_ball(2, 1))
 
 
 def test_zero_level_sign_does_not_depend_on_the_sort():

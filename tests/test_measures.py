@@ -698,12 +698,14 @@ def test_correlation_decay_equals_full_ball_sweep_rows(k, top):
 
 
 def free_law_rows(M: mpmath.matrix, n: int) -> list:
-    """Max |(1/q) M^d - 1/q^2| for d = 1..n, the free-boundary defect of a doubly stochastic M."""
+    """Max_ij |(1/q) M^d_ij - (1/q) p_d(j)| for d = 1..n, p_d = (1/q) 1^T M^d: the free-boundary
+    defect of a stochastic M under a uniform root law (p_d(j) = 1/q when M is doubly stochastic)."""
     q = M.rows
     power, rows = mpmath.eye(q), []
     for _ in range(n):
         power = power * M
-        rows.append(max(abs(power[i, j] / q - mpmath.mpf(1) / q**2) for i in range(q) for j in range(q)))
+        col = [mpmath.fsum(power[i, j] for i in range(q)) / q for j in range(q)]
+        rows.append(max(abs(power[i, j] - col[j]) / q for i in range(q) for j in range(q)))
     return rows
 
 
@@ -742,6 +744,20 @@ def test_correlation_decay_follows_the_free_law_relatively(q):
             rows = correlation_decay(m, 20)
             err = max(abs(v / w - 1) for (_, v), w in zip(rows, want))
             assert err <= 1e-12, (q, k, m.lam, float(err))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [20, 40])
+def test_correlation_decay_follows_the_law_of_a_rational_markov_matrix(k, n):
+    # rows that are not permutations of one another: the rows of P sum to 1 exactly, so the
+    # zero-field law is (1/q) P^d with a uniform root, while e^{-lam} of the stored float
+    # table has row sums off 1 by rounding, which the subtree weights would compound
+    P = [[Fraction(v, 18) for v in row] for row in [[8, 7, 3], [9, 8, 1], [1, 3, 14]]]
+    with mpmath.workdps(60):
+        want = free_law_rows(mpmath.matrix([[as_mpf(v) for v in row] for row in P]), n)
+    rows = correlation_decay(markov_model(P, k), n)
+    assert [d for d, _ in rows] == list(range(1, n + 1))
+    assert max(abs(v / w - 1) for (_, v), w in zip(rows, want)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["float", "exact", "markov"])
