@@ -79,7 +79,8 @@ def _log_transfer(model: LambdaModel, x: np.ndarray) -> np.ndarray:
     """log sum_j e^{-beta*lam[i][j] + x_j} for each row i, over the last axis of x.
 
     Max-shifted, so large values stay finite; -inf entries are allowed while
-    each vector keeps a finite one.  F and the two-point elimination share it.
+    each vector keeps a finite one.  F and the consistency residual's summed-out
+    shell share it.
     """
     top, terms = _shifted_terms(model, x)
     return top[..., 0] + np.log(terms.sum(axis=-1))

@@ -14,25 +14,23 @@ integer sum on the exact lattice routes
 (``classifier.finite_volume_spectrum``).  The consistency residual sums
 shell n out leaf by leaf, so it enumerates only V_{n-1};
 ``finite_volume_measure`` and ``marginalize`` enumerate V_n and are its
-oracle, called by no command.  The two-point correlation uses exact leaf
-elimination over the root paths of its two vertices only (every other
-vertex of a shell sends one shared message), so it reaches radii the cap
-forbids, in time and memory that do not grow with the ball.  The
-correlation decay builds no ball at all: along a root path the zero-field
-spins form a Markov chain, and one pass multiplies its n centred q x q
-kernels (each one P itself for a rational stochastic matrix P).
+oracle, called by no command.  The two-point quantities build no ball at
+all: the zero-field spins form a Markov chain down every root path, with
+one q x q kernel per shell (P itself for a rational stochastic matrix P),
+and the correlation decay and every pair defect are centred products of
+those n kernels (``_root_path``, ``_centred``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .fields import ReducedFieldAssignment, _extend, _log_transfer, _shifted_terms
 from .model import LambdaModel, _kind
-from .topology import Ball, _family, build_ball
+from .topology import Ball, _meet, build_ball
 
 DEFAULT_CAP = 2**20
 BLOCK = 2**14    # entries of a configuration vector that one pass keeps in cache at a time
@@ -259,77 +257,20 @@ def _tv_to_first_column(cond: np.ndarray) -> float:
     return float(0.5 * np.max(np.sum(np.abs(cond, out=cond), axis=0)))
 
 
-def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.ndarray:
-    """Correlation-defect matrix |P(s(x0)=i, s(x1)=j) - P(s(x0)=i) P(s(x1)=j)|.
+def _root_path(model: LambdaModel, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Root law p_0 and child-given-parent kernels [K_1..K_n] of the zero-field measure at radius n.
 
-    Computed under the zero-field measure at radius n by exact leaf
-    elimination, each clamped value pair (only the diagonal ones when
-    x0 == x1) one row.  Only the root paths of x0 and x1, at most 2n+1
-    vertices, are swept.  Every other vertex of shell m holds one shared
-    value, 0 on shell n and below it the sum of k copies of shell m+1's
-    shared message, so that message is computed once per shell.  A path
-    vertex adds to its clamped row its children's messages summed in child
-    order: the float operations ``topology.sweep_up`` performs on it over
-    the whole ball.  So a pair costs O(n) small steps, and the memory does
-    not grow with the ball.
+    Every vertex of shell m roots the same subtree, so one kernel serves the
+    shell, and along a root path the spins form a Markov chain.  Walking
+    shell n down to 1, ``val`` is the log-weight of the subtree below an
+    unclamped shell-m vertex, its maximum subtracted so it stays O(1), and
+    K_m[i, j] = e^{-beta*lam[i][j] + val_j - shared_i}, shared_i = log sum_j
+    of its numerator.  The root law is proportional to e^{(k+1)*shared_1}.
+    On a rational stochastic matrix P, e^{-beta*lam} is P, whose rows sum to
+    1 exactly: every val is 0, so every K_m is the float P and p_0 is
+    uniform, with no rounding of e^{-lam} compounded through the subtree
+    weights.  No ball is built.
     """
-    ball = build_ball(model.k, n)
-    nv = ball.num_vertices
-    if not (0 <= x0 < nv and 0 <= x1 < nv):
-        raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
-    q, k = model.q, model.k
-    a0, a1 = np.divmod(np.arange(q * q), q)
-    if x0 == x1:
-        a0, a1 = a0[a0 == a1], a1[a0 == a1]
-    rows = {}                                   # path vertex -> its clamped rows
-    for x, a in ((x0, a0), (x1, a1)):
-        rows[x] = np.where(np.arange(q) == a[:, None], 0.0, -np.inf)
-        while x:
-            x = _family(k, x)[0]
-            rows.setdefault(x, np.zeros((len(a0), q)))
-    shared = [None] * (n + 1)                   # shared[m]: what an off-path shell-m vertex sends
-    value = np.zeros(q)                         # an off-path vertex's value, 0 on shell n
-    for m in range(n, 0, -1):
-        shared[m] = _log_transfer(model, value)
-        value = np.zeros(q)
-        for _ in range(k):
-            value += shared[m]
-    sent = {}
-    for x in sorted(rows, reverse=True):        # breadth-first indexing: children before parents
-        m = ball.shell_of(x)
-        if m < n:
-            total = np.zeros_like(rows[x])
-            for y in _family(k, x)[1]:
-                total += sent.get(y, shared[m + 1])
-            rows[x] += total
-        if x:
-            sent[x] = _log_transfer(model, rows[x])
-    root = rows[0]
-    weights = np.exp(root - root.max()).sum(axis=-1)
-    joint = np.zeros((q, q))
-    joint[a0, a1] = weights / weights.sum()
-    return np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0)))
-
-
-def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:
-    """Max correlation defect between the root and a vertex at each distance 1..n.
-
-    Under the zero-field measure the spins along a root path form a Markov
-    chain.  Walking shell n down to 1, ``val`` is the log-weight of the
-    subtree below an unclamped shell-m vertex, its maximum subtracted so it
-    stays O(1), and K_m[i, j] = e^{-beta*lam[i][j] + val_j - shared_i} is the
-    shell-m child-given-parent kernel, shared_i = log sum_j of its numerator.
-    The root law is p_0 proportional to e^{(k+1)*shared_1}.  Row d is
-    max_ij p_0(i)*|C_d[i, j]| with C_d = K_1...K_d - 1 p_d^T formed as the
-    centred product C_d = C_{d-1}(K_d - 1 p_d^T) from C_0 = I - 1 p_0^T, so
-    a defect keeps its relative accuracy however small it is.  On a rational
-    stochastic matrix P, e^{-beta*lam} is P, whose rows sum to 1 exactly:
-    every val is 0, so every K_m is the float P and p_0 is uniform, with no
-    rounding of e^{-lam} compounded through the subtree weights.  O(n*q^3)
-    in all, with no ball built.
-    """
-    if n < 0:
-        raise ValueError(f"need ball radius n >= 0, got {n}")
     kernels, val, root = [], np.zeros(model.q), np.zeros(model.q)
     if _kind(model) == "symbolic-log-rational":
         # every val is 0: no subtree weights to recur
@@ -343,11 +284,49 @@ def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:
         root = shared - shared.max()
         val = model.k * root
     p = np.exp((model.k + 1) * root)
-    p /= p.sum()
-    weight, centred = p[:, None], np.eye(model.q) - p
-    rows = []
-    for d, kernel in enumerate(reversed(kernels), 1):
+    return p / p.sum(), kernels[::-1]
+
+
+def _centred(p: np.ndarray, kernels: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """C_0 = I - 1 p^T, then per kernel C_d = K_1...K_d - 1 p_d^T as the centred product
+    C_{d-1}(K_d - 1 p_d^T), p_d = p K_1...K_d: small entries keep their relative accuracy."""
+    centred = np.eye(len(p)) - p
+    yield centred
+    for kernel in kernels:
         p = p @ kernel
         centred = centred @ (kernel - p)
-        rows.append((d, float(np.max(weight * np.abs(centred)))))
-    return rows
+        yield centred
+
+
+def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.ndarray:
+    """Correlation-defect matrix |P(s(x0)=i, s(x1)=j) - P(s(x0)=i) P(s(x1)=j)|.
+
+    Under the zero-field measure at radius n: given the spin of their nearest
+    common ancestor w, on shell m with law p_w = p_0 K_1...K_m (``_root_path``),
+    the two spins are independent, so the defect is (p_w * C_a)^T C_b, C_a and
+    C_b the centred products (``_centred``) of K_{m+1}... down to x0 and x1,
+    a and b shells below w.  O(n*q^3), with no vertex table built.
+    """
+    ball = build_ball(model.k, n)
+    nv = ball.num_vertices
+    if not (0 <= x0 < nv and 0 <= x1 < nv):
+        raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
+    p, kernels = _root_path(model, n)
+    m, s0, s1 = (ball.shell_of(x) for x in (_meet(ball, x0, x1), x0, x1))
+    for kernel in kernels[:m]:
+        p = p @ kernel
+    centred = list(_centred(p, kernels[m:max(s0, s1)]))
+    return np.abs((p[:, None] * centred[s0 - m]).T @ centred[s1 - m])
+
+
+def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:
+    """Max correlation defect between the root and a vertex at each distance 1..n.
+
+    Row d is max_ij p_0(i)*|C_d[i, j]|, p_0 and the kernels from ``_root_path``
+    and C_d their centred product (``_centred``).  O(n*q^3), with no ball built.
+    """
+    if n < 0:
+        raise ValueError(f"need ball radius n >= 0, got {n}")
+    p, kernels = _root_path(model, n)
+    weight = p[:, None]
+    return [(d, float(np.max(weight * np.abs(c)))) for d, c in enumerate(_centred(p, kernels)) if d]

@@ -118,8 +118,7 @@ def sweep_up(ball: Ball, values: np.ndarray, message: Callable[[np.ndarray], np.
 
     ``values`` has shape (..., num_vertices, d); ``message`` maps a whole
     shell's rows, (..., shell size, d), to what they send their parents.
-    Returns a new array.  Field propagation uses it; the two-point
-    elimination repeats its float operations on the root paths only.
+    Returns a new array.  Field propagation uses it.
     """
     out = np.array(values, dtype=float)
     for m in range(ball.n - 1, -1, -1):
@@ -131,19 +130,22 @@ def sweep_up(ball: Ball, values: np.ndarray, message: Callable[[np.ndarray], np.
     return out
 
 
-def distance(ball: Ball, x: int, y: int) -> int:
-    """Graph distance between two vertices of the ball."""
-    nv = ball.num_vertices
-    if not (0 <= x < nv and 0 <= y < nv):
-        raise ValueError(f"vertex out of range: ({x}, {y})")
-    d = 0
-    while x != y:
-        if ball.shell_of(x) >= ball.shell_of(y):
+def _meet(ball: Ball, x: int, y: int) -> int:
+    """Nearest common ancestor of vertices x and y (no vertex table built)."""
+    while x != y:               # breadth-first indexing: the larger index is at least as deep
+        if x > y:
             x = _family(ball.k, x)[0]
         else:
             y = _family(ball.k, y)[0]
-        d += 1
-    return d
+    return x
+
+
+def distance(ball: Ball, x: int, y: int) -> int:
+    """Graph distance between two vertices of the ball: down from their nearest common ancestor."""
+    nv = ball.num_vertices
+    if not (0 <= x < nv and 0 <= y < nv):
+        raise ValueError(f"vertex out of range: ({x}, {y})")
+    return ball.shell_of(x) + ball.shell_of(y) - 2 * ball.shell_of(_meet(ball, x, y))
 
 
 def vertex_from_word(ball: Ball, word: tuple[int, ...]) -> int:

@@ -171,7 +171,8 @@ def full_sweep_two_point_correlation(model: LambdaModel, x0: int, x1: int, n: in
     the diagonal ones when x0 == x1) is one row of a single ``sweep_up`` over every vertex.
 
     The library's function before it swept only the root paths of x0 and x1, kept as written
-    then; the two agree bit for bit.
+    then.  It subtracts P(i)*P(j) from a joint formed from log-weights that grow with the
+    ball, so it is an oracle to about |V| * 2^-52 in absolute terms.
     """
     ball = Ball(model.k, n)
     nv = ball.num_vertices

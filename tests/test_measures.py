@@ -17,6 +17,7 @@ from treegibbs import (
     build_ball,
     consistency_residual,
     correlation_decay,
+    distance,
     dlr_conditional,
     finite_volume_measure,
     generic_model,
@@ -649,7 +650,7 @@ def test_two_point_matches_enumeration():
 
 
 def elimination_model(kind: str, rng: np.random.Generator, q: int, k: int):
-    """A float, exact or (rational) Markov table for the two-point elimination tests."""
+    """A float, exact or (rational) Markov table for the two-point tests."""
     if kind == "float":
         return generic_model(rng.uniform(-1.5, 1.5, size=(q, q)).tolist(), k, 0.7)
     if kind == "exact":
@@ -664,21 +665,96 @@ EVERY_PAIR = {1: (0, 5), 2: (2,), 3: (2,), 9: (1,)}
 SAMPLED = {1: 40, 2: 5, 3: 4, 9: 2}
 
 
+def two_point_cases(rng: np.random.Generator, k: int) -> list:
+    """(x0, x1, n): every vertex pair on the balls of EVERY_PAIR, and on the ball of SAMPLED
+    named pairs (a leaf with itself, its parent, its sibling, a root child and the root) and 20
+    random ones."""
+    cases = [(x0, x1, n) for n in EVERY_PAIR[k] for x0 in range(build_ball(k, n).num_vertices)
+             for x1 in range(build_ball(k, n).num_vertices)]
+    n = SAMPLED[k]
+    last = build_ball(k, n).num_vertices - 1
+    named = [(last, last), (_family(k, last)[0], last), (last, last - 1), (1, last), (0, last)]
+    return cases + [(x0, x1, n) for x0, x1 in named + rng.integers(0, last + 1, (20, 2)).tolist()]
+
+
 @pytest.mark.parametrize("kind", ["float", "exact", "markov"])
-def test_two_point_equals_full_ball_sweep_bit_for_bit(kind):
+def test_two_point_matches_the_full_ball_sweep(kind):
+    # the full-ball sweep subtracts P(i)*P(j) from a joint formed from log-weights that grow
+    # with the ball, so its own absolute error is about |V| * 2^-52
     rng = np.random.default_rng(["float", "exact", "markov"].index(kind))
     for q in (2, 3, 4):
-        for k, radii in EVERY_PAIR.items():
+        for k in EVERY_PAIR:
             m = elimination_model(kind, rng, q, k)
-            cases = [(x0, x1, n) for n in radii for x0 in range(build_ball(k, n).num_vertices)
-                     for x1 in range(build_ball(k, n).num_vertices)]
-            n = SAMPLED[k]
-            last = build_ball(k, n).num_vertices - 1
-            named = [(last, last), (_family(k, last)[0], last), (last, last - 1), (1, last), (0, last)]
-            cases += [(x0, x1, n) for x0, x1 in named + rng.integers(0, last + 1, (20, 2)).tolist()]
+            for x0, x1, n in two_point_cases(rng, k):
+                assert np.allclose(two_point_correlation(m, x0, x1, n),
+                                   full_sweep_two_point_correlation(m, x0, x1, n),
+                                   rtol=0, atol=build_ball(k, n).num_vertices * 2.0**-52), (q, k, n, x0, x1)
+
+
+def centred_powers(M: mpmath.matrix, n: int) -> list:
+    """C_d = (I - J/q) M^d = M^d - J/q for d = 0..n, M doubly stochastic (J all ones), at 60
+    digits.  Formed one product at a time, so no digits cancel however small C_d gets."""
+    q = M.rows
+    with mpmath.workdps(60):
+        powers = [mpmath.eye(q) - mpmath.ones(q) / q]
+        for _ in range(n):
+            powers.append(powers[-1] * M)
+    return powers
+
+
+def pair_law(powers: list, a: int, b: int) -> np.ndarray:
+    """|(1/q)(M^a)^T M^b - 1/q^2| = |C_a^T C_b| / q: the zero-field defect of two vertices a and b
+    shells below their nearest common ancestor, for the doubly stochastic M of ``centred_powers``."""
+    q = powers[0].rows
+    with mpmath.workdps(60):
+        law = powers[a].T * powers[b] / q
+        return np.array([[float(abs(law[i, j])) for j in range(q)] for i in range(q)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_two_point_follows_the_free_law_relatively(q):
+    # within 1e-12 of the law's largest entry at every pair of the full-sweep cases, out to
+    # distance 80 (defects near 1e-100): the centred products keep small defects as accurate
+    # as large ones.  (Relative to the largest entry: a circulant law can hold exact zeros.)
+    # On the circulant tables every kernel is the float P, itself circulant.
+    rng = np.random.default_rng(q + 10)
+    for k in EVERY_PAIR:
+        cases = two_point_cases(rng, k)
+        for m, M in doubly_stochastic_tables(rng, q, k):
+            powers, laws = centred_powers(M, SAMPLED[k]), {}
             for x0, x1, n in cases:
-                assert np.array_equal(two_point_correlation(m, x0, x1, n),
-                                      full_sweep_two_point_correlation(m, x0, x1, n)), (q, k, n, x0, x1)
+                ball = build_ball(k, n)
+                meet = (ball.shell_of(x0) + ball.shell_of(x1) - distance(ball, x0, x1)) // 2
+                a, b = ball.shell_of(x0) - meet, ball.shell_of(x1) - meet
+                if (a, b) not in laws:
+                    laws[a, b] = pair_law(powers, a, b)
+                err = np.max(np.abs(two_point_correlation(m, x0, x1, n) - laws[a, b]))
+                assert err <= 1e-12 * np.max(laws[a, b]), (q, k, n, x0, x1, m.lam)
+
+
+def test_two_point_stays_in_the_free_state_at_low_temperature():
+    # at J = 5 the free state is unstable under the recursion (k*lambda_2 = 1.96): rounding
+    # left between the rows of the subtree weights grows into an ordered state, an all-zero defect
+    got = np.max(two_point_correlation(potts_model(3, 5, 1, 2), 0, 1, 60))
+    assert got == pytest.approx(0.21778998590297824, rel=1e-12, abs=0)
+    # distance 40 at J = 1: the first and last vertex of shell 20 meet at the root
+    m = potts_model(3, 1, 1, 2)
+    shell = build_ball(2, 20).shell_slice(20)
+    want = pair_law(centred_powers(potts_law_matrix(m), 20), 20, 20)
+    assert np.allclose(two_point_correlation(m, shell.start, shell.stop - 1, 20), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["float", "exact", "markov"])
+def test_two_point_root_pairs_give_the_correlation_decay_rows(kind):
+    rng = np.random.default_rng(["float", "exact", "markov"].index(kind) + 20)
+    for q in (2, 3, 4):
+        for k in (1, 2, 3):
+            m = elimination_model(kind, rng, q, k)
+            for n in (1, 6, 12):
+                ball = build_ball(k, n)
+                got = [np.max(two_point_correlation(m, 0, ball.shell_slice(d).start, n)) for d in range(1, n + 1)]
+                want = [v for _, v in correlation_decay(m, n)]
+                assert np.allclose(got, want, rtol=1e-12, atol=0), (q, k, n, m.lam)
 
 
 @pytest.mark.parametrize("k,top", [(1, 6), (2, 6), (3, 6), (9, 3)])
@@ -811,13 +887,9 @@ def test_two_point_memory_does_not_grow_with_the_ball():
         tracemalloc.stop()
     assert peak < 2**20
     assert "parent" not in vars(ball) and "children" not in vars(ball)
-    # the free-boundary law at distance 20: (1/q) M^20, M the row-normalised
-    # e^{-beta*lam}.  The root's log-weights grow with the ball (about 10^6
-    # here), so their differences carry an absolute error near |V| * 2^-52.
-    M = np.exp(m.log_weights)
-    M /= M.sum(axis=1, keepdims=True)
-    joint = np.linalg.matrix_power(M, 20) / 3
-    assert np.allclose(defect, np.abs(joint - 1 / 9), rtol=0, atol=ball.num_vertices * 2.0**-52)
+    # the free-boundary law at distance 20: |(1/q) M^20 - 1/q^2|, M the row-normalised e^{-beta*lam}
+    want = pair_law(centred_powers(potts_law_matrix(m), 20), 0, 20)
+    assert np.allclose(defect, want, rtol=1e-12, atol=0)
 
 
 def test_two_point_decay_high_temperature():
