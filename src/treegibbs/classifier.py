@@ -352,11 +352,16 @@ def classify(
 
 
 def potts_theta(q: int, J, beta) -> float:
-    """The Potts lattice base exp(-beta * J' q/(q-1)) with J' = (q-1)J/q (= e^{-beta J})."""
+    """Potts lattice base exp(-beta * J' q/(q-1)) = e^{-beta J}, J' = (q-1)J/q; J, beta and it must be finite."""
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    jp = (q - 1) * J / q
-    return math.exp(-float(beta) * float(jp) * q / (q - 1))
+    try:
+        values = float(J), float(beta), math.exp(-float(beta) * float((q - 1) * J / q) * q / (q - 1))
+    except OverflowError:
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"J, beta and e^(-beta*J) must be finite floats, got J={J}, beta={beta}")
+    return values[-1]
 
 
 def finite_volume_spectrum(

@@ -166,10 +166,8 @@ def marginalize(mu: FiniteVolumeMeasure, to_level: int) -> FiniteVolumeMeasure:
     """Exact marginal of a finite-volume measure on the smaller ball of radius to_level.
 
     No command calls this; it is the enumeration oracle of ``consistency_residual``."""
-    if to_level >= mu.ball.n:
-        raise ValueError(f"marginal level {to_level} must be below {mu.ball.n}")
-    if to_level < 0:
-        raise ValueError("marginal level must be >= 0")
+    if not 0 <= to_level < mu.ball.n:
+        raise ValueError(f"marginal level must be in 0..{mu.ball.n - 1}, got {to_level}")
     sub = build_ball(mu.ball.k, to_level)
     keep = sub.num_vertices
     block = mu.logweights.reshape(mu.q**keep, -1)
@@ -201,30 +199,6 @@ def consistency_residual(
         logw = _edge_energies(model, inner, cap, -model.beta_float, zip(inner.shells[n - 1], rim_tables))
         probs.append(FiniteVolumeMeasure(inner, model.q, logw, float(_logsumexp(logw))).probabilities())
     return float(np.max(np.abs(probs[0] - probs[1])))
-
-
-def dlr_conditional(
-    model: LambdaModel, ball: Ball, omega: Sequence[int], cap: int = DEFAULT_CAP
-) -> np.ndarray:
-    """Conditional distribution on the interior V_n given boundary spins one shell out.
-
-    ``ball`` has radius n+1 and ``omega`` fixes its outermost shell (shell
-    order).  Returns the normalized probability vector over interior
-    configurations: proportional to exp(-beta*(H(sigma) + U(sigma, omega))).
-    """
-    if ball.n < 1:
-        raise ValueError("need a ball of radius >= 1 for a conditioning layer")
-    outer = ball.shells[ball.n]
-    if len(omega) != len(outer):
-        raise ValueError(f"boundary configuration must cover {len(outer)} vertices, got {len(omega)}")
-    q = model.q
-    if any(not (0 <= s < q) for s in omega):
-        raise ValueError(f"boundary spins outside 0..{q - 1}")
-    inner = build_ball(ball.k, ball.n - 1)
-    # -beta*lam(sigma_x, omega_y) summed over the outer children y of each interior-boundary x
-    tables = model.log_weights[:, np.asarray(omega).reshape(len(inner.shells[-1]), -1)].sum(-1)
-    e = _edge_energies(model, inner, cap, -model.beta_float, zip(inner.shells[-1], tables.T))
-    return np.exp(e - _logsumexp(e))
 
 
 def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP) -> float:
@@ -308,8 +282,7 @@ def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.nd
     a and b shells below w.  O(n*q^3), with no vertex table built.
     """
     ball = build_ball(model.k, n)
-    nv = ball.num_vertices
-    if not (0 <= x0 < nv and 0 <= x1 < nv):
+    if not (0 <= x0 < ball.num_vertices and 0 <= x1 < ball.num_vertices):
         raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
     p, kernels = _root_path(model, n)
     m, s0, s1 = (ball.shell_of(x) for x in (_meet(ball, x0, x1), x0, x1))

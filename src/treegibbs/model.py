@@ -198,10 +198,14 @@ def markov_model(P, k: int) -> LambdaModel:
 
 
 def potential_norm(model: LambdaModel, d: float) -> float:
-    """Weighted interaction norm k * e^{2d} * max |beta*lam|; finite for every model."""
-    if not d > 0:
-        raise ValueError(f"norm weight d must be positive, got {d}")
-    return model.k * math.exp(2.0 * d) * float(np.max(np.abs(model.log_weights)))
+    """Interaction norm k * e^{2d} * max |beta*lam|; ValueError unless d > 0, e^{2d} and it are finite."""
+    try:
+        norm = model.k * math.exp(2.0 * d) * float(np.max(np.abs(model.log_weights)))
+    except OverflowError:
+        norm = math.inf
+    if not (math.isfinite(d) and d > 0 and math.isfinite(norm)):
+        raise ValueError(f"need a finite norm weight d > 0 and a finite norm, got d = {d}")
+    return norm
 
 
 # --- model file (de)serialization -------------------------------------------

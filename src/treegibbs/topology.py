@@ -1,4 +1,4 @@
-"""Finite balls of the Cayley tree: shells, children, the inward sweep, distances, addressing.
+"""Finite balls of the Cayley tree: shells, parents, the inward sweep, nearest common ancestors, addressing.
 
 The Cayley tree of order k is the infinite cycle-free graph in which every
 vertex lies on k+1 edges.  Only finite balls around a distinguished root are
@@ -32,7 +32,7 @@ class Ball:
     residuals rely on this), so a vertex's parent and children have the
     closed form ``_family``.  Vertex tables are built on first read:
     ``shells``, ``parent`` (-1 at the root), ``edges`` (one (parent, child)
-    pair per non-root vertex), ``children`` and ``words``, the reduced words
+    pair per non-root vertex) and ``words``, the reduced words
     over generator labels 1..k+1 (no two adjacent letters equal) addressing
     the vertices, siblings ordered by last letter.
     """
@@ -73,11 +73,6 @@ class Ball:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.parent[1:], range(1, self.num_vertices)))
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        interior = self._offsets[self.n]
-        return tuple(tuple(_family(self.k, x)[1]) if x < interior else () for x in range(self.num_vertices))
 
     @cached_property
     def words(self) -> tuple[tuple[int, ...], ...]:
@@ -138,14 +133,6 @@ def _meet(ball: Ball, x: int, y: int) -> int:
         else:
             y = _family(ball.k, y)[0]
     return x
-
-
-def distance(ball: Ball, x: int, y: int) -> int:
-    """Graph distance between two vertices of the ball: down from their nearest common ancestor."""
-    nv = ball.num_vertices
-    if not (0 <= x < nv and 0 <= y < nv):
-        raise ValueError(f"vertex out of range: ({x}, {y})")
-    return ball.shell_of(x) + ball.shell_of(y) - 2 * ball.shell_of(_meet(ball, x, y))
 
 
 def vertex_from_word(ball: Ball, word: tuple[int, ...]) -> int:

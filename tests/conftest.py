@@ -122,17 +122,28 @@ def per_term_logweights(model: LambdaModel, fields: ReducedFieldAssignment, cap:
     return logw, float(_logsumexp(logw))
 
 
-def per_term_dlr_conditional(model: LambdaModel, ball: Ball, omega: Sequence[int], cap: int):
-    """``dlr_conditional``: scale by -beta, then add each interior-boundary vertex's summed table.
+def dlr_tables(model: LambdaModel, ball: Ball, omega: Sequence[int]) -> np.ndarray:
+    """Per vertex x of shell n-1 of a radius-n ``ball``, the sum of -beta*lam(sigma_x, omega_y)
+    over its children y on shell n, whose spins ``omega`` lists in shell order: shape (|shell|, q).
 
-    The tables are the library's expression: numpy sums k >= 8 conditioning
-    terms pairwise, so a Python loop over the children would give other bits.
+    numpy sums k >= 8 conditioning terms pairwise, so a Python loop over the
+    children would give other bits; every DLR test reads these tables.
+    """
+    return model.log_weights[:, np.asarray(omega).reshape(len(ball.shells[-2]), -1)].sum(-1).T
+
+
+def per_term_dlr_conditional(
+    model: LambdaModel, ball: Ball, omega: Sequence[int], cap: int = DEFAULT_CAP
+) -> np.ndarray:
+    """The tests' DLR conditional: the law on the interior V_{n-1} of a radius-n ``ball`` given
+    the spins ``omega`` of its shell n, proportional to exp(-beta*(H(sigma) + U(sigma, omega))).
+
+    Scales the interior energies by -beta, then adds each ``dlr_tables`` row in its own full pass.
     """
     q, inner = model.q, Ball(ball.k, ball.n - 1)
     e = _edge_energies(model, inner, cap, scale=1.0)
     e *= -model.beta_float
-    tables = model.log_weights[:, np.asarray(omega).reshape(len(inner.shells[-1]), -1)].sum(-1)
-    for x, table in zip(inner.shells[-1], tables.T):
+    for x, table in zip(inner.shells[-1], dlr_tables(model, ball, omega)):
         add_vertex_term(e, q, x, table)
     return np.exp(e - _logsumexp(e))
 

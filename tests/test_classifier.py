@@ -351,6 +351,21 @@ def test_potts_theta_values():
     assert potts_theta(3, 1, 1) == pytest.approx(c.gamma, abs=1e-15)
 
 
+@pytest.mark.parametrize("J,beta", [
+    (-1000, 1), (math.inf, 1), (1, math.inf), (math.nan, 1), (1, math.nan), (10**400, 1),
+    (1, Fraction(10**400, 3)),
+])
+def test_potts_theta_rejects_what_has_no_finite_float(J, beta):
+    # e^{1000} overflows, and an infinite J or beta has no finite base
+    with pytest.raises(ValueError, match="finite floats"):
+        potts_theta(3, J, beta)
+
+
+def test_potts_theta_underflows_to_zero():
+    # a finite J and beta whose base is below the least subnormal
+    assert potts_theta(3, 1000, 1) == 0.0
+
+
 def test_spectrum_free_model():
     m = potts_model(2, 0, 1, 2)
     b = build_ball(2, 1)

@@ -22,6 +22,7 @@ from treegibbs import (
 
 import treegibbs.fields
 from treegibbs.fields import _map_jacobian
+from treegibbs.topology import _family
 
 from conftest import damped_fixed_points, random_rational_model, random_rational_table, shifted
 
@@ -39,7 +40,7 @@ def reference_propagate(model, ball, boundary):
     h[list(ball.shells[ball.n])] = boundary
     for m in range(ball.n - 1, -1, -1):
         for x in ball.shells[m]:
-            h[x] = sum(reference_map(model, h[y]) for y in ball.children[x])
+            h[x] = sum(reference_map(model, h[y]) for y in _family(ball.k, x)[1])
     return h
 
 
@@ -134,7 +135,7 @@ def test_propagate_matches_definition():
     boundary = rng.uniform(-2, 2, size=(6, 1))
     flds = propagate_fields(m, b, boundary)
     for x in b.shells[1] + b.shells[0]:
-        expected = sum(recursion_map(m, flds.hprime[y]) for y in b.children[x])
+        expected = sum(recursion_map(m, flds.hprime[y]) for y in _family(b.k, x)[1])
         assert np.allclose(flds.hprime[x], expected)
 
 
@@ -149,7 +150,7 @@ def test_propagate_builds_no_vertex_tables():
     b = build_ball.__wrapped__(2, 10)  # a fresh ball, with no table read yet
     outer = b.shell_slice(b.n)
     propagate_fields(potts_model(3, 1, 1, 2), b, np.ones((outer.stop - outer.start, 2)))
-    assert not {"words", "parent", "edges", "children"} & vars(b).keys()
+    assert not {"words", "parent", "edges"} & vars(b).keys()
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (6,), (3, 2, 1), (1, 3, 2)])
@@ -194,7 +195,7 @@ def test_fixed_points_satisfy_interior_consistency():
     for s in result.solutions:
         h = np.array(s)
         for x in b.shells[1]:
-            resid = np.max(np.abs(h - sum(recursion_map(m, h) for _ in b.children[x])))
+            resid = np.max(np.abs(h - sum(recursion_map(m, h) for _ in _family(b.k, x)[1])))
             assert resid <= 10 * tol
 
 

@@ -17,8 +17,6 @@ from treegibbs import (
     build_ball,
     consistency_residual,
     correlation_decay,
-    distance,
-    dlr_conditional,
     finite_volume_measure,
     generic_model,
     marginalize,
@@ -34,12 +32,12 @@ from treegibbs.fields import ReducedFieldAssignment, _extend
 from treegibbs.measures import (
     BLOCK, DEFAULT_CAP, EnumerationCapError, _edge_energies, _logsumexp, _tv_to_first_column,
 )
-from treegibbs.topology import _family
+from treegibbs.topology import _family, _meet
 
 from conftest import (
-    as_mpf, enumerate_configs, enumerated_consistency_residual, full_sweep_two_point_correlation,
-    mp_correlation_decay, per_term_dlr_conditional, per_term_logweights, random_rational_model,
-    relabeled, shifted, zero_field_markov_residual,
+    as_mpf, dlr_tables, enumerate_configs, enumerated_consistency_residual,
+    full_sweep_two_point_correlation, mp_correlation_decay, per_term_dlr_conditional,
+    per_term_logweights, random_rational_model, relabeled, shifted, zero_field_markov_residual,
 )
 
 
@@ -143,13 +141,13 @@ def test_broadcast_enumeration_matches_gather():
                     assert np.repeat(levels, counts).tobytes() == np.sort(m.beta_float * e).tobytes()
                     big = build_ball(k, n + 1)
                     for omega in rng.integers(0, q, size=(3, len(big.shells[n + 1]))):
-                        # -beta*lam summed over the conditioning children of each vertex of shell n
-                        tables = m.log_weights[:, omega.reshape(len(b.shells[n]), -1)].sum(-1)
+                        # the DLR conditioning tables, one per vertex of shell n
+                        tables = dlr_tables(m, big, omega)
                         lw = -m.beta_float * e
-                        for x, table in zip(b.shells[n], tables.T):
+                        for x, table in zip(b.shells[n], tables):
                             lw += table[configs[:, x]]
-                        want = np.exp(lw - logsumexp(lw))
-                        assert dlr_conditional(m, big, list(omega)).tobytes() == want.tobytes()
+                        got = _edge_energies(m, b, DEFAULT_CAP, -m.beta_float, zip(b.shells[n], tables))
+                        assert got.tobytes() == lw.tobytes()
 
 
 def test_enumeration_allocates_within_the_cap():
@@ -174,8 +172,8 @@ MULTI_BLOCK_BALLS = [(2, 3, 2), (3, 2, 2), (4, 2, 2), (2, 15, 1), (3, 2, 0)]
 
 def test_blocked_terms_match_one_pass_per_term():
     # the blocked pass gives the bytes of one full pass per term: zero, random
-    # and signed-zero fields for the measure, random boundary layers for the
-    # DLR conditional (its interior ball is the listed one)
+    # and signed-zero fields for the measure, and the conditioning tables of
+    # random boundary layers one shell out (the DLR conditional)
     rng = np.random.default_rng(41)
     negative_zeros = 0
     for q, k, n in MULTI_BLOCK_BALLS:
@@ -195,8 +193,9 @@ def test_blocked_terms_match_one_pass_per_term():
             assert mu.probabilities().tobytes() == np.exp(logw - logZ).tobytes()
         big = build_ball(k, n + 1)
         for omega in rng.integers(0, q, size=(2, len(big.shells[n + 1]))).tolist():
-            want = per_term_dlr_conditional(m, big, omega, DEFAULT_CAP)
-            assert dlr_conditional(m, big, omega).tobytes() == want.tobytes(), (q, k, n)
+            e = _edge_energies(m, b, DEFAULT_CAP, -m.beta_float, zip(b.shells[n], dlr_tables(m, big, omega)))
+            want = per_term_dlr_conditional(m, big, omega)
+            assert np.exp(e - _logsumexp(e)).tobytes() == want.tobytes(), (q, k, n)
     assert negative_zeros > 0
 
 
@@ -545,7 +544,7 @@ def test_zero_fields_consistent_under_assumption_a():
 def test_dlr_free_model_uniform():
     m = potts_model(2, 0, 1, 2)
     b = build_ball(2, 2)
-    nu = dlr_conditional(m, b, [0, 1, 0, 1, 0, 1])
+    nu = per_term_dlr_conditional(m, b, [0, 1, 0, 1, 0, 1])
     assert np.allclose(nu, 1.0 / len(nu), atol=1e-14)
 
 
@@ -553,21 +552,18 @@ def test_dlr_root_softmax():
     # k=1, n=0: root conditioned on its two neighbors, both spin 0
     m = potts_model(2, 2, 1, 1)  # beta*J' = 1
     b = build_ball(1, 1)
-    nu = dlr_conditional(m, b, [0, 0])
+    nu = per_term_dlr_conditional(m, b, [0, 0])
     expected = np.exp([2.0, -2.0])
     expected /= expected.sum()
     assert np.allclose(nu, expected, atol=1e-14)
 
 
-def test_dlr_normalizes_and_validates():
+def test_dlr_normalizes():
     rng = np.random.default_rng(2)
     m = random_rational_model(rng, 3, 2)
     b = build_ball(2, 2)
-    omega = list(rng.integers(0, 3, size=6))
-    nu = dlr_conditional(m, b, omega)
+    nu = per_term_dlr_conditional(m, b, list(rng.integers(0, 3, size=6)))
     assert nu.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        dlr_conditional(m, b, omega[:-1])
 
 
 def test_dlr_self_consistency():
@@ -584,7 +580,7 @@ def test_dlr_self_consistency():
     mixed = np.zeros(2**inner)
     omegas = enumerate_configs(2, outer, 2**20)
     for w_idx, omega in enumerate(omegas):
-        mixed += shell_marginal[w_idx] * dlr_conditional(m, big, list(omega))
+        mixed += shell_marginal[w_idx] * per_term_dlr_conditional(m, big, list(omega))
     assert np.allclose(mixed, p.sum(axis=1), atol=1e-10)
 
 
@@ -724,7 +720,7 @@ def test_two_point_follows_the_free_law_relatively(q):
             powers, laws = centred_powers(M, SAMPLED[k]), {}
             for x0, x1, n in cases:
                 ball = build_ball(k, n)
-                meet = (ball.shell_of(x0) + ball.shell_of(x1) - distance(ball, x0, x1)) // 2
+                meet = ball.shell_of(_meet(ball, x0, x1))
                 a, b = ball.shell_of(x0) - meet, ball.shell_of(x1) - meet
                 if (a, b) not in laws:
                     laws[a, b] = pair_law(powers, a, b)
@@ -869,7 +865,7 @@ def test_correlation_decay_at_radius_1000():
             want = free_law_rows(potts_law_matrix(m), 30)
         assert max(abs(v / w - 1) for v, w in zip(values, want)) <= 1e-12, J
     ball = build_ball(2, 1000)
-    assert not {"shells", "parent", "edges", "children", "words"} & set(vars(ball))
+    assert not {"shells", "parent", "edges", "words"} & set(vars(ball))
 
 
 def test_two_point_memory_does_not_grow_with_the_ball():
@@ -886,7 +882,7 @@ def test_two_point_memory_does_not_grow_with_the_ball():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert "parent" not in vars(ball) and "children" not in vars(ball)
+    assert "parent" not in vars(ball)
     # the free-boundary law at distance 20: |(1/q) M^20 - 1/q^2|, M the row-normalised e^{-beta*lam}
     want = pair_law(centred_powers(potts_law_matrix(m), 20), 0, 20)
     assert np.allclose(defect, want, rtol=1e-12, atol=0)

@@ -244,6 +244,19 @@ def test_potential_norm_potts():
         potential_norm(m, 0.0)
 
 
+def test_potential_norm_is_finite_or_raises():
+    # e^{2d} passes the float range just above d = 354.89; the weight must be finite
+    m = potts_model(3, 1, 1, 2)
+    assert potential_norm(m, 354.0) == pytest.approx(2 * math.exp(708.0) * (2 / 3), rel=1e-12)
+    for model, d in [(m, 354.9), (m, 400.0), (m, math.inf), (m, math.nan), (m, -1.0),
+                     (potts_model(3, 0, 1, 2), math.inf), (potts_model(3, 0, 1, 2), 400.0)]:
+        with pytest.raises(ValueError):
+            potential_norm(model, d)
+    # the norm itself past the float range, with e^{2d} finite
+    with pytest.raises(ValueError):
+        potential_norm(generic_model([[0.0, 1e300], [0.0, 0.0]], 2, 1.0), 300.0)
+
+
 def test_model_json_round_trip_rational():
     m = potts_model(3, Fraction(2, 3), Fraction(1, 2), 2)
     d = model_to_dict(m)

@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from treegibbs import Ball, build_ball, distance
-from treegibbs.topology import ball_size, vertex_from_word
+from treegibbs import Ball, build_ball
+from treegibbs.topology import _family, _meet, ball_size, vertex_from_word
 
 
 def bfs_distances(ball, source):
@@ -66,11 +66,13 @@ def test_shell_sizes_and_edge_count(k, n):
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 1), (1, 3)])
 def test_successor_counts(k, n):
+    # _family's children of an interior vertex are exactly the vertices whose parent it is
     b = build_ball(k, n)
-    assert len(b.children[0]) == k + 1
-    for m in range(1, n):
+    for m in range(n):
         for x in b.shells[m]:
-            assert len(b.children[x]) == k
+            kids = _family(k, x)[1]
+            assert list(kids) == [y for y in range(b.num_vertices) if b.parent[y] == x]
+            assert len(kids) == (k + 1 if x == 0 else k)
 
 
 def test_build_ball_rejects_bad_arguments():
@@ -86,28 +88,44 @@ def test_ball_rejects_bad_arguments(k, n):
         Ball(k, n)
 
 
+def meet_distance(ball, x, y):
+    """Graph distance down from the nearest common ancestor ``_meet``."""
+    return ball.shell_of(x) + ball.shell_of(y) - 2 * ball.shell_of(_meet(ball, x, y))
+
+
 def test_distance_matches_bfs_oracle():
-    b = build_ball(2, 3)
-    for src in [0, b.shells[1][0], b.shells[3][-1]]:
-        oracle = bfs_distances(b, src)
-        for x in range(b.num_vertices):
-            assert distance(b, src, x) == oracle[x]
-            assert distance(b, x, src) == oracle[x]
-    assert distance(b, 5, 5) == 0
+    # every vertex pair of every ball with k <= 3 and n <= 3: the meet is an ancestor of
+    # both vertices, and the distance through it is the BFS distance
+    for k in (1, 2, 3):
+        for n in range(4):
+            b = build_ball(k, n)
+            ancestors = [set() for _ in range(b.num_vertices)]
+            for x in range(b.num_vertices):
+                y = x
+                while y >= 0:
+                    ancestors[x].add(y)
+                    y = b.parent[y]
+            for src in range(b.num_vertices):
+                oracle = bfs_distances(b, src)
+                for x in range(b.num_vertices):
+                    w = _meet(b, src, x)
+                    assert w in ancestors[src] and w in ancestors[x], (k, n, src, x)
+                    assert meet_distance(b, src, x) == oracle[x], (k, n, src, x)
 
 
 def test_distance_reads_no_vertex_table():
     b = build_ball.__wrapped__(2, 12)  # a fresh ball, with no table read yet
     # vertex 1 lies under the root's first child, the last vertex under its last one
-    assert distance(b, 1, b.num_vertices - 1) == 13
-    assert distance(b, b.num_vertices - 1, b.num_vertices - 2) == 2
-    assert "parent" not in vars(b) and "children" not in vars(b)
+    last = b.num_vertices - 1
+    assert _meet(b, 1, last) == 0 and meet_distance(b, 1, last) == 13
+    assert _meet(b, last, last - 1) == _family(2, last)[0] and meet_distance(b, last, last - 1) == 2
+    assert not {"shells", "parent", "edges", "words", "word_index"} & set(vars(b))
 
 
 def test_two_w1_leaves_are_distance_two():
     b = build_ball(2, 1)
     x, y = b.shells[1][0], b.shells[1][1]
-    assert distance(b, x, y) == 2
+    assert _meet(b, x, y) == 0 and meet_distance(b, x, y) == 2
 
 
 def test_vertex_words_are_reduced_and_bijective():
@@ -142,7 +160,7 @@ def test_build_is_deterministic():
 
 
 def walked_tables(k, n):
-    """Oracle: the five vertex tables from a breadth-first walk over reduced words."""
+    """Oracle: the four vertex tables and the children lists from a breadth-first walk over reduced words."""
     parent, words, shells, children, edges = [-1], [()], [[0]], [[]], []
     for m in range(1, n + 1):
         shell = []
@@ -171,9 +189,13 @@ def walked_tables(k, n):
 @pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in range(6 if k < 4 else 4)])
 def test_derived_tables_match_breadth_first_walk(k, n):
     b = build_ball.__wrapped__(k, n)  # a fresh ball, with no table read yet
-    for name, table in walked_tables(k, n).items():
-        assert getattr(b, name) == table, name
+    walked = walked_tables(k, n)
+    for name in ("parent", "shells", "edges", "words"):
+        assert getattr(b, name) == walked[name], name
     nv = b.num_vertices
+    # _family's closed form gives the walk's children inside the ball
+    interior = nv - len(b.shells[n])
+    assert [tuple(_family(k, x)[1]) if x < interior else () for x in range(nv)] == list(walked["children"])
     assert nv == ball_size(k, n) == len(b.parent)
     assert [b.shell_slice(m) for m in range(n + 1)] == [slice(s[0], s[-1] + 1) for s in b.shells]
     assert [b.shell_of(x) for x in range(nv)] == [len(w) for w in b.words]
@@ -183,6 +205,5 @@ def test_derived_tables_match_breadth_first_walk(k, n):
         on_shell = b.parent[b.shell_slice(m)]
         assert list(on_shell) == sorted(on_shell)
     counts = Counter(b.parent[1:])
-    interior = range(nv - len(b.shells[n]))
-    assert set(counts) == set(interior)
-    assert all(counts[x] == (k + 1 if x == 0 else k) for x in interior)
+    assert set(counts) == set(range(interior))
+    assert all(counts[x] == (k + 1 if x == 0 else k) for x in range(interior))
