@@ -396,32 +396,33 @@ def finite_volume_spectrum(
     interior = ball.shell_slice(-1).start        # vertices before it have children
     live = min(interior, 1)                      # the root is live unless it is the whole ball
     code, val, cnt = np.arange(q) * live, np.zeros(q, table.dtype), np.ones(q, dtype=np.int64)
-    for v in range(1, nv):
-        rows = table.take(code % q, axis=0)      # the parent's row of the table, per group
-        rows += val[:, None]
-        val, cnt = rows.ravel(), np.repeat(cnt, q)
-        dropped = v == _family(k, _family(k, v)[0])[1][-1]      # v is its parent's last child
-        if dropped:
-            code //= q
-            live -= 1
-        if v < interior:                         # v is live: its spin is the newest digit
-            code = (code[:, None] + np.arange(q) * q**live).ravel()
-            live += 1
-            if not dropped:
-                continue                         # a new digit keeps the groups distinct
-        elif live:
-            code = np.repeat(code, q)
-        else:
-            break                                # v is the last vertex: the levels merge below
-        order = np.argsort(val)                  # then a stable radix sort by the narrowed code
-        order = order[np.argsort(code.astype(np.min_scalar_type(q**live))[order], kind="stable")]
-        code, val, cnt = code[order], val[order], cnt[order]
-        starts = _run_starts(val, code)
-        code, val, cnt = code[starts], val[starts], np.add.reduceat(cnt, starts)
-    order = np.argsort(val)
-    val, cnt = val[order], cnt[order]
-    starts = _run_starts(val)
-    e, cnt = level(val[starts]), np.add.reduceat(cnt, starts)
+    with np.errstate(over="ignore"):                 # finite couplings can sum past the float range
+        for v in range(1, nv):
+            rows = table.take(code % q, axis=0)      # the parent's row of the table, per group
+            rows += val[:, None]
+            val, cnt = rows.ravel(), np.repeat(cnt, q)
+            dropped = v == _family(k, _family(k, v)[0])[1][-1]      # v is its parent's last child
+            if dropped:
+                code //= q
+                live -= 1
+            if v < interior:                         # v is live: its spin is the newest digit
+                code = (code[:, None] + np.arange(q) * q**live).ravel()
+                live += 1
+                if not dropped:
+                    continue                         # a new digit keeps the groups distinct
+            elif live:
+                code = np.repeat(code, q)
+            else:
+                break                                # v is the last vertex: the levels merge below
+            order = np.argsort(val)                  # then a stable radix sort by the narrowed code
+            order = order[np.argsort(code.astype(np.min_scalar_type(q**live))[order], kind="stable")]
+            code, val, cnt = code[order], val[order], cnt[order]
+            starts = _run_starts(val, code)
+            code, val, cnt = code[starts], val[starts], np.add.reduceat(cnt, starts)
+        order = np.argsort(val)
+        val, cnt = val[order], cnt[order]
+        starts = _run_starts(val)
+        e, cnt = level(val[starts]), np.add.reduceat(cnt, starts)
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):    # sorting puts inf and NaN at the ends
         raise ValueError("the energies beta*H over the ball are not all finite floats")
     starts = _run_starts(e)                      # distinct sums can round to one level

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LambdaModel, _check_tol
+from .model import LambdaModel, _check_tol, _kind
 from .topology import Ball, sweep_up
 
 DAMPING = 0.5   # d in the fixed-point search's damped step h <- (1-d)*h + d*k*F(h)
@@ -99,12 +99,18 @@ def _map_jacobian(model: LambdaModel, h: np.ndarray) -> np.ndarray:
 def check_unordered(model: LambdaModel, tol: float = 1e-12) -> tuple[bool, float]:
     """Does the zero field solve the recursion? Returns (verdict, ||F(0)||_inf).
 
-    Equivalent to all rows of e^{-beta*lam} having equal sums, which holds
-    for any Potts table and any stochastic-matrix model.
+    It does when all rows of e^{-beta*lam} have equal sums.  On an exact table
+    that holds exactly when every row of lam is a permutation of row 0 (the
+    e^a for distinct rational a are linearly independent, by
+    Lindemann-Weierstrass), and a rational stochastic matrix's rows sum to 1:
+    those two routes decide without ``tol``.  Elsewhere the verdict is residual <= tol.
     """
     _check_tol(tol)
     residual = float(np.max(np.abs(recursion_map(model, np.zeros(model.q - 1)))))
-    return residual <= tol, residual
+    kind = _kind(model)
+    if kind == "exact-rational":
+        return all(sorted(row) == sorted(model.lam[0]) for row in model.lam), residual
+    return kind == "symbolic-log-rational" or residual <= tol, residual
 
 
 def propagate_fields(model: LambdaModel, ball: Ball, boundary: np.ndarray) -> ReducedFieldAssignment:

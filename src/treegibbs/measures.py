@@ -6,19 +6,19 @@ to a smaller ball is a reshape.  A boundary field h'_x enters only as the
 log-weight it gives spin sigma(x), read as ``fields`` reads it (0 for spin
 q-1).  Everything here is exact (no sampling); past the enumeration cap an
 operation fails loudly (``_check_cap``, which the spectrum shares).  One
-kernel, ``_edge_energies``, builds every energy vector, and no
-configuration matrix: it grows the q^|V| vector one vertex at a time, then
-scales it and adds the per-vertex terms block by cache-sized block.  The
+kernel, ``_edge_energies``, builds every log-weight vector, and neither a
+configuration matrix nor a vertex table: it grows the q^|V| energy vector
+one vertex at a time (parents from ``topology._family``), then scales it by
+-beta and adds the per-vertex terms block by cache-sized block.  The
 spectrum builds none: it groups configurations by partial energy, an
-integer sum on the exact lattice routes
-(``classifier.finite_volume_spectrum``).  The consistency residual sums
-shell n out leaf by leaf, so it enumerates only V_{n-1};
-``finite_volume_measure`` and ``marginalize`` enumerate V_n and are its
-oracle, called by no command.  The two-point quantities build no ball at
-all: the zero-field spins form a Markov chain down every root path, with
-one q x q kernel per shell (P itself for a rational stochastic matrix P),
-and the correlation decay and every pair defect are centred products of
-those n kernels (``_root_path``, ``_centred``).
+integer sum on the exact lattice routes (``classifier.finite_volume_spectrum``).
+The consistency residual sums shell n out leaf by leaf, so it enumerates
+only V_{n-1}; ``finite_volume_measure`` and ``marginalize`` enumerate V_n
+and are its oracle, called by no command.  The two-point quantities build
+no ball at all: the zero-field spins form a Markov chain down every root
+path, with one q x q kernel per shell (P itself for a rational stochastic
+matrix P), and the correlation decay and every pair defect are centred
+products of those n kernels (``_root_path``, ``_centred``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import ReducedFieldAssignment, _extend, _log_transfer, _shifted_terms
 from .model import LambdaModel, _kind
-from .topology import Ball, _meet, build_ball
+from .topology import Ball, _family, _meet, build_ball
 
 DEFAULT_CAP = 2**20
 BLOCK = 2**14    # entries of a configuration vector that one pass keeps in cache at a time
@@ -73,27 +73,28 @@ def _check_cap(q: int, num_vertices: int, cap: int) -> None:
         raise EnumerationCapError(f"{q}^{num_vertices}{count} configurations exceed the enumeration cap {limit}")
 
 
-def _edge_energies(model: LambdaModel, ball: Ball, cap: int, scale: float, terms=()) -> np.ndarray:
-    """scale*H(sigma) plus table[sigma_x] for each (x, table) of ``terms``, per configuration index.
+def _edge_energies(model: LambdaModel, ball: Ball, cap: int, terms=()) -> np.ndarray:
+    """-beta*H(sigma) plus table[sigma_x] for each (x, table) of ``terms``, per configuration index.
 
     H(sigma) sums lam(sigma_u, sigma_v) over the edges.  Its vector grows one
     vertex at a time from a zero root vector: the energies over vertices
-    0..v are those over 0..v-1 with digit v appended, plus
-    lam[sigma_parent(v), sigma_v].  ``ball.edges`` is (parent(v), v) in v
-    order, so every entry gets the float additions of a per-configuration
-    gather, in its order, the first one onto +0.0: about q/(q-1) * q^|V|
-    additions, with at most the result and its 1/q-size predecessor alive.
-    One pass then walks the vector in blocks of L entries, L the largest
-    power of q up to BLOCK: a block is multiplied by ``scale``, then takes
-    each term in order, so every entry gets the float operations of one
-    full pass per step.  A table is widened to rows of L entries (each value
-    repeated over its run of q^(|V|-1-x) entries, then tiled): one add each.
+    0..v are those over 0..v-1 with digit v appended, plus lam[sigma_u, sigma_v],
+    u = ``_family(k, v)[0]`` the parent of v.  So every entry gets the float
+    additions of a per-configuration gather over the edges (u, v) in v order,
+    the first one onto +0.0: about q/(q-1) * q^|V| additions, with at most
+    the result and its 1/q-size predecessor alive.  One pass then walks the
+    vector in blocks of L entries, L the largest power of q up to BLOCK: a
+    block is multiplied by -beta, then takes each term in order, so every
+    entry gets the float operations of one full pass per step.  A table is
+    widened to rows of L entries (each value repeated over its run of
+    q^(|V|-1-x) entries, then tiled): one add each.
     """
     q, nv = model.q, ball.num_vertices
     _check_cap(q, nv, cap)
-    lam = model.lam_float
+    lam, beta = model.lam_float, model.beta_float
     e = np.zeros(q)
-    for u, v in ball.edges:
+    for v in range(1, nv):
+        u = _family(ball.k, v)[0]
         r = q ** (v - u - 1)                     # digits between parent u and v
         prev = e.reshape(q**u, q, r)
         e = np.empty(q * e.size)
@@ -114,7 +115,7 @@ def _edge_energies(model: LambdaModel, ball: Ball, cap: int, scale: float, terms
         widened.append((max(run, L), np.tile(rows, max(1, L // rows.size)).reshape(-1, L)))
     for start in range(0, size, L):
         block = e[start:start + L]
-        block *= scale
+        block *= -beta
         for span, rows in widened:
             block += rows[start // span % len(rows)]
     return e
@@ -158,7 +159,7 @@ def finite_volume_measure(
     ball, n = fields.ball, fields.ball.n
     # each boundary vertex's table, added after the -beta scale
     tables = _field_tables(model, fields)[ball.shell_slice(n)]
-    logw = _edge_energies(model, ball, cap, -model.beta_float, zip(ball.shells[n], tables))
+    logw = _edge_energies(model, ball, cap, zip(ball.shells[n], tables))
     return FiniteVolumeMeasure(ball=ball, q=model.q, logweights=logw, logZ=float(_logsumexp(logw)))
 
 
@@ -196,7 +197,7 @@ def consistency_residual(
     leaves = tables[ball.shell_slice(n)].reshape(rim.stop - rim.start, -1, model.q)
     probs = []
     for rim_tables in (_log_transfer(model, leaves).sum(axis=1), tables[rim]):
-        logw = _edge_energies(model, inner, cap, -model.beta_float, zip(inner.shells[n - 1], rim_tables))
+        logw = _edge_energies(model, inner, cap, zip(inner.shells[n - 1], rim_tables))
         probs.append(FiniteVolumeMeasure(inner, model.q, logw, float(_logsumexp(logw))).probabilities())
     return float(np.max(np.abs(probs[0] - probs[1])))
 
@@ -217,7 +218,7 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     if n < 1:
         raise ValueError("need n >= 1")
     ball = build_ball(model.k, n + 1)
-    p = _edge_energies(model, ball, cap, -model.beta_float)      # the log-weights, freed below
+    p = _edge_energies(model, ball, cap)      # the log-weights, freed below
     p = FiniteVolumeMeasure(ball, model.q, p, float(_logsumexp(p))).probabilities()
     na = build_ball(model.k, n - 1).num_vertices
     p = p.reshape(model.q**na, model.q ** len(ball.shells[n]), -1)

@@ -3,7 +3,8 @@
 The Cayley tree of order k is the infinite cycle-free graph in which every
 vertex lies on k+1 edges.  Only finite balls around a distinguished root are
 represented.  Vertices are indexed breadth-first, with sibling order fixed by
-generator labels, so two builds with the same (k, n) are identical.
+generator labels, so two builds with the same (k, n) are identical, and every
+vertex fact is a closed form in the vertex index: no vertex table is stored.
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ def ball_size(k: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Ball:
-    """Radius-n ball of the order-k Cayley tree: just (k, n).
+    """Radius-n ball of the order-k Cayley tree: just (k, n), and no vertex table.
 
     Vertices are indexed breadth-first from the root 0.  Shell m (distance m)
     is a contiguous range of (k+1)*k^(m-1) vertices for m >= 1, and shell m+1
     lists the children of shell m's vertices parent by parent, in shell-m
     order (``sweep_up``, ``marginalize`` and the consistency and Markov
-    residuals rely on this), so a vertex's parent and children have the
-    closed form ``_family``.  Vertex tables are built on first read:
-    ``shells``, ``parent`` (-1 at the root), ``edges`` (one (parent, child)
-    pair per non-root vertex) and ``words``, the reduced words
-    over generator labels 1..k+1 (no two adjacent letters equal) addressing
-    the vertices, siblings ordered by last letter.
+    residuals rely on this).  So every vertex fact is arithmetic: ``shells``
+    and ``shell_of`` read the shell offsets, ``_family`` gives a vertex's
+    parent and children, and ``vertex_from_word`` the vertex a reduced word
+    over generator labels 1..k+1 addresses.
     """
 
     k: int
@@ -59,33 +58,12 @@ class Ball:
         return slice(self._offsets[m], self._offsets[m + 1])
 
     def shell_of(self, x: int) -> int:
-        """Distance of vertex x from the root; x indexes like ``parent``."""
+        """Distance of vertex x from the root; x indexes like range(num_vertices)."""
         return bisect_right(self._offsets, range(self.num_vertices)[x]) - 1
 
-    @cached_property
-    def shells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(range(a, b)) for a, b in zip(self._offsets, self._offsets[1:]))
-
-    @cached_property
-    def parent(self) -> tuple[int, ...]:
-        return tuple(_family(self.k, y)[0] for y in range(self.num_vertices))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.parent[1:], range(1, self.num_vertices)))
-
-    @cached_property
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        words: list[tuple[int, ...]] = [()]
-        for x in range(self._offsets[self.n]):      # interior vertices, whose children follow in order
-            last = words[x][-1] if words[x] else 0
-            words += [words[x] + (g,) for g in range(1, self.k + 2) if g != last]
-        return tuple(words)
-
-    @cached_property
-    def word_index(self) -> dict[tuple[int, ...], int]:
-        """Vertex of each reduced word: the inverse of ``words``, built once per ball."""
-        return {w: x for x, w in enumerate(self.words)}
+    @property
+    def shells(self) -> tuple[range, ...]:
+        return tuple(map(range, self._offsets, self._offsets[1:]))
 
 
 def _family(k: int, x: int) -> tuple[int, range]:
@@ -136,8 +114,14 @@ def _meet(ball: Ball, x: int, y: int) -> int:
 
 
 def vertex_from_word(ball: Ball, word: tuple[int, ...]) -> int:
-    """Inverse of ``ball.words``; raises for words not addressing a ball vertex."""
-    try:
-        return ball.word_index[tuple(word)]
-    except KeyError:
-        raise ValueError(f"word {word} does not address a vertex of the ball") from None
+    """The vertex a reduced word over labels 1..k+1 addresses, in closed form: label g leads
+    from the root to g, and from x >= 1, whose word ends in l, to k*x + 1 + g - [g > l] =
+    k*x + g + [g < l] (``_family``'s children, siblings by last letter).  ValueError for a
+    label outside 1..k+1, a repeated letter, or a vertex outside the ball."""
+    x = last = 0
+    for g in word:
+        x = ball.k * x + g + (g < last)
+        if not (0 < g <= ball.k + 1 and g != last and x < ball.num_vertices):
+            raise ValueError(f"word {word} does not address a vertex of the ball")
+        last = g
+    return x

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import mpmath
@@ -56,6 +56,41 @@ def enumerate_configs(q: int, num_vertices: int, cap: int) -> np.ndarray:
     return (idx[:, None] // place[None, :]) % q
 
 
+@lru_cache(maxsize=None)
+def walked_tables(k: int, n: int) -> dict:
+    """Oracle for the breadth-first layout of the radius-n ball of the order-k tree, from a walk
+    over reduced words: per vertex its parent (-1 at the root), word and children, the vertex
+    lists of the shells, and the (parent, child) edges in child order.  Cached: do not mutate."""
+    parent, words, shells, children, edges = [-1], [()], [[0]], [[]], []
+    for m in range(1, n + 1):
+        shell = []
+        for x in shells[m - 1]:
+            last = words[x][-1] if words[x] else 0
+            for g in range(1, k + 2):
+                if g == last:
+                    continue  # reduced words: generators have order 2
+                y = len(parent)
+                parent.append(x)
+                words.append(words[x] + (g,))
+                children.append([])
+                children[x].append(y)
+                edges.append((x, y))
+                shell.append(y)
+        shells.append(shell)
+    return {
+        "parent": tuple(parent),
+        "shells": tuple(tuple(s) for s in shells),
+        "edges": tuple(edges),
+        "words": tuple(words),
+        "children": tuple(tuple(c) for c in children),
+    }
+
+
+def ball_edges(ball: Ball) -> tuple[tuple[int, int], ...]:
+    """The (parent, child) edges of a ball in child order, from ``walked_tables``."""
+    return walked_tables(ball.k, ball.n)["edges"]
+
+
 # Per-configuration energy oracles: one Python sum over the ball's edges.
 
 def _check_config(model: LambdaModel, ball: Ball, sigma: Sequence[int], what: str) -> None:
@@ -72,7 +107,7 @@ def energy(model: LambdaModel, ball: Ball, sigma: Sequence[int]) -> Number:
     """Configuration energy: sum of lam over the ball's edges (parent -> child order)."""
     _check_config(model, ball, sigma, "configuration")
     total = Fraction(0) if model.is_exact else 0.0
-    for u, v in ball.edges:
+    for u, v in ball_edges(ball):
         total += model.lam[sigma[u]][sigma[v]]
     return total
 
@@ -97,14 +132,15 @@ def boundary_energy(
     if any(not (0 <= s < q) for s in sigma) or any(not (0 <= s < q) for s in omega):
         raise ValueError(f"spin indices outside 0..{q - 1}")
     total = Fraction(0) if model.is_exact else 0.0
+    parent = walked_tables(ball.k, ball.n)["parent"]
     for y in outer:
-        x = ball.parent[y]
+        x = parent[y]
         total += model.lam[sigma[x]][omega[y - inner_count]]
     return total
 
 
-# Oracles for the blocked term pass of ``measures._edge_energies``: the scale
-# and each boundary or conditioning term as its own full pass over the vector.
+# Oracles for the blocked term pass of ``measures._edge_energies``: each
+# boundary or conditioning term as its own full pass over the -beta*H vector.
 
 def add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None:
     """Add table[sigma_x] to every entry of a flat configuration vector, in place."""
@@ -113,10 +149,9 @@ def add_vertex_term(flat: np.ndarray, q: int, x: int, table: np.ndarray) -> None
 
 
 def per_term_logweights(model: LambdaModel, fields: ReducedFieldAssignment, cap: int):
-    """(log-weights, logZ) of ``finite_volume_measure``: scale by -beta, then add each field table."""
+    """(log-weights, logZ) of ``finite_volume_measure``: -beta*H, then each field table added."""
     ball, q = fields.ball, model.q
-    logw = _edge_energies(model, ball, cap, scale=1.0)
-    logw *= -model.beta_float
+    logw = _edge_energies(model, ball, cap)
     for x in ball.shells[ball.n]:
         add_vertex_term(logw, q, x, _extend(fields.hprime[x]))
     return logw, float(_logsumexp(logw))
@@ -138,11 +173,10 @@ def per_term_dlr_conditional(
     """The tests' DLR conditional: the law on the interior V_{n-1} of a radius-n ``ball`` given
     the spins ``omega`` of its shell n, proportional to exp(-beta*(H(sigma) + U(sigma, omega))).
 
-    Scales the interior energies by -beta, then adds each ``dlr_tables`` row in its own full pass.
+    Adds each ``dlr_tables`` row to the interior's -beta*H in its own full pass.
     """
     q, inner = model.q, Ball(ball.k, ball.n - 1)
-    e = _edge_energies(model, inner, cap, scale=1.0)
-    e *= -model.beta_float
+    e = _edge_energies(model, inner, cap)
     for x, table in zip(inner.shells[-1], dlr_tables(model, ball, omega)):
         add_vertex_term(e, q, x, table)
     return np.exp(e - _logsumexp(e))
@@ -248,7 +282,8 @@ def enumerated_spectrum(model: LambdaModel, ball: Ball, cap: int = DEFAULT_CAP):
     The library's function before it grouped configurations by partial energy, kept as
     written then; the two agree bit for bit.
     """
-    e = _edge_energies(model, ball, cap, model.beta_float)
+    e = _edge_energies(model, ball, cap)
+    np.negative(e, out=e)                        # -(-beta*H) is beta*H, exactly
     e.sort()
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):    # sorting puts inf and NaN at the ends
         raise ValueError("the energies beta*H over the ball are not all finite floats")
@@ -275,7 +310,7 @@ def regrouped_spectrum(model: LambdaModel, ball: Ball, generator, cap: int = DEF
     ids, where = np.unique(classes(levels, levels[0]), return_inverse=True)
     multiplicity = np.zeros(ids.size, dtype=np.int64)
     np.add.at(multiplicity, where, counts)
-    e = _edge_energies(model, ball, cap, model.beta_float)
+    e = -_edge_energies(model, ball, cap)
     seen, first = np.unique(classes(e, levels[0]), return_index=True)
     assert np.array_equal(seen, ids)
     exact = []
@@ -286,7 +321,7 @@ def regrouped_spectrum(model: LambdaModel, ball: Ball, generator, cap: int = DEF
         else:
             with mpmath.workdps(50):
                 exact.append(-mpmath.fsum(mpmath.log(as_mpf(model.P[sigma[u]][sigma[v]]))
-                                          for u, v in ball.edges))
+                                          for u, v in ball_edges(ball)))
     return exact, multiplicity.tolist()
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -361,14 +362,19 @@ def test_rendered_levels_match_json_dumps():
 
 
 def test_spectrum_with_overflowing_energies_exits_3(tmp_path, capsys):
-    # every entry is finite, but the edge sums of the radius-1 ball overflow to inf
+    # every entry is finite, but the edge sums of the radius-1 ball overflow to inf; the
+    # overflow raises no numpy warning, so stderr holds the one error line
     path = write(tmp_path, "huge.json", {"kind": "generic", "q": 2, "k": 2, "beta": 1.0,
                                          "lambda": [[1e308, 1e308], [1e308, 1e308]]})
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore"):
+    error = "error: the energies beta*H over the ball are not all finite floats\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["spectrum", "--model", path, "--n", "1", "--out", str(out)])
     assert code == 3 and not out.exists()
-    assert "energies beta*H over the ball are not all finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == error
+    proc = run_python(["-m", "treegibbs.cli", "spectrum", "--model", path, "--n", "1"], 60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", error)
 
 
 def test_help_lists_only_read_options(capsys):

@@ -3,6 +3,7 @@ import statistics
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,9 @@ import treegibbs.fields
 from treegibbs.fields import _map_jacobian
 from treegibbs.topology import _family
 
-from conftest import damped_fixed_points, random_rational_model, random_rational_table, shifted
+from conftest import (
+    as_mpf, damped_fixed_points, random_rational_model, random_rational_table, relabeled, shifted,
+)
 
 
 def reference_map(model, h):
@@ -91,6 +94,63 @@ def test_check_unordered():
     assert res == pytest.approx(abs(math.log(2 / (1 + math.exp(-1)))))
 
 
+def test_check_unordered_decides_exact_tables_exactly():
+    # exact row sums of e^{-lam} that differ by 2.24e-14, below the default tol: the float
+    # residual alone would pass this table
+    m = generic_model([[0, 1], [Fraction(1, 2), Fraction(2577553, 9453231)]], 2, 1)
+    assert check_unordered(m) == (False, 1.6431300764452317e-14)
+    assert check_unordered(m, tol=1.0)[0] is False
+    # a rational stochastic matrix passes at any tol
+    P = [[Fraction(1, 4), Fraction(3, 4)], [Fraction(2, 5), Fraction(3, 5)]]
+    assert check_unordered(markov_model(P, 3), tol=5e-324)[0] is True
+
+
+def test_permuted_row_exact_tables_pass_at_the_least_tol():
+    # rows that permute one rational row have equal sums of e^{-beta*lam} exactly, whatever
+    # rounding leaves in the float residual
+    rng = np.random.default_rng(17)
+    rounded = 0
+    for _ in range(300):
+        q = int(rng.integers(3, 7))
+        row = [Fraction(int(rng.integers(-16, 17)), int(rng.integers(1, 9))) for _ in range(q)]
+        lam = [[row[j] for j in rng.permutation(q)] for _ in range(q)]
+        ok, residual = check_unordered(generic_model(lam, 2, Fraction(int(rng.integers(1, 5)), 2)), tol=5e-324)
+        assert ok is True, lam
+        rounded += residual > 5e-324
+    assert rounded > 0          # the float verdict would have failed some of them
+
+
+@st.composite
+def exact_tables(draw):
+    """An exact q x q table and beta; half the time every row permutes row 0."""
+    q = draw(st.integers(2, 4))
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+    row = draw(st.lists(entry, min_size=q, max_size=q))
+    if draw(st.booleans()):
+        lam = [draw(st.permutations(row)) for _ in range(q)]
+    else:
+        lam = [row] + draw(st.lists(st.lists(entry, min_size=q, max_size=q), min_size=q - 1, max_size=q - 1))
+    return generic_model(lam, 2, draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_tables(), st.data())
+def test_exact_unordered_verdict_is_the_exact_row_sum_test(m, data):
+    # the verdict says whether the row sums of e^{-beta*lam} agree at 60 digits, and it does
+    # not change under relabelling the spins or shifting every coupling
+    ok = check_unordered(m, tol=5e-324)[0]
+    with mpmath.workdps(60):
+        sums = [mpmath.fsum(mpmath.exp(-as_mpf(m.beta * v)) for v in row) for row in m.lam]
+        spread = max(sums) - min(sums)
+        assert ok == (spread <= mpmath.mpf(10) ** -55)
+        if not ok:
+            assert spread > mpmath.mpf(10) ** -50
+    perm = data.draw(st.permutations(range(m.q)))
+    shift = data.draw(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)))
+    assert check_unordered(relabeled(m, perm), tol=5e-324)[0] == ok
+    assert check_unordered(shifted(m, shift), tol=5e-324)[0] == ok
+
+
 def test_stability_large_fields_and_couplings():
     m = generic_model([[Fraction(50), Fraction(-50)], [Fraction(-50), Fraction(50)]], 2, 1)
     for h in (-1e4, -17.0, 0.0, 1e4):
@@ -134,7 +194,7 @@ def test_propagate_matches_definition():
     rng = np.random.default_rng(11)
     boundary = rng.uniform(-2, 2, size=(6, 1))
     flds = propagate_fields(m, b, boundary)
-    for x in b.shells[1] + b.shells[0]:
+    for x in [*b.shells[1], *b.shells[0]]:
         expected = sum(recursion_map(m, flds.hprime[y]) for y in _family(b.k, x)[1])
         assert np.allclose(flds.hprime[x], expected)
 
@@ -150,7 +210,7 @@ def test_propagate_builds_no_vertex_tables():
     b = build_ball.__wrapped__(2, 10)  # a fresh ball, with no table read yet
     outer = b.shell_slice(b.n)
     propagate_fields(potts_model(3, 1, 1, 2), b, np.ones((outer.stop - outer.start, 2)))
-    assert not {"words", "parent", "edges"} & vars(b).keys()
+    assert set(vars(b)) <= {"k", "n", "_offsets"}
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (6,), (3, 2, 1), (1, 3, 2)])

@@ -35,7 +35,7 @@ from treegibbs.measures import (
 from treegibbs.topology import _family, _meet
 
 from conftest import (
-    as_mpf, dlr_tables, enumerate_configs, enumerated_consistency_residual,
+    as_mpf, ball_edges, dlr_tables, enumerate_configs, enumerated_consistency_residual,
     full_sweep_two_point_correlation, mp_correlation_decay, per_term_dlr_conditional,
     per_term_logweights, random_rational_model, relabeled, shifted, zero_field_markov_residual,
 )
@@ -51,7 +51,7 @@ def brute_force_probs(model, ball, fields):
     configs = enumerate_configs(q, ball.num_vertices, 2**22)
     weights = []
     for sigma in configs:
-        e = sum(lam[sigma[u], sigma[v]] for u, v in ball.edges)
+        e = sum(lam[sigma[u], sigma[v]] for u, v in ball_edges(ball))
         boundary = 0.0
         for x in ball.shells[ball.n]:
             s = sigma[x]
@@ -67,7 +67,7 @@ def gather_energies(model, ball):
     configs = enumerate_configs(model.q, ball.num_vertices, 2**22)
     lam = model.lam_float
     e = np.zeros(len(configs))
-    for u, v in ball.edges:
+    for u, v in ball_edges(ball):
         e += lam[configs[:, u], configs[:, v]]
     return configs, e
 
@@ -127,7 +127,8 @@ def test_broadcast_enumeration_matches_gather():
                 for n in ns:
                     b = build_ball(k, n)
                     configs, e = gather_energies(m, b)
-                    assert _edge_energies(m, b, DEFAULT_CAP, scale=1.0).tobytes() == e.tobytes(), (q, k, n, m.lam)
+                    got = _edge_energies(m, b, DEFAULT_CAP)
+                    assert got.tobytes() == (-m.beta_float * e).tobytes(), (q, k, n, m.lam)
                     if m is free:
                         assert e.tobytes() == bytes(e.nbytes)   # every energy is +0.0
                     flds = ReducedFieldAssignment(b, rng.uniform(-2, 2, size=(b.num_vertices, q - 1)))
@@ -146,7 +147,7 @@ def test_broadcast_enumeration_matches_gather():
                         lw = -m.beta_float * e
                         for x, table in zip(b.shells[n], tables):
                             lw += table[configs[:, x]]
-                        got = _edge_energies(m, b, DEFAULT_CAP, -m.beta_float, zip(b.shells[n], tables))
+                        got = _edge_energies(m, b, DEFAULT_CAP, zip(b.shells[n], tables))
                         assert got.tobytes() == lw.tobytes()
 
 
@@ -160,7 +161,7 @@ def test_enumeration_allocates_within_the_cap():
     ball = build_ball(2, 2)
     vector = 8 * 4**10
     slack = 8 * np.getbufsize() + 2**12
-    assert allocation_peak(lambda: _edge_energies(m, ball, DEFAULT_CAP, scale=1.0)) <= (1 + 1 / 4) * vector + slack
+    assert allocation_peak(lambda: _edge_energies(m, ball, DEFAULT_CAP)) <= (1 + 1 / 4) * vector + slack
     assert allocation_peak(lambda: finite_volume_measure(m, zero_fields(ball, 4))) <= 2.25 * vector
 
 
@@ -193,7 +194,7 @@ def test_blocked_terms_match_one_pass_per_term():
             assert mu.probabilities().tobytes() == np.exp(logw - logZ).tobytes()
         big = build_ball(k, n + 1)
         for omega in rng.integers(0, q, size=(2, len(big.shells[n + 1]))).tolist():
-            e = _edge_energies(m, b, DEFAULT_CAP, -m.beta_float, zip(b.shells[n], dlr_tables(m, big, omega)))
+            e = _edge_energies(m, b, DEFAULT_CAP, zip(b.shells[n], dlr_tables(m, big, omega)))
             want = per_term_dlr_conditional(m, big, omega)
             assert np.exp(e - _logsumexp(e)).tobytes() == want.tobytes(), (q, k, n)
     assert negative_zeros > 0

@@ -6,11 +6,18 @@ from hypothesis import given, strategies as st
 from treegibbs import Ball, build_ball
 from treegibbs.topology import _family, _meet, ball_size, vertex_from_word
 
+from conftest import ball_edges, walked_tables
+
+
+def family_edges(ball):
+    """The (parent, child) edges of a ball from the closed form ``_family``, in child order."""
+    return [(_family(ball.k, v)[0], v) for v in range(1, ball.num_vertices)]
+
 
 def bfs_distances(ball, source):
-    """Independent BFS oracle over the undirected edge list."""
+    """Independent BFS oracle over the walked undirected edge list."""
     adj = {v: [] for v in range(ball.num_vertices)}
-    for u, v in ball.edges:
+    for u, v in ball_edges(ball):
         adj[u].append(v)
         adj[v].append(u)
     dist = {source: 0}
@@ -29,13 +36,13 @@ def bfs_distances(ball, source):
 def test_root_only_ball():
     b = build_ball(2, 0)
     assert b.num_vertices == 1
-    assert b.edges == ()
+    assert b.shells == (range(1),) and family_edges(b) == []
 
 
 def test_ball_2_2_counts():
     b = build_ball(2, 2)
     assert b.num_vertices == 10  # 1 + 3 + 6
-    assert len(b.edges) == 9
+    assert len(family_edges(b)) == 9
     assert [len(s) for s in b.shells] == [1, 3, 6]
 
 
@@ -45,7 +52,7 @@ def test_k1_is_two_ray_line():
     assert [len(s) for s in b.shells] == [1, 2, 2, 2]
     # every interior vertex lies on exactly 2 edges
     deg = [0] * b.num_vertices
-    for u, v in b.edges:
+    for u, v in family_edges(b):
         deg[u] += 1
         deg[v] += 1
     for x in range(b.num_vertices):
@@ -59,8 +66,8 @@ def test_shell_sizes_and_edge_count(k, n):
     for m in range(1, n + 1):
         assert len(b.shells[m]) == (k + 1) * k ** (m - 1)
     assert sum(len(s) for s in b.shells) == b.num_vertices
-    assert len(b.edges) == b.num_vertices - 1
-    for u, v in b.edges:
+    assert len(family_edges(b)) == b.num_vertices - 1
+    for u, v in family_edges(b):
         assert b.shell_of(v) == b.shell_of(u) + 1
 
 
@@ -71,7 +78,7 @@ def test_successor_counts(k, n):
     for m in range(n):
         for x in b.shells[m]:
             kids = _family(k, x)[1]
-            assert list(kids) == [y for y in range(b.num_vertices) if b.parent[y] == x]
+            assert list(kids) == [y for y in range(b.num_vertices) if _family(k, y)[0] == x]
             assert len(kids) == (k + 1 if x == 0 else k)
 
 
@@ -99,12 +106,13 @@ def test_distance_matches_bfs_oracle():
     for k in (1, 2, 3):
         for n in range(4):
             b = build_ball(k, n)
+            parent = walked_tables(k, n)["parent"]
             ancestors = [set() for _ in range(b.num_vertices)]
             for x in range(b.num_vertices):
                 y = x
                 while y >= 0:
                     ancestors[x].add(y)
-                    y = b.parent[y]
+                    y = parent[y]
             for src in range(b.num_vertices):
                 oracle = bfs_distances(b, src)
                 for x in range(b.num_vertices):
@@ -119,7 +127,7 @@ def test_distance_reads_no_vertex_table():
     last = b.num_vertices - 1
     assert _meet(b, 1, last) == 0 and meet_distance(b, 1, last) == 13
     assert _meet(b, last, last - 1) == _family(2, last)[0] and meet_distance(b, last, last - 1) == 2
-    assert not {"shells", "parent", "edges", "words", "word_index"} & set(vars(b))
+    assert set(vars(b)) <= {"k", "n", "_offsets"}
 
 
 def test_two_w1_leaves_are_distance_two():
@@ -130,7 +138,7 @@ def test_two_w1_leaves_are_distance_two():
 
 def test_vertex_words_are_reduced_and_bijective():
     b = build_ball(2, 3)
-    words = [b.words[x] for x in range(b.num_vertices)]
+    words = walked_tables(2, 3)["words"]
     assert words[0] == ()
     assert len(set(words)) == b.num_vertices
     for x, w in enumerate(words):
@@ -143,13 +151,25 @@ def test_vertex_words_are_reduced_and_bijective():
 
 
 def test_vertex_from_word_rejects_words_outside_the_ball():
+    # a repeated letter, labels outside 1..k+1, and a word one shell too deep
     b = build_ball(2, 2)
-    assert b.word_index == {w: x for x, w in enumerate(b.words)}
-    assert b.word_index is b.word_index  # built once per ball
-    assert vertex_from_word(b, [1, 2]) == b.word_index[(1, 2)]
-    for w in [(1, 1), (4,), (0,), (1, 2, 3)]:
+    assert vertex_from_word(b, [1, 2]) == walked_tables(2, 2)["words"].index((1, 2))
+    for w in [(1, 1), (4,), (0,), (1, 2, 3), (2, 0), (3, 3), (-1,)]:
         with pytest.raises(ValueError, match="does not address"):
             vertex_from_word(b, w)
+
+
+def test_ball_keeps_no_vertex_table():
+    # every vertex read through the shells, shell slices, shell_of and vertex_from_word:
+    # a ball holds (k, n) and its shell offsets, nothing per vertex
+    b = build_ball.__wrapped__(2, 6)  # a fresh ball
+    words = walked_tables(2, 6)["words"]
+    for m, shell in enumerate(b.shells):
+        assert range(b.num_vertices)[b.shell_slice(m)] == shell
+        for x in shell:
+            assert b.shell_of(x) == m
+            assert vertex_from_word(b, words[x]) == x
+    assert set(vars(b)) <= {"k", "n", "_offsets"}
 
 
 def test_build_is_deterministic():
@@ -159,51 +179,29 @@ def test_build_is_deterministic():
     assert a == b
 
 
-def walked_tables(k, n):
-    """Oracle: the four vertex tables and the children lists from a breadth-first walk over reduced words."""
-    parent, words, shells, children, edges = [-1], [()], [[0]], [[]], []
-    for m in range(1, n + 1):
-        shell = []
-        for x in shells[m - 1]:
-            last = words[x][-1] if words[x] else 0
-            for g in range(1, k + 2):
-                if g == last:
-                    continue  # reduced words: generators have order 2
-                y = len(parent)
-                parent.append(x)
-                words.append(words[x] + (g,))
-                children.append([])
-                children[x].append(y)
-                edges.append((x, y))
-                shell.append(y)
-        shells.append(shell)
-    return {
-        "parent": tuple(parent),
-        "shells": tuple(tuple(s) for s in shells),
-        "edges": tuple(edges),
-        "words": tuple(words),
-        "children": tuple(tuple(c) for c in children),
-    }
-
-
-@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in range(6 if k < 4 else 4)])
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in range(6)])
 def test_derived_tables_match_breadth_first_walk(k, n):
-    b = build_ball.__wrapped__(k, n)  # a fresh ball, with no table read yet
+    # the closed forms give the walk's layout: shells, parents, edges, words and children
+    b = build_ball.__wrapped__(k, n)  # a fresh ball
     walked = walked_tables(k, n)
-    for name in ("parent", "shells", "edges", "words"):
-        assert getattr(b, name) == walked[name], name
     nv = b.num_vertices
+    assert nv == ball_size(k, n) == len(walked["parent"])
+    assert tuple(map(tuple, b.shells)) == walked["shells"]
+    parent = [_family(k, y)[0] for y in range(nv)]
+    assert tuple(parent) == walked["parent"]
+    assert tuple(family_edges(b)) == walked["edges"]
+    assert [vertex_from_word(b, w) for w in walked["words"]] == list(range(nv))
     # _family's closed form gives the walk's children inside the ball
     interior = nv - len(b.shells[n])
     assert [tuple(_family(k, x)[1]) if x < interior else () for x in range(nv)] == list(walked["children"])
-    assert nv == ball_size(k, n) == len(b.parent)
-    assert [b.shell_slice(m) for m in range(n + 1)] == [slice(s[0], s[-1] + 1) for s in b.shells]
-    assert [b.shell_of(x) for x in range(nv)] == [len(w) for w in b.words]
+    assert [b.shell_slice(m) for m in range(n + 1)] == [slice(s[0], s[-1] + 1) for s in walked["shells"]]
+    assert [b.shell_of(x) for x in range(nv)] == [len(w) for w in walked["words"]]
     # sweep_up's reshape: each shell is grouped by parent, the root has k+1
     # children and every other interior vertex k
     for m in range(1, n + 1):
-        on_shell = b.parent[b.shell_slice(m)]
-        assert list(on_shell) == sorted(on_shell)
-    counts = Counter(b.parent[1:])
+        on_shell = parent[b.shell_slice(m)]
+        assert on_shell == sorted(on_shell)
+    counts = Counter(parent[1:])
     assert set(counts) == set(range(interior))
     assert all(counts[x] == (k + 1 if x == 0 else k) for x in range(interior))
+    assert set(vars(b)) <= {"k", "n", "_offsets"}
