@@ -369,64 +369,132 @@ def finite_volume_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct configuration energy levels beta*H over a ball, ascending, and their multiplicities.
 
-    Configurations are grouped as they grow.  A group is ``code``, the spins
-    of the live vertices (children still to add; oldest digit least
-    significant, so code % q is the next vertex's parent), ``val``, its
-    partial sum, and ``cnt``; groups with equal code and val get the same
-    operations from then on, so they merge after each step that adds a leaf
-    or drops a parent.  On the exact routes with a lattice (``classify``'s
-    exponent table m) the sums are of the integers m - m_a, a an entry where
-    m is least: equal energies merge exactly, one level per lattice point,
-    each formed once as |E|*beta*lam_a + g*s (correctly rounded on an exact
-    table).  On the float route, and where a sum or a level's integers could
-    pass 2^53, they are float sums of lam from +0.0 over v = 1, 2, ...
-    (breadth-first; never -0.0), which rounding can split, and the levels
-    are bit for bit the runs of the sorted q^|V| products beta*H; the sums
-    are sorted, not the products, so where beta*H underflows a zero level
-    is -0.0 if any of its energies is.  ``cap`` bounds q^|V| as for
-    the enumerating measures.  The edge potential carries the opposite sign
+    On the exact routes with a lattice (``classify``'s exponent table m) the
+    energies are sums of the integers t = m - m_a over the edges, a an entry
+    where m is least (``_lattice_sums``): equal energies have equal sums, so
+    there is one level per distinct sum s, formed once as
+    |E|*beta*lam_a + g*s (correctly rounded on an exact table).  Where the
+    largest sum fits the configuration count (top + 1 <= q^|V|) the sums and
+    their int64 counts come from one polynomial per (shell, spin)
+    (``_shell_sums``), in O(n * q) sums and products of at most the level
+    count's terms; elsewhere, on the float route, and where a sum or a
+    level's integers could pass 2^53, configurations are grouped vertex by
+    vertex (``_grouped_sums``).  On the float route the sums are float sums
+    of lam from +0.0 over v = 1, 2, ... (breadth-first; never -0.0), which
+    rounding can split, and the levels are bit for bit the runs of the
+    sorted q^|V| products beta*H; the sums are sorted, not the products, so
+    where beta*H underflows a zero level is -0.0 if any of its energies is.
+    ``cap`` bounds q^|V| as for the enumerating measures, which also keeps
+    every count exact in int64.  The edge potential carries the opposite sign
     (its diagonal is -beta*lam), so the operator spectrum is the mirror
     image of this set; the difference set, which drives classification, is
     the same for both conventions.  Raises ValueError when an energy is not
     a finite float (finite couplings can sum past the float range).
     """
-    q, k, nv = model.q, ball.k, ball.num_vertices
-    measures._check_cap(q, nv, cap)
-    table, level = _lattice_sums(model, nv - 1) or (model.lam_float, lambda s: s * model.beta_float)
-    interior = ball.shell_slice(-1).start        # vertices before it have children
-    live = min(interior, 1)                      # the root is live unless it is the whole ball
-    code, val, cnt = np.arange(q) * live, np.zeros(q, table.dtype), np.ones(q, dtype=np.int64)
+    nv = ball.num_vertices
+    measures._check_cap(model.q, nv, cap)
+    lattice = _lattice_sums(model, nv - 1)
     with np.errstate(over="ignore"):                 # finite couplings can sum past the float range
-        for v in range(1, nv):
-            rows = table.take(code % q, axis=0)      # the parent's row of the table, per group
-            rows += val[:, None]
-            val, cnt = rows.ravel(), np.repeat(cnt, q)
-            dropped = v == _family(k, _family(k, v)[0])[1][-1]      # v is its parent's last child
-            if dropped:
-                code //= q
-                live -= 1
-            if v < interior:                         # v is live: its spin is the newest digit
-                code = (code[:, None] + np.arange(q) * q**live).ravel()
-                live += 1
-                if not dropped:
-                    continue                         # a new digit keeps the groups distinct
-            elif live:
-                code = np.repeat(code, q)
-            else:
-                break                                # v is the last vertex: the levels merge below
-            order = np.argsort(val)                  # then a stable radix sort by the narrowed code
-            order = order[np.argsort(code.astype(np.min_scalar_type(q**live))[order], kind="stable")]
-            code, val, cnt = code[order], val[order], cnt[order]
-            starts = _run_starts(val, code)
-            code, val, cnt = code[starts], val[starts], np.add.reduceat(cnt, starts)
-        order = np.argsort(val)
-        val, cnt = val[order], cnt[order]
-        starts = _run_starts(val)
-        e, cnt = level(val[starts]), np.add.reduceat(cnt, starts)
+        if lattice is not None and (nv - 1) * int(lattice[0].max()) < model.q**nv:
+            table, level = lattice
+            sums, cnt = _shell_sums(table, ball)
+        else:
+            table, level = lattice or (model.lam_float, lambda s: s * model.beta_float)
+            sums, cnt = _grouped_sums(table, ball)
+        e = level(sums)
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):    # sorting puts inf and NaN at the ends
         raise ValueError("the energies beta*H over the ball are not all finite floats")
     starts = _run_starts(e)                      # distinct sums can round to one level
     return e[starts], np.add.reduceat(cnt, starts)
+
+
+def _shell_sums(table: np.ndarray, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sums s of the int64 ``table`` over the edges of ``ball``, ascending, and their counts.
+
+    With zero field every vertex of shell r roots the same subtree, so the
+    counts of the subtree sums below a shell-r vertex of spin a are the
+    coefficients of one polynomial P_r[a] in x, built from the leaves in:
+    P_n[a] = 1 and P_r[a] = (sum_b x^t[a, b] P_{r+1}[b])^k, the power k+1 at
+    the root, whose q polynomials add up to the ball's.  A polynomial is its
+    ascending exponents and their int64 counts; every coefficient is at most
+    q^|V|, so none wraps under the cap.
+    """
+    polys = [(np.zeros(1, np.int64), np.ones(1, np.int64))] * len(table)
+    for r in range(ball.n - 1, -1, -1):
+        exponents, counts = zip(*polys)
+        polys = []
+        for row in table:                        # the sum over b for one spin a, then its power
+            shared = _merged(np.concatenate([e + t for e, t in zip(exponents, row)]), np.concatenate(counts))
+            power = shared
+            for _ in range(ball.k if r == 0 else ball.k - 1):
+                power = _product(power, shared)
+            polys.append(power)
+    return _merged(*map(np.concatenate, zip(*polys)))
+
+
+def _product(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
+    """The product of two polynomials (ascending exponents, counts), by whichever of a dense
+    ``np.convolve`` over their exponent spans N and M or a merge of their |a|*|b| term
+    products is cheaper: the convolution where N*M <= 32*|a|*|b|, about where its
+    multiply-adds and the merge's sort cost the same.  No array outgrows the larger of
+    N + M - 1 and |a|*|b|."""
+    (ea, ca), (eb, cb) = a, b
+    n, m = int(ea[-1] - ea[0]) + 1, int(eb[-1] - eb[0]) + 1
+    if n * m > 32 * ea.size * eb.size:
+        return _merged((ea[:, None] + eb).ravel(), (ca[:, None] * cb).ravel())
+    da, db = np.zeros(n, np.int64), np.zeros(m, np.int64)
+    da[ea - ea[0]], db[eb - eb[0]] = ca, cb
+    c = np.convolve(da, db)
+    at = np.flatnonzero(c)
+    return at + (ea[0] + eb[0]), c[at]
+
+
+def _merged(exponents: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct exponents, ascending, with the summed counts of each."""
+    order = np.argsort(exponents)
+    exponents = exponents[order]
+    starts = _run_starts(exponents)
+    return exponents[starts], np.add.reduceat(counts[order], starts)
+
+
+def _grouped_sums(table: np.ndarray, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sums of ``table`` over the edges of ``ball``, ascending, and their int64 counts.
+
+    Configurations are grouped as they grow.  A group is ``code``, the spins
+    of the live vertices (children still to add; oldest digit least
+    significant, so code % q is the next vertex's parent), ``val``, its
+    partial sum, and ``cnt``; groups with equal code and val get the same
+    operations from then on, so they merge after each step that adds a leaf
+    or drops a parent.  A float ``table`` gives float sums from +0.0 over
+    v = 1, 2, ..., merged where they are equal.
+    """
+    q, k, nv = len(table), ball.k, ball.num_vertices
+    interior = ball.shell_slice(-1).start        # vertices before it have children
+    live = min(interior, 1)                      # the root is live unless it is the whole ball
+    code, val, cnt = np.arange(q) * live, np.zeros(q, table.dtype), np.ones(q, dtype=np.int64)
+    for v in range(1, nv):
+        rows = table.take(code % q, axis=0)      # the parent's row of the table, per group
+        rows += val[:, None]
+        val, cnt = rows.ravel(), np.repeat(cnt, q)
+        dropped = v == _family(k, _family(k, v)[0])[1][-1]      # v is its parent's last child
+        if dropped:
+            code //= q
+            live -= 1
+        if v < interior:                         # v is live: its spin is the newest digit
+            code = (code[:, None] + np.arange(q) * q**live).ravel()
+            live += 1
+            if not dropped:
+                continue                         # a new digit keeps the groups distinct
+        elif live:
+            code = np.repeat(code, q)
+        else:
+            break                                # v is the last vertex: the sums merge below
+        order = np.argsort(val)                  # then a stable radix sort by the narrowed code
+        order = order[np.argsort(code.astype(np.min_scalar_type(q**live))[order], kind="stable")]
+        code, val, cnt = code[order], val[order], cnt[order]
+        starts = _run_starts(val, code)
+        code, val, cnt = code[starts], val[starts], np.add.reduceat(cnt, starts)
+    return _merged(val, cnt)
 
 
 def _lattice_sums(model: LambdaModel, edges: int):

@@ -10,15 +10,18 @@ kernel, ``_edge_energies``, builds every log-weight vector, and neither a
 configuration matrix nor a vertex table: it grows the q^|V| energy vector
 one vertex at a time (parents from ``topology._family``), then scales it by
 -beta and adds the per-vertex terms block by cache-sized block.  The
-spectrum builds none: it groups configurations by partial energy, an
-integer sum on the exact lattice routes (``classifier.finite_volume_spectrum``).
+spectrum builds none: on the exact lattice routes it counts integer energy
+sums with one polynomial per (shell, spin), and elsewhere it groups
+configurations by partial energy (``classifier.finite_volume_spectrum``).
 The consistency residual sums shell n out leaf by leaf, so it enumerates
 only V_{n-1}; ``finite_volume_measure`` and ``marginalize`` enumerate V_n
-and are its oracle, called by no command.  The two-point quantities build
-no ball at all: the zero-field spins form a Markov chain down every root
-path, with one q x q kernel per shell (P itself for a rational stochastic
-matrix P), and the correlation decay and every pair defect are centred
-products of those n kernels (``_root_path``, ``_centred``).
+and are its oracle, called by no command.  The Markov residual forms its
+probabilities and conditional laws one shell-n configuration at a time,
+in one reused buffer.  The two-point quantities build no ball at all: the
+zero-field spins form a Markov chain down every root path, with one q x q
+kernel per shell (P itself for a rational stochastic matrix P), and the
+correlation decay and every pair defect are centred products of those
+kernels (``_root_path``, ``_centred``).
 """
 
 from __future__ import annotations
@@ -131,11 +134,16 @@ class FiniteVolumeMeasure:
     logZ: float
 
     def probabilities(self) -> np.ndarray:
-        p = self.logweights - self.logZ
-        np.exp(p, out=p)
-        if not np.all(p >= 0):
-            raise ValueError("probabilities are NaN or negative: the log-weights are not finite")
-        return p
+        return _probabilities(self.logweights, self.logZ)
+
+
+def _probabilities(logweights: np.ndarray, logz: float, out=None) -> np.ndarray:
+    """exp(logweights - logz), into ``out`` if given; raises ValueError on NaN or a negative."""
+    p = np.subtract(logweights, logz, out=out)
+    np.exp(p, out=p)
+    if not np.all(p >= 0):
+        raise ValueError("probabilities are NaN or negative: the log-weights are not finite")
+    return p
 
 
 def _field_tables(model: LambdaModel, fields: ReducedFieldAssignment) -> np.ndarray:
@@ -211,19 +219,26 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     reference one, shell n+1 all at spin 0, with the same shell-n spins.
     Vanishes for nearest-neighbor interactions.  TV is a metric, so the
     laws all agree exactly when this is 0, and the largest TV between any
-    two of them lies between this value and twice it.  The comparison is
-    made in place on the probability array: no array larger than the
-    measure is built.
+    two of them lies between this value and twice it.  Past the log-weights
+    and their logsumexp, one shell-n configuration is taken at a time: its
+    probabilities, conditional laws and TVs are formed in one reused buffer
+    of q^|V| / q^|shell n| entries, with the same bits as over the whole
+    vector.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     ball = build_ball(model.k, n + 1)
-    p = _edge_energies(model, ball, cap)      # the log-weights, freed below
-    p = FiniteVolumeMeasure(ball, model.q, p, float(_logsumexp(p))).probabilities()
+    logw = _edge_energies(model, ball, cap)
+    logz = float(_logsumexp(logw))
     na = build_ball(model.k, n - 1).num_vertices
-    p = p.reshape(model.q**na, model.q ** len(ball.shells[n]), -1)
-    p /= p.sum(axis=0, keepdims=True)            # law of V_{n-1} per (shell n, shell n+1) config
-    return _tv_to_first_column(p)
+    logw = logw.reshape(model.q**na, model.q ** len(ball.shells[n]), -1)
+    p = np.empty((logw.shape[0], 1, logw.shape[2]))
+    worst = 0.0
+    for b in range(logw.shape[1]):
+        _probabilities(logw[:, b:b + 1], logz, out=p)
+        p /= p.sum(axis=0, keepdims=True)        # law of V_{n-1} per shell n+1 config
+        worst = max(worst, _tv_to_first_column(p))
+    return worst
 
 
 def _tv_to_first_column(cond: np.ndarray) -> float:
@@ -232,32 +247,34 @@ def _tv_to_first_column(cond: np.ndarray) -> float:
     return float(0.5 * np.max(np.sum(np.abs(cond, out=cond), axis=0)))
 
 
-def _root_path(model: LambdaModel, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Root law p_0 and child-given-parent kernels [K_1..K_n] of the zero-field measure at radius n.
+def _root_path(model: LambdaModel, n: int, depth: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Root law p_0 and child-given-parent kernels [K_1..K_depth] of the zero-field measure at radius n.
 
     Every vertex of shell m roots the same subtree, so one kernel serves the
     shell, and along a root path the spins form a Markov chain.  Walking
     shell n down to 1, ``val`` is the log-weight of the subtree below an
     unclamped shell-m vertex, its maximum subtracted so it stays O(1), and
     K_m[i, j] = e^{-beta*lam[i][j] + val_j - shared_i}, shared_i = log sum_j
-    of its numerator.  The root law is proportional to e^{(k+1)*shared_1}.
+    of its numerator, formed only for the shells m <= depth that the caller
+    reads.  The root law is proportional to e^{(k+1)*shared_1}.
     On a rational stochastic matrix P, e^{-beta*lam} is P, whose rows sum to
     1 exactly: every val is 0, so every K_m is the float P and p_0 is
     uniform, with no rounding of e^{-lam} compounded through the subtree
     weights.  No ball is built.
     """
     kernels, val, root = [], np.zeros(model.q), np.zeros(model.q)
-    if _kind(model) == "symbolic-log-rational":
-        # every val is 0: no subtree weights to recur
-        kernels = [np.array(model.P, dtype=float)] * n
-    for _ in range(n - len(kernels)):           # shells n down to 1
+    markov = _kind(model) == "symbolic-log-rational"    # every val is 0: no subtree weights to recur
+    for m in range(0 if markov else n, 0, -1):          # shells n down to 1
         top, terms = _shifted_terms(model, val)
         # each row summed in sorted order: rows that are permutations of one another (Potts)
         # get equal sums, where rounding left in val would grow by k*lambda_2 per shell
         shared = top[:, 0] + np.log(np.sort(terms).sum(axis=-1))
-        kernels.append(np.exp(model.log_weights + val - shared[:, None]))
+        if m <= depth:
+            kernels.append(np.exp(model.log_weights + val - shared[:, None]))
         root = shared - shared.max()
         val = model.k * root
+    if markov:
+        kernels = [np.array(model.P, dtype=float)] * depth
     p = np.exp((model.k + 1) * root)
     return p / p.sum(), kernels[::-1]
 
@@ -285,11 +302,11 @@ def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.nd
     ball = build_ball(model.k, n)
     if not (0 <= x0 < ball.num_vertices and 0 <= x1 < ball.num_vertices):
         raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
-    p, kernels = _root_path(model, n)
     m, s0, s1 = (ball.shell_of(x) for x in (_meet(ball, x0, x1), x0, x1))
+    p, kernels = _root_path(model, n, max(s0, s1))
     for kernel in kernels[:m]:
         p = p @ kernel
-    centred = list(_centred(p, kernels[m:max(s0, s1)]))
+    centred = list(_centred(p, kernels[m:]))
     return np.abs((p[:, None] * centred[s0 - m]).T @ centred[s1 - m])
 
 
@@ -301,6 +318,6 @@ def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:
     """
     if n < 0:
         raise ValueError(f"need ball radius n >= 0, got {n}")
-    p, kernels = _root_path(model, n)
+    p, kernels = _root_path(model, n, n)
     weight = p[:, None]
     return [(d, float(np.max(weight * np.abs(c)))) for d, c in enumerate(_centred(p, kernels)) if d]

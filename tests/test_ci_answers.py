@@ -67,6 +67,13 @@ def multiplicities_q2(report):
     assert m == [2 * math.comb(21, j) for j in range(22)] and sum(m) == 2**22
 
 
+def levels_q2_n4(report):
+    # 2^46 configurations, counted by the subtree polynomials: with j of the 45 edges
+    # unequal, beta*H = j - 22.5 with multiplicity 2*C(45, j)
+    got = [(l["value"], l["multiplicity"]) for l in report["levels"]]
+    assert got == [(j - 22.5, 2 * math.comb(45, j)) for j in range(46)] and report["lattice_ok"] is True
+
+
 def markov_residual(report):
     assert report["residual"] == 0.016151817808324864 and report["passed"] is False
 
@@ -91,6 +98,8 @@ ANSWERS = {
                              levels([(float(j - 6), 3 * math.comb(9, j) * 2**j) for j in range(10)])),
     "spectrum-potts-q2-n3": (["spectrum", "--model", "potts_q2.json", "--n", "3", "--cap", "4194304"],
                              0, multiplicities_q2),
+    "spectrum-potts-q2-n4": (["spectrum", "--model", "potts_q2.json", "--n", "4", "--cap", "70368744177664"],
+                             0, levels_q2_n4),
     "verify-markov-k3-wrong-shell1": (["verify-consistency", "--model", "markov_k3.json", "--n", "2",
                                        "--fields", "shell1_q2.json"], 2, markov_residual),
     "classify-exact-q8": (["classify", "--model", "exact_q8.json"], 0, lattice_q8),

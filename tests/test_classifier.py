@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -566,14 +567,16 @@ def test_grouped_spectrum_matches_enumeration_at_the_cap(table):
 
 
 @pytest.mark.parametrize("q,k,n,cap", [(2, 2, 3, 2**22), (3, 1, 6, 3**13), (3, 2, 2, DEFAULT_CAP),
-                                       (5, 1, 3, DEFAULT_CAP)])
+                                       (5, 1, 3, DEFAULT_CAP), (2, 2, 4, 2**46), (3, 2, 3, 3**22)])
 def test_potts_spectrum_known_answer(q, k, n, cap):
     # J = q/(q-1), so J' = (q-1)J/q = 1: an edge of equal spins gives -1, one of
     # unequal spins 1/(q-1), dyadic for these q, so every float sum is exact.
     # With j of the |E| edges unequal the level is beta*(j*q/(q-1) - |E|), with
     # multiplicity q * C(|E|, j) * (q-1)^j.  The first two balls are past the
     # default cap, but small enough that a grouping which stopped merging would
-    # still fit in memory.
+    # still fit in memory; the last two (2^46 and 3^22 configurations: levels
+    # j - 22.5 of multiplicity 2*C(45, j), and multiplicities 3*C(21, j)*2^j) are
+    # counted by the subtree polynomials.
     ball = build_ball(k, n)
     edges = ball.num_vertices - 1
     beta = Fraction(1, 2)
@@ -593,12 +596,12 @@ def test_potts_spectrum_levels_are_not_split_by_rounding():
 
 
 @st.composite
-def lattice_spectrum_cases(draw):
-    """A ball with q <= 4, k <= 3, n <= 3 and q^|V| <= 2^14, and an exact table, an exact
+def lattice_spectrum_cases(draw, limit=2**14):
+    """A ball with q <= 4, k <= 3, n <= 3 and q^|V| <= ``limit``, and an exact table, an exact
     Potts table, or a rational Markov matrix: with a lattice (rows permutations of the
     weights alpha^e), or with random rows, whose ratios seldom lie on one."""
     q, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
-    n = draw(st.sampled_from([n for n in range(4) if q ** build_ball(k, n).num_vertices <= 2**14]))
+    n = draw(st.sampled_from([n for n in range(4) if q ** build_ball(k, n).num_vertices <= limit]))
     family = draw(st.sampled_from(["exact", "potts", "markov-lattice", "markov-random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -637,6 +640,68 @@ def test_exact_route_spectrum_is_the_regrouped_enumeration(case):
     assert len(levels) == len(exact)
     for level, value in zip(levels.tolist(), exact):
         assert abs(level - value) <= rtol * abs(value), (level, value)
+
+
+def grouped_spectrum(model, ball):
+    """The spectrum with its sums grouped vertex by vertex (``classifier._grouped_sums``) on
+    every route: the exponent sums of ``classifier._lattice_sums`` on an exact route with a
+    lattice, the float sums otherwise."""
+    table, level = (classifier._lattice_sums(model, ball.num_vertices - 1)
+                    or (model.lam_float, lambda s: s * model.beta_float))
+    sums, counts = classifier._grouped_sums(table, ball)
+    e = level(sums)
+    starts = classifier._run_starts(e)
+    return e[starts], np.add.reduceat(counts, starts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_spectrum_cases(2**16))
+def test_shell_polynomials_match_the_integer_grouping(case):
+    # the per-(shell, spin) polynomials give the grouping's distinct exponent sums and int64
+    # counts, and the spectrum the levels formed from them, byte for byte
+    model, ball = case
+    lattice = classifier._lattice_sums(model, ball.num_vertices - 1)
+    if lattice is None:                          # a Markov matrix without a lattice: the float route
+        return
+    sums, counts = classifier._shell_sums(lattice[0], ball)
+    want_sums, want_counts = classifier._grouped_sums(lattice[0], ball)
+    assert sums.tobytes() == want_sums.tobytes() and counts.tobytes() == want_counts.tobytes()
+    assert counts.dtype == np.int64 and sum(counts.tolist()) == model.q**ball.num_vertices
+    levels, multiplicities = finite_volume_spectrum(model, ball)
+    want = grouped_spectrum(model, ball)
+    assert levels.tobytes() == want[0].tobytes()
+    assert multiplicities.dtype == np.int64 and multiplicities.tobytes() == want[1].tobytes()
+
+
+def wide_span_tables():
+    """Exact tables whose exponent sums spread far wider than their levels, with their ball."""
+    rng = np.random.default_rng(5)
+    q6 = [[Fraction(int(rng.integers(-10**4, 10**4)), 7) for _ in range(6)] for _ in range(6)]
+    rng = np.random.default_rng(7)
+    fine = [[Fraction(int(rng.integers(-10**4, 10**4)), 97) for _ in range(4)] for _ in range(4)]
+    return {"k1-25000": (generic_model([[0, 25000], [1, 3]], 1, 1), build_ball(1, 9)),
+            "q3-5000": (generic_model([[0, 5000, 7], [1, 3, 2500], [11, 0, 4000]], 2, 1), build_ball(2, 2)),
+            "q6-difference-block": (generic_model(q6, 2, 1), build_ball(2, 1)),
+            "q4-fine-lattice": (generic_model(fine, 2, 1), build_ball(2, 2))}
+
+
+@pytest.mark.parametrize("name", sorted(wide_span_tables()))
+def test_spectrum_route_rule_keeps_wide_spans_within_twice_the_grouping(name):
+    # each product of subtree polynomials takes a dense convolution or a sparse merge by the
+    # sizes of its operands, and spans wider than the configuration count stay with the
+    # grouping, so no table is much slower than grouping it (a convolution over every span
+    # took 18 s on the k = 1 table, where grouping takes about 1 ms).  Best of 7, interleaved.
+    model, ball = wide_span_tables()[name]
+    levels, counts = finite_volume_spectrum(model, ball)
+    want = grouped_spectrum(model, ball)
+    assert levels.tobytes() == want[0].tobytes() and counts.tobytes() == want[1].tobytes()
+    best = {}
+    for _ in range(7):
+        for key, run in (("spectrum", finite_volume_spectrum), ("grouping", grouped_spectrum)):
+            start = time.perf_counter()
+            run(model, ball)
+            best[key] = min(best.get(key, math.inf), time.perf_counter() - start)
+    assert best["spectrum"] <= 2 * best["grouping"], best
 
 
 @pytest.mark.parametrize("lam", [
