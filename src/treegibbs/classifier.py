@@ -373,13 +373,12 @@ def finite_volume_spectrum(
     energies are sums of the integers t = m - m_a over the edges, a an entry
     where m is least (``_lattice_sums``): equal energies have equal sums, so
     there is one level per distinct sum s, formed once as
-    |E|*beta*lam_a + g*s (correctly rounded on an exact table).  Where the
-    largest sum fits the configuration count (top + 1 <= q^|V|) the sums and
-    their int64 counts come from one polynomial per (shell, spin)
+    |E|*beta*lam_a + g*s (correctly rounded on an exact table).  The sums
+    and their int64 counts come from one polynomial per (shell, spin)
     (``_shell_sums``), in O(n * q) sums and products of at most the level
-    count's terms; elsewhere, on the float route, and where a sum or a
-    level's integers could pass 2^53, configurations are grouped vertex by
-    vertex (``_grouped_sums``).  On the float route the sums are float sums
+    count's terms.  On the float route, which also takes exact tables where
+    a sum or a level's integers could pass 2^53, configurations are grouped
+    vertex by vertex (``_grouped_sums``); there the sums are float sums
     of lam from +0.0 over v = 1, 2, ... (breadth-first; never -0.0), which
     rounding can split, and the levels are bit for bit the runs of the
     sorted q^|V| products beta*H; the sums are sorted, not the products, so
@@ -395,13 +394,13 @@ def finite_volume_spectrum(
     measures._check_cap(model.q, nv, cap)
     lattice = _lattice_sums(model, nv - 1)
     with np.errstate(over="ignore"):                 # finite couplings can sum past the float range
-        if lattice is not None and (nv - 1) * int(lattice[0].max()) < model.q**nv:
+        if lattice is None:
+            sums, cnt = _grouped_sums(model.lam_float, ball)
+            e = sums * model.beta_float
+        else:
             table, level = lattice
             sums, cnt = _shell_sums(table, ball)
-        else:
-            table, level = lattice or (model.lam_float, lambda s: s * model.beta_float)
-            sums, cnt = _grouped_sums(table, ball)
-        e = level(sums)
+            e = level(sums)
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):    # sorting puts inf and NaN at the ends
         raise ValueError("the energies beta*H over the ball are not all finite floats")
     starts = _run_starts(e)                      # distinct sums can round to one level

@@ -21,7 +21,7 @@ in one reused buffer.  The two-point quantities build no ball at all: the
 zero-field spins form a Markov chain down every root path, with one q x q
 kernel per shell (P itself for a rational stochastic matrix P), and the
 correlation decay and every pair defect are centred products of those
-kernels (``_root_path``, ``_centred``).
+n kernels (``_root_path``, ``_centred``).
 """
 
 from __future__ import annotations
@@ -237,8 +237,8 @@ def markov_property_residual(model: LambdaModel, n: int, cap: int = DEFAULT_CAP)
     for b in range(logw.shape[1]):
         _probabilities(logw[:, b:b + 1], logz, out=p)
         p /= p.sum(axis=0, keepdims=True)        # law of V_{n-1} per shell n+1 config
-        worst = max(worst, _tv_to_first_column(p))
-    return worst
+        worst = np.maximum(worst, _tv_to_first_column(p))   # keeps a NaN (an underflowed law)
+    return float(worst)
 
 
 def _tv_to_first_column(cond: np.ndarray) -> float:
@@ -247,34 +247,32 @@ def _tv_to_first_column(cond: np.ndarray) -> float:
     return float(0.5 * np.max(np.sum(np.abs(cond, out=cond), axis=0)))
 
 
-def _root_path(model: LambdaModel, n: int, depth: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Root law p_0 and child-given-parent kernels [K_1..K_depth] of the zero-field measure at radius n.
+def _root_path(model: LambdaModel, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Root law p_0 and child-given-parent kernels [K_1..K_n] of the zero-field measure at radius n.
 
     Every vertex of shell m roots the same subtree, so one kernel serves the
     shell, and along a root path the spins form a Markov chain.  Walking
     shell n down to 1, ``val`` is the log-weight of the subtree below an
     unclamped shell-m vertex, its maximum subtracted so it stays O(1), and
     K_m[i, j] = e^{-beta*lam[i][j] + val_j - shared_i}, shared_i = log sum_j
-    of its numerator, formed only for the shells m <= depth that the caller
-    reads.  The root law is proportional to e^{(k+1)*shared_1}.
+    of its numerator.  The root law is proportional to e^{(k+1)*shared_1}.
     On a rational stochastic matrix P, e^{-beta*lam} is P, whose rows sum to
     1 exactly: every val is 0, so every K_m is the float P and p_0 is
     uniform, with no rounding of e^{-lam} compounded through the subtree
     weights.  No ball is built.
     """
     kernels, val, root = [], np.zeros(model.q), np.zeros(model.q)
-    markov = _kind(model) == "symbolic-log-rational"    # every val is 0: no subtree weights to recur
-    for m in range(0 if markov else n, 0, -1):          # shells n down to 1
+    if _kind(model) == "symbolic-log-rational":
+        # every val is 0: no subtree weights to recur
+        kernels = [np.array(model.P, dtype=float)] * n
+    for _ in range(n - len(kernels)):           # shells n down to 1
         top, terms = _shifted_terms(model, val)
         # each row summed in sorted order: rows that are permutations of one another (Potts)
         # get equal sums, where rounding left in val would grow by k*lambda_2 per shell
         shared = top[:, 0] + np.log(np.sort(terms).sum(axis=-1))
-        if m <= depth:
-            kernels.append(np.exp(model.log_weights + val - shared[:, None]))
+        kernels.append(np.exp(model.log_weights + val - shared[:, None]))
         root = shared - shared.max()
         val = model.k * root
-    if markov:
-        kernels = [np.array(model.P, dtype=float)] * depth
     p = np.exp((model.k + 1) * root)
     return p / p.sum(), kernels[::-1]
 
@@ -302,11 +300,11 @@ def two_point_correlation(model: LambdaModel, x0: int, x1: int, n: int) -> np.nd
     ball = build_ball(model.k, n)
     if not (0 <= x0 < ball.num_vertices and 0 <= x1 < ball.num_vertices):
         raise ValueError(f"vertices ({x0}, {x1}) outside the radius-{n} ball")
+    p, kernels = _root_path(model, n)
     m, s0, s1 = (ball.shell_of(x) for x in (_meet(ball, x0, x1), x0, x1))
-    p, kernels = _root_path(model, n, max(s0, s1))
     for kernel in kernels[:m]:
         p = p @ kernel
-    centred = list(_centred(p, kernels[m:]))
+    centred = list(_centred(p, kernels[m:max(s0, s1)]))
     return np.abs((p[:, None] * centred[s0 - m]).T @ centred[s1 - m])
 
 
@@ -318,6 +316,6 @@ def correlation_decay(model: LambdaModel, n: int) -> list[tuple[int, float]]:
     """
     if n < 0:
         raise ValueError(f"need ball radius n >= 0, got {n}")
-    p, kernels = _root_path(model, n, n)
+    p, kernels = _root_path(model, n)
     weight = p[:, None]
     return [(d, float(np.max(weight * np.abs(c)))) for d, c in enumerate(_centred(p, kernels)) if d]

@@ -1,5 +1,4 @@
 import math
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -686,22 +685,36 @@ def wide_span_tables():
 
 
 @pytest.mark.parametrize("name", sorted(wide_span_tables()))
-def test_spectrum_route_rule_keeps_wide_spans_within_twice_the_grouping(name):
+def test_spectrum_route_rule_keeps_wide_spans_within_twice_the_grouping(name, monkeypatch):
     # each product of subtree polynomials takes a dense convolution or a sparse merge by the
-    # sizes of its operands, and spans wider than the configuration count stay with the
-    # grouping, so no table is much slower than grouping it (a convolution over every span
-    # took 18 s on the k = 1 table, where grouping takes about 1 ms).  Best of 7, interleaved.
+    # sizes of its operands, so no table costs much more than grouping it (a convolution over
+    # every span took 18 s on the k = 1 table, where grouping takes about 1 ms).  Cost is
+    # counted in the route rule's units: an element sorted (both routes sort, then split the
+    # runs with _run_starts) weighs as much as 32 multiply-adds of a convolution.
     model, ball = wide_span_tables()[name]
     levels, counts = finite_volume_spectrum(model, ball)
     want = grouped_spectrum(model, ball)
     assert levels.tobytes() == want[0].tobytes() and counts.tobytes() == want[1].tobytes()
-    best = {}
-    for _ in range(7):
-        for key, run in (("spectrum", finite_volume_spectrum), ("grouping", grouped_spectrum)):
-            start = time.perf_counter()
-            run(model, ball)
-            best[key] = min(best.get(key, math.inf), time.perf_counter() - start)
-    assert best["spectrum"] <= 2 * best["grouping"], best
+    cost = []
+    run_starts, convolve = classifier._run_starts, np.convolve
+
+    def counted_run_starts(x, *more):
+        cost.append(x.size)
+        return run_starts(x, *more)
+
+    def counted_convolve(a, b):
+        cost.append(a.size * b.size / 32)
+        return convolve(a, b)
+
+    monkeypatch.setattr(classifier, "_run_starts", counted_run_starts)
+    monkeypatch.setattr(np, "convolve", counted_convolve)
+    table = classifier._lattice_sums(model, ball.num_vertices - 1)[0]
+    spent = {}
+    for route in (classifier._shell_sums, classifier._grouped_sums):
+        cost.clear()
+        route(table, ball)
+        spent[route.__name__] = sum(cost)
+    assert spent["_shell_sums"] <= 2 * spent["_grouped_sums"], spent
 
 
 @pytest.mark.parametrize("lam", [

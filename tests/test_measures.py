@@ -309,6 +309,17 @@ def test_markov_residual_matches_the_zero_field_measure_bit_for_bit():
         assert np.float64(got).tobytes() == np.float64(zero_field_markov_residual(m, 1)).tobytes()
 
 
+@pytest.mark.parametrize("q, k", [(2, 1), (3, 2)])
+def test_markov_residual_is_nan_where_a_conditional_law_underflows(q, k):
+    # at beta*J = 400 every inner configuration of some (shell n, shell n+1) pair
+    # underflows to probability 0, so its conditional law is 0/0: the residual is NaN,
+    # as over the whole array, not the largest finite slice
+    m = potts_model(q, 400, 1, k)
+    with np.errstate(invalid="ignore"):
+        got, want = markov_property_residual(m, 1), zero_field_markov_residual(m, 1)
+    assert math.isnan(want) and math.isnan(got)
+
+
 def test_markov_residual_allocates_no_term_tables():
     # Potts q=2, k=3, n=1: 2^17 configurations.  With no boundary terms no
     # table is widened: the log-weights, the probability vector and one
