@@ -1,33 +1,24 @@
 """Factor-type classification from the arithmetic of coupling differences.
 
 The modular spectrum of the diagonal Markov state is generated by the
-beta-scaled pairwise differences of coupling-table entries.  The state is
-tracial exactly when that difference set is {0}; otherwise the factor type
-is read off from whether the differences fit a one-generator lattice
-m * g, m integer.  Three back-ends decide this:
+beta-scaled pairwise differences of coupling-table entries, which generate
+the same Z-module as the q^2 base differences beta*(lam_ij - lam_00).  The
+state is tracial exactly when they are all 0; otherwise the factor type is
+read off from whether they fit a one-generator lattice m * g, m integer.
+``classify`` alone picks a route (markov-check reads its result), each in ints:
 
-  * exact-rational tables: gcd of rationals (always succeeds), taken in
-    integers over the lcm of the denominators;
+  * exact-rational tables: the gcd of the base differences over the lcm of
+    their denominators (always succeeds);
   * stochastic-matrix models with rational entries: multiplicative
-    dependence of the entry ratios, decided exactly from the coprime-base
+    dependence of the ratios p_00/p_ij, decided from the coprime-base
     valuations of each distinct (numerator, denominator) pair;
-  * floating tables: continued-fraction rational reconstruction of the
-    difference ratios, whose q^4 set numpy builds.
+  * floating tables: continued-fraction reconstruction of the ratios of
+    the q^4 ``difference_set``, each ratio taken as its exact n/d.
 
-The pairwise differences generate the same Z-module as the q^2 base
-differences beta*(lam_ij - lam_00), so the two exact routes work on those
-q^2 values (the ratios p_00/p_ij for stochastic matrices); only the float
-route builds the q^4 ``difference_set``, a sorted tuple of values.
-``classify`` is the one place that picks the route; the CLI's markov-check
-report is a view of its result.
-
-Every route witnesses its lattice with one q x q integer table m, defined
-by beta*(lam_ij - lam_00) = m_ij * g; the difference of entries (i,j) and
-(k,l) is then (m_ij - m_kl) * g.
-
-A positive generator g corresponds to gamma = e^{-g} in (0, 1); the factor
-belongs to the family {III_{gamma^d} : d >= 1} and the exponent d is not
-determined by this computation.
+Every route witnesses its lattice with one q x q integer table m,
+beta*(lam_ij - lam_00) = m_ij * g, so entries (i,j) and (k,l) differ by
+(m_ij - m_kl) * g.  A positive generator g gives gamma = e^{-g} in (0, 1):
+the factor is in {III_{gamma^d} : d >= 1}, and d is not determined here.
 """
 
 from __future__ import annotations
@@ -72,16 +63,21 @@ def difference_set(model: LambdaModel) -> tuple:
     if kind == "exact-rational":
         vals = [v for row in model.lam for v in row]
         return tuple(sorted({model.beta * (a - b) for a in vals for b in vals}))
+    return tuple(_float_differences(model).tolist())
+
+
+def _float_differences(model: LambdaModel) -> np.ndarray:
+    """The floats of ``difference_set`` from the float table, as the array that ``classify`` reads."""
     v = np.array([float(x) for row in model.lam for x in row])
     # np.unique is the sorted set of the products; adding 0.0 turns a -0.0 into 0.0
     raw = np.unique(model.beta_float * (v[:, None] - v[None, :])) + 0.0
     if not np.any(np.diff(raw) <= 1e-12):
-        return tuple(raw.tolist())
+        return raw
     deltas: list[float] = []
     for d in raw.tolist():
         if not deltas or abs(d - deltas[-1]) > 1e-12:
             deltas.append(d)
-    return tuple(deltas)
+    return np.array(deltas)
 
 
 def _rational_lattice(values: Sequence[Fraction]) -> Optional[tuple[int, int, list[int]]]:
@@ -141,12 +137,8 @@ def _base_exponents(r: tuple[int, int], base: Sequence[int]) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class MultiplicativeWitness:
-    """Evidence that all ratios p_00/p_ij lie on one geometric lattice alpha^Z.
-
-    ``alpha`` is None in the degenerate case where every ratio equals 1
-    (constant matrix); otherwise alpha is rational in (0, 1) and
-    p_00 / p_ij = alpha ** exponents[i][j].
-    """
+    """Evidence that all ratios p_00/p_ij lie on one geometric lattice alpha^Z: alpha is rational
+    in (0, 1) and p_00 / p_ij = alpha ** exponents[i][j], or None when every ratio is 1."""
 
     alpha: Optional[Fraction]
     exponents: tuple[tuple[int, ...], ...]
@@ -155,9 +147,9 @@ class MultiplicativeWitness:
 def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
     """Decide condition p_00/p_ij = alpha^{m_ij} for a rational stochastic matrix.
 
-    Each distinct entry is valued once over a coprime base of the entries'
+    Each distinct entry p is valued once over a coprime base of the entries'
     numerators and denominators.  For each base element b the integer column
-    c_b[ij] = v_b(p_00) - v_b(p_ij) holds the exponents of b in the ratios;
+    c_b[p] = v_b(p_00) - v_b(p) holds the exponents of b in the ratios;
     the condition holds exactly when all columns are multiples of one
     primitive column m, c_b = t_b * m, and then alpha = prod b^{t_b}.  (A
     prime p divides one b only, with column v_p(b) * c_b, so prime columns
@@ -169,11 +161,10 @@ def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
         raise TypeError("multiplicative commensurability needs rational matrix entries")
     q = len(rows)
     pairs = [(v.numerator, v.denominator) for row in rows for v in row]
-    distinct = set(pairs)
+    distinct = list(dict.fromkeys(pairs))      # p_00 first; the columns are read on these
     base = _coprime_base([n for r in distinct for n in r])
-    vecs = {r: _base_exponents(r, base) for r in distinct}
-    flat = [vecs[r] for r in pairs]
-    cols = {b: [flat[0].get(b, 0) - vec.get(b, 0) for vec in flat] for b in set().union(*flat)}
+    vecs = [_base_exponents(r, base) for r in distinct]
+    cols = {b: [vecs[0].get(b, 0) - vec.get(b, 0) for vec in vecs] for b in set().union(*vecs)}
     first = next((c for c in cols.values() if any(c)), None)
     if first is None:
         return MultiplicativeWitness(alpha=None, exponents=((0,) * q,) * q)
@@ -191,6 +182,8 @@ def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
             den *= b**-t
     if num > den:
         num, den, m = den, num, [-e for e in m]
+    at = dict(zip(distinct, m))
+    m = [at[r] for r in pairs]
     return MultiplicativeWitness(alpha=Fraction(num, den),
                                  exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
 
@@ -208,37 +201,48 @@ def commensurability_float(
 ) -> Optional[FloatLattice]:
     """Reconstruct a common generator of a floating difference set, if any.
 
-    For each nonzero magnitude the ratio to the smallest one is matched
-    against its best rational approximation p/s with s <= max_den; the match
-    is accepted only when |s * ratio - p| <= tol, which a genuinely rational
-    ratio meets at machine precision while slowly-converging irrational
-    ratios (e.g. log 3 / log 2) do not.  The generator is then refined to the
-    largest g with every delta = m * g within tol * |delta|.
-    """
+    Each nonzero magnitude's ratio n/d to the smallest one, exact in ints, is matched against
+    its best rational approximation p/s with s <= max_den (``_best_rational``) and accepted
+    only when |n*s - p*d| / d <= tol, which a genuinely rational ratio meets at machine
+    precision while slowly-converging irrational ratios (e.g. log 3 / log 2) do not.  The
+    generator, the smallest magnitude times the gcd of the p/s, must then hold every
+    delta = m * g within tol * |delta|."""
     _check_tol(tol, max_den)
     mags = np.abs(np.asarray(deltas, dtype=float))
     mags = np.unique(mags[mags != 0]).tolist()
     if not mags or not math.isfinite(mags[-1] / mags[0]):   # past a subnormal base a ratio overflows
         return None
     base = mags[0]
-    fracs = []
-    low_confidence = False
+    tn, td = tol.as_integer_ratio()
+    approx = []
     for d in mags:
-        r = Fraction(d / base)
-        approx = r.limit_denominator(max_den)
-        if abs(r - approx) * approx.denominator > tol:
+        n, den = (d / base).as_integer_ratio()
+        p, s = _best_rational(n, den, max_den)
+        if abs(n * s - p * den) * td > tn * den:   # |n/den - p/s| * s > tol
             return None
-        if approx.denominator > max_den // 10:
-            low_confidence = True
-        fracs.append(approx)
-    g = base * float(commensurability_exact(fracs))
+        approx.append((p, s))
+    lcm = math.lcm(*[s for _, s in approx])
+    g = base * (math.gcd(*[p * (lcm // s) for p, s in approx]) / lcm)
     if not (g > 0 and math.isfinite(mags[-1] / g)):   # a gcd with a huge denominator underflows g
         return None
     for d in mags:
         m = round(d / g)
         if abs(d - m * g) > tol * d:
             return None
-    return FloatLattice(generator=g, low_confidence=low_confidence)
+    return FloatLattice(generator=g, low_confidence=any(s > max_den // 10 for _, s in approx))
+
+
+def _best_rational(n: int, d: int, max_den: int) -> tuple[int, int]:
+    """(p, s) of ``Fraction(n, d).limit_denominator(max_den)``, by its continued-fraction walk in ints:
+    the last convergent p1/s1 (d'/(s1*d) from n/d, d' the last remainder) against the semiconvergent
+    with the largest denominator s <= max_den (1/(s1*s) from p1/s1), the convergent on a tie."""
+    if d <= max_den:
+        return n, d
+    p0, s0, p1, s1, num, rem = 0, 1, 1, 0, n, d
+    while s0 + (a := num // rem) * s1 <= max_den:
+        p0, s0, p1, s1, num, rem = p1, s1, p0 + a * p1, s0 + a * s1, rem, num - a * rem
+    t = (max_den - s0) // s1
+    return (p1, s1) if 2 * rem * (s0 + t * s1) <= d else (p0 + t * p1, s0 + t * s1)
 
 
 @dataclass(frozen=True)
@@ -273,26 +277,17 @@ class Classification:
         }
 
 
-def _int_table(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in rows)
-
-
 def classify(
     model: LambdaModel,
     max_den: int = DEFAULT_MAX_DEN,
     tol: float = DEFAULT_FLOAT_TOL,
 ) -> Classification:
-    """Route the model to the appropriate commensurability back-end.
+    """Route the model to its commensurability back-end (see the module docstring).
 
-    Constant tables give the tracial II_1 verdict.  Exact rational tables
-    always produce a lattice generator, the rational gcd of the q^2 base
-    differences beta*(lam_ij - lam_00): they generate the same Z-module as
-    all pairwise differences.  Rational stochastic matrices are decided
-    exactly by the multiplicative witness of the ratios p_00/p_ij, which is
-    degenerate (II_1) exactly when all entries are equal.  Only
-    floating tables build the difference set, for continued-fraction
-    reconstruction.  Every lattice verdict carries the exponent table m of
-    beta*(lam - lam_00) = m * g.
+    Constant tables give the tracial II_1 verdict, and so does a stochastic
+    matrix with all entries equal.  Exact rational tables always produce a
+    lattice generator; only floating tables build the difference set.  Every
+    lattice verdict carries the exponent table m of beta*(lam - lam_00) = m * g.
     """
     _check_tol(tol, max_den)
     q = model.q
@@ -317,11 +312,11 @@ def classify(
             # e_00 = 0), so the lattice step over alpha is always 1.
             alpha = witness.alpha
             lattice = (-math.log(float(alpha)), float(alpha),
-                       _int_table([[-e for e in row] for row in witness.exponents]))
+                       tuple(tuple(-e for e in row) for row in witness.exponents))
             evidence.update(alpha=alpha, lattice_step=1)
     else:
-        deltas = difference_set(model)
-        constant = all(d == 0 for d in deltas)
+        deltas = _float_differences(model)
+        constant = not deltas.any()
         confidence = "float"
         evidence = {"route": "continued-fraction", "kind": kind, "max_den": max_den, "tol": tol}
         found = None if constant else commensurability_float(deltas, max_den=max_den, tol=tol)
@@ -332,7 +327,7 @@ def classify(
             d = beta * (lam[:, :, None, None] - lam[None, None, :, :])
             mult = m[:, :, None, None] - m[None, None, :, :]
             if np.all(np.abs(d - mult * g) <= tol * np.maximum(1.0, np.abs(d))):
-                lattice = g, math.exp(-g), _int_table(m)
+                lattice = g, math.exp(-g), tuple(tuple(map(int, row)) for row in m)
                 evidence["low_confidence"] = found.low_confidence
             else:
                 evidence["note"] = "lattice refinement failed"

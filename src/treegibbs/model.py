@@ -12,7 +12,8 @@ symmetric tables the orientation is immaterial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Union
@@ -22,6 +23,7 @@ import numpy as np
 Number = Union[Fraction, float]
 
 ROW_SUM_TOL = 1e-12
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")   # ASCII digits only, unlike int()
 
 
 class ModelError(ValueError):
@@ -59,16 +61,12 @@ class LambdaModel:
     @property
     def is_exact(self) -> bool:
         """True when beta and every table entry are exact rationals."""
-        return isinstance(self.beta, Fraction) and all(
-            isinstance(v, Fraction) for row in self.lam for v in row
-        )
+        return isinstance(self.beta, Fraction) and all(isinstance(v, Fraction) for row in self.lam for v in row)
 
     @property
     def lam_float(self) -> np.ndarray:
-        """The table in floating point, converted on first read and read-only.
-
-        A property over the cached ``_lam_float``, so ``bench/tracer.py`` can wrap it to count reads.
-        """
+        """The table in floating point, converted on first read and read-only: a property over the
+        cached ``_lam_float``, so ``bench/tracer.py`` can wrap it to count reads."""
         return self._lam_float
 
     @cached_property
@@ -83,10 +81,8 @@ class LambdaModel:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        """-beta*lam in floating point, computed once per model and read-only.
-
-        These are the diagonal entries of the edge potential in block order.
-        """
+        """-beta*lam in floating point, computed once per model and read-only: the diagonal
+        entries of the edge potential in block order."""
         a = -self.beta_float * self.lam_float
         a.flags.writeable = False
         return a
@@ -103,17 +99,19 @@ def _kind(model: LambdaModel) -> str:
 
 def _coerce(x) -> tuple[Number, float]:
     """ints/Fractions as Fraction, floats kept floating, each with its float, which must be finite.
-
-    The float is taken once here, so a parsed table converts each entry once.
-    """
-    if isinstance(x, int):
-        x = Fraction(x)
-    if not isinstance(x, (Fraction, float)):
-        raise ModelError(f"unsupported numeric value {x!r}")
-    try:
+    Floats are tested first, so none meets the Fraction ABC's ``isinstance`` check; a Fraction's
+    float is numerator / denominator, the correctly rounded division that ``float()`` does."""
+    if isinstance(x, float):
         f = float(x)
-    except OverflowError:
-        raise ModelError("numeric values must be finite, got a rational past the float range") from None
+    else:
+        if isinstance(x, int):                   # bool and other int subclasses as well
+            x = Fraction(x)
+        elif not isinstance(x, Fraction):
+            raise ModelError(f"unsupported numeric value {x!r}")
+        try:
+            f = x.numerator / x.denominator
+        except OverflowError:
+            raise ModelError("numeric values must be finite, got a rational past the float range") from None
     if not math.isfinite(f):
         raise ModelError(f"numeric values must be finite, got {x!r}")
     return x, f
@@ -124,19 +122,15 @@ def _homogeneous_table(rows) -> tuple[tuple[tuple[Number, ...], ...], list[list[
     pairs = [[_coerce(v) for v in row] for row in rows]
     floats = [[f for _, f in row] for row in pairs]
     if any(isinstance(v, float) for row in pairs for v, _ in row):
-        return tuple(tuple(row) for row in floats), floats
+        return tuple(map(tuple, floats)), floats
     return tuple(tuple(v for v, _ in row) for row in pairs), floats
 
 
-def generic_model(lam, k: int, beta) -> LambdaModel:
-    """Model from an explicit q x q coupling table; the one place that checks k and beta.
-
-    beta and every entry must have a finite float, and so must the
-    log-weights -beta*lam and their spread beta*(max lam - min lam): past
-    that range the weights, transfer matrices and difference set would hold
-    infinities or NaN.
-    """
-    table, floats = _homogeneous_table(lam)
+def _checked_model(table, floats, k: int, beta, provenance: str = "generic", **extra) -> LambdaModel:
+    """The model on a coerced q x q ``table`` with ``floats``, rows of its entries' floats; every
+    constructor ends here, the one place that checks k and beta.  beta, -beta*lam and the spread
+    beta*(max lam - min lam) must be finite floats, or the weights, transfer matrices and
+    difference set would hold infinities or NaN."""
     q = len(table)
     if q < 2 or any(len(row) != q for row in table):
         raise ModelError("coupling table must be square with q >= 2")
@@ -146,34 +140,40 @@ def generic_model(lam, k: int, beta) -> LambdaModel:
     if k < 1:
         raise ModelError(f"tree order k must be >= 1, got {k}")
     vals = [v for row in floats for v in row]
-    if not (all(math.isfinite(-b * v) for v in vals) and math.isfinite(b * (max(vals) - min(vals)))):
+    hi, lo = max(vals), min(vals)                # b*v is monotone in v, so these bound every -b*v
+    if not (math.isfinite(b * hi) and math.isfinite(b * lo) and math.isfinite(b * (hi - lo))):
         raise ModelError("beta*lambda and beta*(max lambda - min lambda) must be finite floats")
-    return LambdaModel(k=k, beta=beta, lam=table)
+    return LambdaModel(k, beta, table, provenance, **extra)
+
+
+def generic_model(lam, k: int, beta) -> LambdaModel:
+    """Model from an explicit q x q coupling table, each entry coerced once (``_coerce``)."""
+    return _checked_model(*_homogeneous_table(lam), k, beta)
 
 
 def potts_model(q: int, J, beta, k: int) -> LambdaModel:
     """Potts coupling lam[i][j] = -J' * (eta_i, eta_j) with J' = (q-1)J/q.
 
-    Equal spins get -J', unequal ones J'/(q-1).  Rational J and beta yield
-    an exact table.
+    Equal spins get -J', unequal ones J'/(q-1); each of the two is coerced
+    once.  Rational J and beta yield an exact table.
     """
     if q < 2:
         raise ModelError(f"need q >= 2, got {q}")
     J = _coerce(J)[0]
     jp = (q - 1) * J / q
-    off = jp / (q - 1)
-    lam = [[(-jp if i == j else off) for j in range(q)] for i in range(q)]
-    return replace(generic_model(lam, k, beta), provenance="potts", J=J)
+    (diag, d), (off, o) = _coerce(-jp), _coerce(jp / (q - 1))
+    if isinstance(diag, float):                  # a float table holds the Python floats
+        diag, off = d, o
+    lam = tuple(tuple(diag if i == j else off for j in range(q)) for i in range(q))
+    return _checked_model(lam, [[d, o]], k, beta, "potts", J=J)   # the checks read max and min
 
 
 def markov_model(P, k: int) -> LambdaModel:
-    """Model driven by a strictly positive stochastic matrix: lam[i][j] = -log p_ij.
+    """Model driven by a strictly positive stochastic matrix: lam[i][j] = -log p_ij, beta = 1.
 
-    P is coerced once, like a coupling table, and checked before the log
-    table goes to ``generic_model`` with beta = 1.  Rational entries are kept
-    on the matrix itself (the log table is necessarily floating) so
-    multiplicative commensurability can be decided exactly.
-    """
+    P is coerced once, like a coupling table, and checked; its float log table is the model's
+    as it is.  Rational entries are kept on the matrix so multiplicative commensurability can
+    be decided exactly."""
     rows, floats = _homogeneous_table(P)
     q = len(rows)
     if q < 2 or any(len(row) != q for row in rows):
@@ -194,7 +194,7 @@ def markov_model(P, k: int) -> LambdaModel:
     if errors:
         raise ModelError("; ".join(errors))
     lam = [[-math.log(p) for p in row] for row in floats]
-    return replace(generic_model(lam, k, 1), provenance="markov", P=rows)
+    return _checked_model(tuple(map(tuple, lam)), lam, k, 1, "markov", P=rows)
 
 
 def potential_norm(model: LambdaModel, d: float) -> float:
@@ -216,18 +216,23 @@ def _number_to_json(v: Number):
     return v
 
 
-def _number_from_json(v) -> Number:
+def _number_from_json(v) -> Number | int:
+    """A model-file number: a "p/q" string (optionally signed ASCII digits, a "/q" optional) as one
+    Fraction; a JSON int or float as it is, after ``_coerce``'s finiteness check, whose error then
+    joins the file's error list (the constructors coerce it)."""
     if isinstance(v, str):
+        match = _RATIONAL.fullmatch(v)
         try:
-            num, _, den = v.partition("/")
+            if match is None:
+                raise ValueError("want an optionally signed run of ASCII digits, or two joined by '/'")
+            num, den = match.groups()
             return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:      # int() caps its digits, q may be 0
             raise ModelError(f"bad rational string {v!r}: {exc}") from None
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ModelError(f"bad numeric value {v!r}")
-    if isinstance(v, (int, float)):
-        return _coerce(v)[0]
-    raise ModelError(f"bad numeric value {v!r}")
+    _coerce(v)
+    return v
 
 
 def model_to_dict(model: LambdaModel) -> dict:
@@ -284,13 +289,12 @@ def model_from_dict(data: dict) -> LambdaModel:
                 raw = data[key]
                 if key == "J":
                     payload = _number_from_json(raw)
+                elif not isinstance(raw, list) or len(raw) != q or any(
+                    not isinstance(r, list) or len(r) != q for r in raw
+                ):
+                    errors.append(f"{key!r} must be a {q}x{q} matrix")
                 else:
-                    if not isinstance(raw, list) or len(raw) != q or any(
-                        not isinstance(r, list) or len(r) != q for r in raw
-                    ):
-                        errors.append(f"{key!r} must be a {q}x{q} matrix")
-                    else:
-                        payload = [[_number_from_json(v) for v in row] for row in raw]
+                    payload = [[_number_from_json(v) for v in row] for row in raw]
             except ModelError as exc:
                 errors.append(str(exc))
     if errors:

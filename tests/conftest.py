@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -17,7 +18,7 @@ from treegibbs.measures import (
     DEFAULT_CAP, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
     marginalize,
 )
-from treegibbs.model import ROW_SUM_TOL, LambdaModel, Number
+from treegibbs.model import ROW_SUM_TOL, LambdaModel, ModelError, Number
 from treegibbs.topology import Ball, sweep_up
 
 
@@ -530,3 +531,153 @@ def fraction_row_errors(rows) -> list[str]:
         elif abs(s - 1.0) > ROW_SUM_TOL:
             errors.append(f"row {i}: sums to {s!r}, expected 1")
     return errors
+
+
+# Oracle for the model constructors and the model-file parse: the two-pass
+# construction they replaced, kept as written then.  A parsed entry is coerced
+# on parse and again in ``generic_model``; the Potts and Markov tables go through
+# ``generic_model`` and are relabelled with ``dataclasses.replace``; a "p/q"
+# string is whatever ``int()`` reads on each side of the "/".
+
+def _two_pass_coerce(x):
+    if isinstance(x, int):
+        x = Fraction(x)
+    if not isinstance(x, (Fraction, float)):
+        raise ModelError(f"unsupported numeric value {x!r}")
+    try:
+        f = float(x)
+    except OverflowError:
+        raise ModelError("numeric values must be finite, got a rational past the float range") from None
+    if not math.isfinite(f):
+        raise ModelError(f"numeric values must be finite, got {x!r}")
+    return x, f
+
+
+def _two_pass_table(rows):
+    pairs = [[_two_pass_coerce(v) for v in row] for row in rows]
+    floats = [[f for _, f in row] for row in pairs]
+    if any(isinstance(v, float) for row in pairs for v, _ in row):
+        return tuple(tuple(row) for row in floats), floats
+    return tuple(tuple(v for v, _ in row) for row in pairs), floats
+
+
+def two_pass_generic_model(lam, k: int, beta) -> LambdaModel:
+    table, floats = _two_pass_table(lam)
+    q = len(table)
+    if q < 2 or any(len(row) != q for row in table):
+        raise ModelError("coupling table must be square with q >= 2")
+    beta, b = _two_pass_coerce(beta)
+    if not beta > 0:
+        raise ModelError(f"inverse temperature must be positive, got {beta}")
+    if k < 1:
+        raise ModelError(f"tree order k must be >= 1, got {k}")
+    vals = [v for row in floats for v in row]
+    if not (all(math.isfinite(-b * v) for v in vals) and math.isfinite(b * (max(vals) - min(vals)))):
+        raise ModelError("beta*lambda and beta*(max lambda - min lambda) must be finite floats")
+    return LambdaModel(k=k, beta=beta, lam=table)
+
+
+def two_pass_potts_model(q: int, J, beta, k: int) -> LambdaModel:
+    if q < 2:
+        raise ModelError(f"need q >= 2, got {q}")
+    J = _two_pass_coerce(J)[0]
+    jp = (q - 1) * J / q
+    off = jp / (q - 1)
+    lam = [[(-jp if i == j else off) for j in range(q)] for i in range(q)]
+    return replace(two_pass_generic_model(lam, k, beta), provenance="potts", J=J)
+
+
+def two_pass_markov_model(P, k: int) -> LambdaModel:
+    rows, floats = _two_pass_table(P)
+    q = len(rows)
+    if q < 2 or any(len(row) != q for row in rows):
+        raise ModelError("stochastic matrix must be square with q >= 2")
+    exact = isinstance(rows[0][0], Fraction)
+    errors = []
+    for i, (row, frow) in enumerate(zip(rows, floats)):
+        if any(not (p > 0) for p in frow):
+            errors.append(f"row {i}: entries must be strictly positive floats")
+        if exact:
+            lcm = math.lcm(*[v.denominator for v in row])
+            total = sum([v.numerator * (lcm // v.denominator) for v in row])
+            if total != lcm:
+                errors.append(f"row {i}: sums to {Fraction(total, lcm)}, expected 1")
+        elif abs(sum(row) - 1.0) > ROW_SUM_TOL:
+            errors.append(f"row {i}: sums to {sum(row)!r}, expected 1")
+    if errors:
+        raise ModelError("; ".join(errors))
+    lam = [[-math.log(p) for p in row] for row in floats]
+    return replace(two_pass_generic_model(lam, k, 1), provenance="markov", P=rows)
+
+
+def _two_pass_number_from_json(v):
+    if isinstance(v, str):
+        try:
+            num, _, den = v.partition("/")
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelError(f"bad rational string {v!r}: {exc}") from None
+    if isinstance(v, bool):
+        raise ModelError(f"bad numeric value {v!r}")
+    if isinstance(v, (int, float)):
+        return _two_pass_coerce(v)[0]
+    raise ModelError(f"bad numeric value {v!r}")
+
+
+def two_pass_model_from_dict(data: dict) -> LambdaModel:
+    errors = []
+    if not isinstance(data, dict):
+        raise ModelError("model file must contain a JSON object")
+    kind = data.get("kind")
+    if kind not in ("generic", "potts", "markov"):
+        errors.append(f"kind must be one of generic/potts/markov, got {kind!r}")
+    q = data.get("q")
+    if type(q) is not int or q < 2:
+        errors.append(f"q must be an integer >= 2, got {q!r}")
+    k = data.get("k")
+    if type(k) is not int or k < 1:
+        errors.append(f"k must be an integer >= 1, got {k!r}")
+    beta = Fraction(1)
+    if "beta" in data:
+        try:
+            beta = _two_pass_number_from_json(data["beta"])
+            if kind == "markov" and beta != 1:
+                raise ModelError(f"a markov model has beta 1, got {data['beta']!r}")
+        except ModelError as exc:
+            errors.append(str(exc))
+    elif kind != "markov":
+        errors.append("missing beta")
+    payload = None
+    key = {"generic": "lambda", "potts": "J", "markov": "P"}.get(kind) if isinstance(kind, str) else None
+    unknown = [name for name in data if name not in ("kind", "q", "k", "beta", key)]
+    if unknown:
+        errors.append(f"keys not read for kind {kind!r}: {', '.join(map(repr, unknown))}")
+    if key is not None:
+        if key not in data:
+            errors.append(f"missing {key!r} for kind {kind!r}")
+        else:
+            try:
+                raw = data[key]
+                if key == "J":
+                    payload = _two_pass_number_from_json(raw)
+                else:
+                    if not isinstance(raw, list) or len(raw) != q or any(
+                        not isinstance(r, list) or len(r) != q for r in raw
+                    ):
+                        errors.append(f"{key!r} must be a {q}x{q} matrix")
+                    else:
+                        payload = [[_two_pass_number_from_json(v) for v in row] for row in raw]
+            except ModelError as exc:
+                errors.append(str(exc))
+    if errors:
+        raise ModelError("; ".join(errors))
+    try:
+        if kind == "potts":
+            return two_pass_potts_model(q, payload, beta, k)
+        if kind == "markov":
+            return two_pass_markov_model(payload, k)
+        return two_pass_generic_model(payload, k, beta)
+    except ModelError:
+        raise
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None

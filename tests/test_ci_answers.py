@@ -32,6 +32,9 @@ FILES = {
                        "lambda": [[0, 1], ["1/2", "2577553/9453231"]]},
     "permuted_rows.json": {"kind": "generic", "q": 3, "k": 2, "beta": 1,
                            "lambda": [["5/4", -2, 1], [-2, "5/4", 1], ["5/4", 1, -2]]},
+    "sqrt3_q3.json": {"kind": "generic", "q": 3, "k": 2, "beta": 1,
+                      "lambda": [[math.sqrt(3) * v for v in row] for row in [[0, 1, 2], [2, 0, 1], [1, 2, 0]]]},
+    "underscore.json": {"kind": "generic", "q": 2, "k": 2, "beta": 1, "lambda": [[0, "1_0/3"], [0, 0]]},
 }
 
 
@@ -82,6 +85,16 @@ def lattice_q8(report):
     assert report["verdict"] == "III_family" and len(report["multipliers"]) == 8**4
 
 
+def sqrt3_lattice(report):
+    got = (report["verdict"], report["generator"], report["evidence"]["low_confidence"])
+    assert got == ("III_family", 1.7320508075688772, False)
+
+
+def rejected(report):
+    """Invalid input: exit 3, one error line and no report."""
+    assert report is None
+
+
 def unordered(passed, residual):
     def check(report):
         assert report["passed"] is passed and report["residual"] == residual
@@ -108,6 +121,8 @@ ANSWERS = {
                                   unordered(False, 1.6431300764452317e-14)),
     "check-unordered-permuted-rows": (["check-unordered", "--model", "permuted_rows.json", "--tol", "5e-324"],
                                       0, unordered(True, 4.440892098500626e-16)),
+    "classify-sqrt3-q3": (["classify", "--model", "sqrt3_q3.json"], 0, sqrt3_lattice),
+    "rejected-classify-underscore-digits": (["classify", "--model", "underscore.json"], 3, rejected),
 }
 
 
@@ -119,7 +134,7 @@ def strict_json(text):
 
 
 @pytest.mark.parametrize("name", ANSWERS)
-def test_ci_known_answer(tmp_path, name):
+def test_ci_known_answer(tmp_path, capsys, name):
     argv, code, check = ANSWERS[name]
     paths = {}
     for file in set(argv) & FILES.keys():
@@ -127,4 +142,6 @@ def test_ci_known_answer(tmp_path, name):
         paths[file].write_text(json.dumps(FILES[file]))
     out = tmp_path / "report.json"
     assert main([str(paths.get(a, a)) for a in argv] + ["--out", str(out)]) == code
-    check(strict_json(out.read_text()))
+    err = capsys.readouterr().err
+    assert code != 3 or (err.startswith("error: ") and err.count("\n") == 1), err   # one error line
+    check(strict_json(out.read_text()) if out.exists() else None)

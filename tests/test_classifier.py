@@ -22,6 +22,7 @@ from treegibbs import (
     potts_theta,
     spectrum_lattice_check,
 )
+from treegibbs.classifier import FloatLattice
 from treegibbs.fields import check_unordered, ti_fixed_points, zero_fields
 from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, finite_volume_measure
 
@@ -261,6 +262,50 @@ def test_float_lattice_empty_and_validation():
     assert commensurability_float([0.0]) is None
     with pytest.raises(ValueError):
         commensurability_float([1.0], tol=-1.0)
+
+
+@st.composite
+def reconstruction_cases(draw):
+    """(deltas, max_den, tol) for the float route: multiples of one base by ratios that are
+    rational (some with denominators in the low-confidence band (max_den // 10, max_den], some
+    past max_den), near-rational, irrational or arbitrary; tol a float, an int or a Fraction."""
+    max_den = draw(st.sampled_from([1, 7, 97, 10**6]))
+    band = st.integers(max_den // 10 + 1, max_den).flatmap(lambda s: st.integers(s, 40 * s).map(lambda p: p / s))
+    ratio = st.one_of(
+        band,
+        st.fractions(min_value=1, max_value=40, max_denominator=3 * max_den).map(float),
+        st.floats(1, 40),
+        st.sampled_from([1.101, math.sqrt(2), 1 + 1e-7, math.log(3) / math.log(2)]),
+    )
+    base = draw(st.floats(1e-6, 1e6))
+    deltas = [0.0, base] + [draw(st.sampled_from([1, -1])) * base * r for r in draw(st.lists(ratio, max_size=6))]
+    tol = draw(st.one_of(st.floats(5e-324, 2.0), st.integers(1, 3),
+                         st.fractions(min_value=Fraction(1, 10**15), max_value=2)))
+    return deltas, max_den, tol
+
+
+@settings(max_examples=600, deadline=None)
+@given(reconstruction_cases())
+@example(([0.0, 1.0, 1.101], 7, 1.0))                  # the semiconvergent 8/7 beats the convergent 1/1
+@example(([1.0, 1 + 13 / 97], 97, 1e-9))               # s = 97 > 97 // 10: low confidence
+@example(([1.0, 1 + 1 / 999_983], 10**6, Fraction(1, 10**9)))
+@example(([2.0, 3.0, 5.0], 1, 1))
+def test_float_reconstruction_matches_limit_denominator_oracle(case):
+    deltas, max_den, tol = case
+    assert commensurability_float(deltas, max_den, tol) == set_commensurability_float(deltas, max_den, tol)
+
+
+def test_best_rational_is_limit_denominator():
+    # at max_den 7, 0.101 = [0; 9, 1, 9, ...]: the last convergent is 0/1 and the
+    # semiconvergent 1/7 is nearer; a tie goes to the convergent
+    for x, max_den in ((0.101, 7), (1.101, 7), (2.5, 1), (3.5, 1), (math.pi, 97), (1 / 3, 10**6)):
+        want = Fraction(x).limit_denominator(max_den)
+        assert classifier._best_rational(*x.as_integer_ratio(), max_den) == (want.numerator, want.denominator)
+    assert classifier._best_rational(*(0.101).as_integer_ratio(), 7) == (1, 7)
+    found = commensurability_float([1.0, 1.101], max_den=7, tol=1)
+    assert found == FloatLattice(generator=1 / 7, low_confidence=True)
+    assert commensurability_float([1.0, 1 + 13 / 97], max_den=97).low_confidence is True
+    assert commensurability_float([1.0, 1 + 13 / 97], max_den=970).low_confidence is False
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: a float ratio >= 2^33 is a fraction p/s with s < 2^20")
@@ -879,8 +924,9 @@ def test_exact_generator_from_base_differences(table, beta):
 
 def test_classify_builds_no_difference_set_on_exact_routes(monkeypatch):
     calls = []
-    real = classifier.difference_set
-    monkeypatch.setattr(classifier, "difference_set", lambda model: calls.append(model) or real(model))
+    for name in ("difference_set", "_float_differences"):     # the set, and the array classify reads
+        real = getattr(classifier, name)
+        monkeypatch.setattr(classifier, name, lambda model, real=real: calls.append(model) or real(model))
     rng = np.random.default_rng(41)
     half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
     models = [
@@ -1059,7 +1105,8 @@ def test_float_route_matches_set_oracle(m):
     assert got == want
     assert [d.hex() for d in got] == [d.hex() for d in want]     # -0.0 is not 0.0 here
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classifier, "difference_set", set_difference_set)
+        # classify reads the float route's difference set as an array
+        mp.setattr(classifier, "_float_differences", lambda model: np.array(set_difference_set(model)))
         mp.setattr(classifier, "commensurability_float", set_commensurability_float)
         oracle = classify(m)
     assert classify(m) == oracle

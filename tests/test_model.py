@@ -1,10 +1,11 @@
+import json
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treegibbs import (
     build_ball,
@@ -16,11 +17,12 @@ from treegibbs import (
     potential_norm,
     potts_model,
 )
-from treegibbs.model import ModelError
+from treegibbs.model import LambdaModel, ModelError
 
 from conftest import (
     OVERFLOWING_MODELS, UNREAD_KEY_MODELS, ball_edges, boundary_energy, energy, fraction_row_errors,
-    shifted,
+    shifted, two_pass_generic_model, two_pass_markov_model, two_pass_model_from_dict,
+    two_pass_potts_model,
 )
 
 
@@ -289,11 +291,30 @@ def test_markov_beta_one_is_accepted_in_any_spelling():
     ({"kind": "generic", "q": 3, "k": 2, "beta": 1, "lambda": [[0, 1], [1, 0], [0, 0]]},
      "'lambda' must be a 3x3 matrix"),
     ({"kind": "potts", "q": 2, "k": 2, "beta": "1/x", "J": 1}, "bad rational string '1/x'"),
+    # int() reads these, but a rational string is signs and ASCII digits only
+    ({"kind": "generic", "q": 2, "k": 2, "beta": 1, "lambda": [[0, "1_0/3"], [0, 0]]},
+     "bad rational string '1_0/3'"),
+    ({"kind": "potts", "q": 2, "k": 2, "beta": "\u0661/\u0662", "J": 1}, "bad rational string '\u0661/\u0662'"),
+    ({"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": " 1/2"}, "bad rational string ' 1/2'"),
+    ({"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": "1/2\n"}, "bad rational string '1/2\\n'"),
+    ({"kind": "markov", "q": 2, "k": 2, "P": [["1/2", "1/ 2"], ["1/2", "1/2"]]}, "bad rational string '1/ 2'"),
+    ({"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": "1/"}, "bad rational string '1/'"),
     *UNREAD_KEY_MODELS.values(),
-], ids=["not-an-object", "unhashable-kind", "missing-payload", "3x2-matrix", "bad-rational", *UNREAD_KEY_MODELS])
+], ids=["not-an-object", "unhashable-kind", "missing-payload", "3x2-matrix", "bad-rational",
+        "underscore-digits", "arabic-indic-digits", "leading-space", "trailing-newline", "inner-space",
+        "empty-denominator", *UNREAD_KEY_MODELS])
 def test_model_from_dict_rejects_with_message(data, message):
     with pytest.raises(ModelError, match=re.escape(message)):
         model_from_dict(data)
+
+
+def test_rational_strings_are_signed_ascii_digits():
+    for text, value in (("3", 3), ("-3/4", Fraction(-3, 4)), ("+3/-4", Fraction(-3, 4)),
+                        ("007/014", Fraction(1, 2)), ("-0/5", 0)):
+        m = model_from_dict({"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": text})
+        assert m.J == value and type(m.J) is Fraction
+    with pytest.raises(ModelError, match=re.escape("bad rational string '1/0': Fraction(1, 0)")):
+        model_from_dict({"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": "1/0"})
 
 
 def test_model_from_dict_reports_all_errors():
@@ -395,3 +416,131 @@ def test_markov_row_errors_match_fraction_oracle(P):
     with pytest.raises(ModelError) as exc:
         markov_model(P, 2)
     assert str(exc.value) == "; ".join(want)
+
+
+# The constructors and the model-file parse against the two-pass construction they
+# replaced (``conftest.two_pass_*``): the same models, entry types and float bits, or
+# the same error text.
+
+def outcome(build):
+    """The model ``build`` returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def entry_types(m):
+    return (type(m.beta), type(m.J), [type(v) for row in m.lam for v in row],
+            None if m.P is None else [type(v) for row in m.P for v in row])
+
+
+def assert_same_construction(build, reference):
+    got, want = outcome(build), outcome(reference)
+    if not isinstance(want, LambdaModel):
+        assert got == want
+        return
+    assert isinstance(got, LambdaModel) and got == want and entry_types(got) == entry_types(want)
+    assert got.lam_float.tobytes() == want.lam_float.tobytes()
+    assert got.log_weights.tobytes() == want.log_weights.tobytes()
+
+
+@st.composite
+def rational_strings(draw, p=st.integers(0, 10**6) | st.integers(0, 10**30), q=st.integers(1, 10**20)):
+    """"p/q" strings of the grammar both parses read alike: signs, ASCII digits, leading zeros,
+    "/q" left out; past 2^53 a Fraction's float is one rounding of p/q, not two."""
+    def digits(n):
+        return draw(st.sampled_from(["", "+", "-"])) + "0" * draw(st.integers(0, 1)) + str(draw(n))
+    return digits(p) if draw(st.booleans()) else digits(p) + "/" + digits(q)
+
+
+file_numbers = st.one_of(                       # finite, -0.0 and subnormals among them
+    st.integers(-10**6, 10**6), st.floats(-1e6, 1e6), rational_strings(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2**1024 - 2**971]),
+)
+forms = st.sampled_from([file_numbers, st.integers(-10**6, 10**6) | rational_strings(), st.floats(-1e6, 1e6)])
+positive = st.integers(1, 9) | st.floats(1e-3, 1e3) | rational_strings(p=st.integers(1, 10**6))
+spoilt = st.one_of(                             # non-finite, past the float range, not numbers
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**1024 - 2**970, "1/0",
+                     "1" + "0" * 400, True, None, [1]]),
+    rational_strings(p=st.just(10**400)), rational_strings(q=st.just(0)),
+)
+
+
+@st.composite
+def model_files(draw):
+    """Model files of every kind, their entries in every form a file holds; each part is spoilt
+    now and then, so some files are valid and some report one or several errors."""
+    def rarely(good, bad, odds=20):
+        return draw(bad if draw(st.integers(0, odds - 1)) == 0 else good)
+    kind = rarely(st.sampled_from(["generic", "potts", "markov"]), st.just("nope"))
+    q = rarely(st.integers(2, 4), st.sampled_from([1, True, 2.0]))
+    data = {"kind": kind, "q": q, "k": rarely(st.integers(1, 3), st.integers(-1, 0))}
+    if kind != "markov" or draw(st.booleans()):
+        data["beta"] = rarely(st.just(1) if kind == "markov" else positive, file_numbers | spoilt, 10)
+    size = (q if draw(st.integers(0, 19)) else q + 1) if type(q) is int else 2   # now and then not q x q
+    if kind == "markov" and draw(st.booleans()):         # stochastic rows, as "p/q" strings or floats
+        rows = [draw(st.lists(st.integers(1, 20), min_size=size, max_size=size)) for _ in range(size)]
+        exact = draw(st.booleans())
+        data["P"] = [[f"{v}/{sum(w)}" if exact else v / sum(w) for v in w] for w in rows]
+    elif kind == "potts":
+        data["J"] = rarely(file_numbers, spoilt, 10)
+    else:
+        form = draw(forms)                               # exact, float or mixed
+        data["P" if kind == "markov" else "lambda"] = [[rarely(form, spoilt, 40) for _ in range(size)]
+                                                       for _ in range(size)]
+    if draw(st.integers(0, 19)) == 0:
+        data["J" if kind != "potts" else "lambda"] = 1
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(model_files())
+@example({"kind": "generic", "q": 2, "k": 0, "beta": math.nan, "lambda": [[math.inf, 0], [0, "1/0"]]})
+@example({"kind": "markov", "q": 2, "k": 2, "beta": -math.inf, "P": [["1/2", math.nan], ["1/2", "1/2"]]})
+@example({"kind": "potts", "q": 3, "k": 2, "beta": 5e-324, "J": -0.0})
+@example({"kind": "generic", "q": 2, "k": 2, "beta": 1.5, "lambda": [[-0.0, 5e-324], [-5e-324, 0]]})
+def test_model_files_build_as_the_two_pass_parse_did(data):
+    data = json.loads(json.dumps(data))         # NaN and Infinity literals, as a file holds them
+    assert_same_construction(lambda: model_from_dict(data), lambda: two_pass_model_from_dict(data))
+
+
+library_numbers = st.one_of(                    # each form a caller may pass, -0.0 and subnormals among them
+    st.integers(-50, 50), st.booleans(), st.floats(-1e6, 1e6), st.floats(-1e3, 1e3).map(np.float64),
+    st.fractions(max_denominator=50), st.fractions(-(10**6), 10**6, max_denominator=10**20),
+    st.sampled_from([Fraction(1, 10**400), -0.0, 5e-324, np.float64(-0.0)]),
+)
+library_forms = st.sampled_from([
+    library_numbers, st.integers(-50, 50) | st.booleans() | st.fractions(max_denominator=50),
+    st.floats(-1e6, 1e6), st.floats(-1e3, 1e3).map(np.float64),
+])
+library_positive = st.one_of(
+    st.integers(1, 9), st.just(True), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3).map(np.float64),
+    st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+)
+library_spoilt = st.sampled_from([Fraction(10**400), math.nan, -math.inf, np.float64(math.inf), "1/2", None])
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["generic", "potts", "markov"]), data=st.data())
+def test_library_constructors_build_as_the_two_pass_ones_did(kind, data):
+    def rarely(good, bad, odds=20):
+        return data.draw(bad if data.draw(st.integers(0, odds - 1)) == 0 else good)
+    q, k = rarely(st.integers(2, 4), st.integers(0, 1)), rarely(st.integers(1, 3), st.integers(-1, 0))
+    beta = rarely(library_positive, library_numbers | library_spoilt, 10)
+    if kind == "potts":
+        J = rarely(library_numbers, library_spoilt, 10)
+        assert_same_construction(lambda: potts_model(q, J, beta, k), lambda: two_pass_potts_model(q, J, beta, k))
+        return
+    if kind == "markov" and data.draw(st.booleans()):   # stochastic rows of Fractions, floats or np.float64
+        form = data.draw(st.sampled_from([Fraction, float, np.float64]))
+        rows = [data.draw(st.lists(st.integers(1, 20), min_size=q, max_size=q)) for _ in range(q)]
+        table = [[form(Fraction(v, sum(w))) for v in w] for w in rows]
+    else:
+        form = data.draw(library_forms)
+        table = [[rarely(form, library_spoilt, 40) for _ in range(q)] for _ in range(q)]
+    if kind == "markov":
+        assert_same_construction(lambda: markov_model(table, k), lambda: two_pass_markov_model(table, k))
+    else:
+        assert_same_construction(lambda: generic_model(table, k, beta),
+                                 lambda: two_pass_generic_model(table, k, beta))
