@@ -9,11 +9,12 @@ contribution at the parent; measure consistency is equivalent to
 h'_x = sum_{y in S(x)} F(h'_y) at every interior vertex.
 
 F is batched: ``recursion_map`` maps any (..., q-1) array of fields at once.
+Its softmax rows are reduced column by column (``topology._columnwise``).
 Propagation is one inward sweep (``topology.sweep_up``) with F as the
 message, one map per shell.  The fixed-point search iterates all starts
 together as one array, by damped iteration that switches to Newton steps
-(with the Jacobian F' from the same softmax rows as F) where the linearised
-damped map contracts.
+where the linearised damped map contracts; one softmax pass per update
+gives both F and its Jacobian F'.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LambdaModel, _check_tol, _kind
-from .topology import Ball, sweep_up
+from .topology import Ball, _columnwise, sweep_up
 
 DAMPING = 0.5   # d in the fixed-point search's damped step h <- (1-d)*h + d*k*F(h)
 
@@ -68,11 +69,14 @@ def _extend(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
 
 
-def _shifted_terms(model: LambdaModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima and e^{t - max} of t_ij = -beta*lam[i][j] + x_j, over the last axis of x."""
+def _softmax_rows(model: LambdaModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row maxima m, terms e^{t - m} and their row sums for t_ij = -beta*lam[i][j] + x_j, over
+    the last axis of x, each row reduced by ``topology._columnwise``."""
     t = model.log_weights + x[..., None, :]                             # (..., q, q)
-    top = t.max(axis=-1, keepdims=True)
-    return top, np.exp(t - top)
+    top = _columnwise(np.maximum, t)
+    t -= top[..., None]
+    terms = np.exp(t, out=t)
+    return top, terms, _columnwise(np.add, terms)
 
 
 def _log_transfer(model: LambdaModel, x: np.ndarray) -> np.ndarray:
@@ -82,17 +86,14 @@ def _log_transfer(model: LambdaModel, x: np.ndarray) -> np.ndarray:
     each vector keeps a finite one.  F and the consistency residual's summed-out
     shell share it.
     """
-    top, terms = _shifted_terms(model, x)
-    return top[..., 0] + np.log(terms.sum(axis=-1))
+    top, _, sums = _softmax_rows(model, x)
+    return top + np.log(sums)
 
 
-def _map_jacobian(model: LambdaModel, h: np.ndarray) -> np.ndarray:
-    """F'(h), shape (..., q-1, q-1): dF_i/dh_j = P_ij - P_{q-1,j}.
-
-    P holds the softmax rows behind ``_log_transfer`` at (h, 0).
-    """
-    _, terms = _shifted_terms(model, _extend(h))
-    p = terms / terms.sum(axis=-1, keepdims=True)
+def _map_jacobian(terms: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """F', shape (..., q-1, q-1), from the softmax rows behind F (``_softmax_rows``):
+    dF_i/dh_j = P_ij - P_{q-1,j}, P = terms / sums."""
+    p = terms / sums[..., None]
     return p[..., :-1, :-1] - p[..., -1:, :-1]
 
 
@@ -178,7 +179,9 @@ def ti_fixed_points(
     log2(4/(d*tol)) Jacobians.  Newton thus runs only where the damped map
     contracts locally; that it ends on the fixed points the damped iteration
     reaches is not proved (the tests compare both on random tables).  Each
-    update makes one ``recursion_map`` call.
+    update makes one softmax pass over iterates that carry spin q-1's zero
+    column, and forms k*F and F' from the same rows; rows, residuals and
+    inf-norms are reduced column by column.
     """
     if starts < 1:
         raise ValueError(f"need at least one start, got {starts}")
@@ -187,7 +190,8 @@ def ti_fixed_points(
         raise ValueError(f"need at least one iteration, got {max_iter}")
     rng = np.random.default_rng(seed)
     qm1 = model.q - 1
-    h = np.vstack([np.zeros(qm1), rng.uniform(-5.0, 5.0, size=(starts, qm1))])
+    h = np.zeros((starts + 1, model.q))        # spin q-1's column stays 0
+    h[1:, :-1] = rng.uniform(-5.0, 5.0, size=(starts, qm1))
     iterations = np.full(len(h), max_iter)
     residuals = np.empty(len(h))
     active = np.arange(len(h))
@@ -198,15 +202,17 @@ def ti_fixed_points(
     bar = np.full(len(h), 2.0 / DAMPING)
     eye = np.eye(qm1)
     for it in range(max_iter):
-        target = model.k * recursion_map(model, current)
-        residual = np.max(np.abs(current - target), axis=1)
+        top, terms, sums = _softmax_rows(model, current)      # k*F and F' read the same rows
+        logs = top + np.log(sums)
+        target = model.k * (logs - logs[:, -1:])
+        residual = _columnwise(np.maximum, np.abs(current - target)[:, :-1])
         done = residual <= tol
         if done.any():
             finished = active[done]
             h[finished], residuals[finished], iterations[finished] = current[done], residual[done], it
             keep = ~done
             active, current, target = active[keep], current[keep], target[keep]
-            residual, bar = residual[keep], bar[keep]
+            residual, bar, terms, sums = residual[keep], bar[keep], terms[keep], sums[keep]
             if active.size == 0:
                 break
         moved = (1.0 - DAMPING) * current + DAMPING * target
@@ -214,24 +220,25 @@ def ti_fixed_points(
         if rows.size:
             # Each try halves the bar, so a start forms at most log2(4/(d*tol)) Jacobians.
             bar[rows] = residual[rows] / 2
-            kjac = model.k * _map_jacobian(model, current[rows])
+            kjac = model.k * _map_jacobian(terms[rows], sums[rows])
             lin = (1.0 - DAMPING) * eye + DAMPING * kjac
-            # The inf-norm bounds the spectral radius; eigenvalues only where it is not below 1.
-            contracts = np.abs(lin).sum(axis=-1).max(axis=-1) < 1.0
+            # The inf-norm bounds the spectral radius, and is it for a 1x1 map (q = 2);
+            # eigenvalues only where it is not below 1.
+            contracts = _columnwise(np.maximum, _columnwise(np.add, np.abs(lin))) < 1.0
             unsure = ~contracts
-            if unsure.any():
+            if qm1 > 1 and unsure.any():
                 contracts[unsure] = np.abs(np.linalg.eigvals(lin[unsure])).max(axis=-1) < 1.0
             rows, kjac = rows[contracts], kjac[contracts]
         if rows.size:
             # The linearised damped map contracts, so 1 is no eigenvalue of k*F' and I - k*F' is invertible.
-            rhs = (target - current)[rows]    # at q = 2, one division gives solve's bits
+            rhs = target[rows, :-1] - current[rows, :-1]    # at q = 2, one division gives solve's bits
             delta = rhs / (1 - kjac[:, 0]) if qm1 == 1 else np.linalg.solve(eye - kjac, rhs[..., None])[..., 0]
-            short = np.all(np.isfinite(delta), axis=1) & (np.max(np.abs(delta), axis=1) <= 1.0)
-            moved[rows[short]] = current[rows[short]] + delta[short]
+            short = _columnwise(np.maximum, np.abs(delta)) <= 1.0     # a NaN or inf step fails too
+            moved[rows[short], :-1] = current[rows[short], :-1] + delta[short]
         current = moved
     residuals[active] = residual
     converged = residuals <= tol
-    hits = h[converged]
+    hits = h[converged, :-1]
     far = np.max(np.abs(hits[:, None] - hits[None]), axis=2) > 1e-8
     found: list[int] = []
     for i in range(len(hits)):

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import ReducedFieldAssignment, _extend, _log_transfer, _shifted_terms
+from .fields import ReducedFieldAssignment, _extend, _log_transfer
 from .model import LambdaModel, _kind
 from .topology import Ball, _family, _meet, build_ball
 
@@ -266,10 +266,12 @@ def _root_path(model: LambdaModel, n: int) -> tuple[np.ndarray, list[np.ndarray]
         # every val is 0: no subtree weights to recur
         kernels = [np.array(model.P, dtype=float)] * n
     for _ in range(n - len(kernels)):           # shells n down to 1
-        top, terms = _shifted_terms(model, val)
+        t = model.log_weights + val     # one q x q block: a single max costs less than a column loop
+        top = t.max(axis=-1)
+        terms = np.exp(t - top[:, None])
         # each row summed in sorted order: rows that are permutations of one another (Potts)
         # get equal sums, where rounding left in val would grow by k*lambda_2 per shell
-        shared = top[:, 0] + np.log(np.sort(terms).sum(axis=-1))
+        shared = top + np.log(np.sort(terms).sum(axis=-1))
         kernels.append(np.exp(model.log_weights + val - shared[:, None]))
         root = shared - shared.max()
         val = model.k * root

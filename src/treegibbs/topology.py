@@ -90,7 +90,8 @@ def sweep_up(ball: Ball, values: np.ndarray, message: Callable[[np.ndarray], np.
     ``message`` over that vertex's children.
 
     ``values`` has shape (..., num_vertices, d); ``message`` maps a whole
-    shell's rows, (..., shell size, d), to what they send their parents.
+    shell's rows, (..., shell size, d), to what they send their parents.  The
+    children are summed first (``_columnwise``), then added to the parents.
     Returns a new array.  Field propagation uses it.
     """
     out = np.array(values, dtype=float)
@@ -99,7 +100,16 @@ def sweep_up(ball: Ball, values: np.ndarray, message: Callable[[np.ndarray], np.
         sent = message(out[..., ball.shell_slice(m + 1), :])
         # breadth-first indexing lists shell m+1 grouped by parent, in shell-m order
         grouped = sent.reshape(sent.shape[:-2] + (parents.stop - parents.start, -1, sent.shape[-1]))
-        out[..., parents, :] += grouped.sum(axis=-2)
+        out[..., parents, :] += _columnwise(np.add, np.swapaxes(grouped, -1, -2))
+    return out
+
+
+def _columnwise(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=-1) by one whole-array call per further column, as numpy reduces
+    a short axis slowly.  Left to right: numpy's order, and bits, below 8 columns."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
     return out
 
 

@@ -12,7 +12,7 @@ from treegibbs.classifier import (
     DEFAULT_FLOAT_TOL, DEFAULT_MAX_DEN, FloatLattice, MultiplicativeWitness, _coprime_base, _kind,
 )
 from treegibbs.fields import (
-    FixedPointResult, ReducedFieldAssignment, _extend, _log_transfer, recursion_map, zero_fields,
+    DAMPING, FixedPointResult, ReducedFieldAssignment, _extend, _log_transfer, recursion_map, zero_fields,
 )
 from treegibbs.measures import (
     DEFAULT_CAP, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
@@ -384,6 +384,107 @@ def damped_fixed_points(
         if all(np.max(np.abs(g - f)) > 1e-8 for f in found):
             found.append(g)
     sols = sorted(tuple(float(c) for c in g) for g in found)
+    return FixedPointResult(
+        solutions=tuple(sols),
+        iterations=tuple(iterations.tolist()),
+        residuals=tuple(residuals.tolist()),
+        converged=tuple(converged.tolist()),
+    )
+
+
+# Oracles for the field kernel: the axis reductions it replaced, kept as written
+# then.  Each row's max and sum was one numpy reduce over the last axis, the
+# children of a vertex were summed by one reduce over theirs, and the fixed-point
+# search called ``recursion_map`` once per update and formed the softmax rows
+# again in ``_map_jacobian`` for every Newton try.
+
+def _axis_reduce_shifted_terms(model: LambdaModel, x: np.ndarray):
+    t = model.log_weights + x[..., None, :]                             # (..., q, q)
+    top = t.max(axis=-1, keepdims=True)
+    return top, np.exp(t - top)
+
+
+def axis_reduce_log_transfer(model: LambdaModel, x: np.ndarray) -> np.ndarray:
+    top, terms = _axis_reduce_shifted_terms(model, x)
+    return top[..., 0] + np.log(terms.sum(axis=-1))
+
+
+def axis_reduce_recursion_map(model: LambdaModel, h: np.ndarray) -> np.ndarray:
+    row_logs = axis_reduce_log_transfer(model, _extend(np.asarray(h, dtype=float)))
+    return row_logs[..., :-1] - row_logs[..., -1:]
+
+
+def axis_reduce_map_jacobian(model: LambdaModel, h: np.ndarray) -> np.ndarray:
+    _, terms = _axis_reduce_shifted_terms(model, _extend(h))
+    p = terms / terms.sum(axis=-1, keepdims=True)
+    return p[..., :-1, :-1] - p[..., -1:, :-1]
+
+
+def axis_reduce_sweep_up(ball: Ball, values: np.ndarray, message) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    for m in range(ball.n - 1, -1, -1):
+        parents = ball.shell_slice(m)
+        sent = message(out[..., ball.shell_slice(m + 1), :])
+        grouped = sent.reshape(sent.shape[:-2] + (parents.stop - parents.start, -1, sent.shape[-1]))
+        out[..., parents, :] += grouped.sum(axis=-2)
+    return out
+
+
+def axis_reduce_fixed_points(
+    model: LambdaModel,
+    starts: int = 32,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+    seed: int = 42,
+) -> FixedPointResult:
+    rng = np.random.default_rng(seed)
+    qm1 = model.q - 1
+    h = np.vstack([np.zeros(qm1), rng.uniform(-5.0, 5.0, size=(starts, qm1))])
+    iterations = np.full(len(h), max_iter)
+    residuals = np.empty(len(h))
+    active = np.arange(len(h))
+    current = h.copy()
+    bar = np.full(len(h), 2.0 / DAMPING)
+    eye = np.eye(qm1)
+    for it in range(max_iter):
+        target = model.k * axis_reduce_recursion_map(model, current)
+        residual = np.max(np.abs(current - target), axis=1)
+        done = residual <= tol
+        if done.any():
+            finished = active[done]
+            h[finished], residuals[finished], iterations[finished] = current[done], residual[done], it
+            keep = ~done
+            active, current, target = active[keep], current[keep], target[keep]
+            residual, bar = residual[keep], bar[keep]
+            if active.size == 0:
+                break
+        moved = (1.0 - DAMPING) * current + DAMPING * target
+        rows = (residual < bar).nonzero()[0]
+        if rows.size:
+            bar[rows] = residual[rows] / 2
+            kjac = model.k * axis_reduce_map_jacobian(model, current[rows])
+            lin = (1.0 - DAMPING) * eye + DAMPING * kjac
+            contracts = np.abs(lin).sum(axis=-1).max(axis=-1) < 1.0
+            unsure = ~contracts
+            if unsure.any():
+                contracts[unsure] = np.abs(np.linalg.eigvals(lin[unsure])).max(axis=-1) < 1.0
+            rows, kjac = rows[contracts], kjac[contracts]
+        if rows.size:
+            rhs = (target - current)[rows]
+            delta = rhs / (1 - kjac[:, 0]) if qm1 == 1 else np.linalg.solve(eye - kjac, rhs[..., None])[..., 0]
+            short = np.all(np.isfinite(delta), axis=1) & (np.max(np.abs(delta), axis=1) <= 1.0)
+            moved[rows[short]] = current[rows[short]] + delta[short]
+        current = moved
+    residuals[active] = residual
+    converged = residuals <= tol
+    hits = h[converged]
+    far = np.max(np.abs(hits[:, None] - hits[None]), axis=2) > 1e-8
+    found: list[int] = []
+    for i in range(len(hits)):
+        if far[i, found].all():
+            found.append(i)
+    sols = sorted((tuple(float(c) for c in hits[i]) for i in found),
+                  key=lambda s: (tuple(round(c, 8) for c in s), s))
     return FixedPointResult(
         solutions=tuple(sols),
         iterations=tuple(iterations.tolist()),

@@ -10,6 +10,7 @@ import json
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from treegibbs.cli import main
@@ -35,6 +36,8 @@ FILES = {
     "sqrt3_q3.json": {"kind": "generic", "q": 3, "k": 2, "beta": 1,
                       "lambda": [[math.sqrt(3) * v for v in row] for row in [[0, 1, 2], [2, 0, 1], [1, 2, 0]]]},
     "underscore.json": {"kind": "generic", "q": 2, "k": 2, "beta": 1, "lambda": [[0, "1_0/3"], [0, 0]]},
+    "potts_q2_bjp03.json": {"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": "3/5"},
+    "potts_q2_bjp06.json": {"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": "6/5"},
 }
 
 
@@ -90,6 +93,26 @@ def sqrt3_lattice(report):
     assert got == ("III_family", 1.7320508075688772, False)
 
 
+def potts_q2_fields(b, count):
+    """Potts q=2, k=2 at beta*J' = b (J' = J/2): the zero field, joined by +-h* once
+    k*tanh(beta*J') passes 1.  F is restated in numpy, and h* is its attracting nonzero
+    fixed point, reached by iterating h <- 2F(h) from h = 5."""
+    def F(h):
+        return np.log((np.exp(b + h) + np.exp(-b)) / (np.exp(-b + h) + np.exp(b)))
+
+    def check(report):
+        assert (count == 3) == (2 * math.tanh(b) > 1)
+        sols = np.array(report["solutions"], dtype=float).reshape(-1)
+        assert report["count"] == len(sols) == count and 0.0 in sols
+        h = 5.0
+        for _ in range(1000):
+            h = 2 * F(h)
+        nonzero, want = np.sort(sols[sols != 0]), [] if count == 1 else [-h, h]
+        assert len(nonzero) == len(want) and np.all(np.abs(nonzero - want) <= 1e-9), (nonzero, h)
+        assert np.max(np.abs(sols - 2 * F(sols))) <= 1e-12
+    return check
+
+
 def rejected(report):
     """Invalid input: exit 3, one error line and no report."""
     assert report is None
@@ -123,6 +146,10 @@ ANSWERS = {
                                       0, unordered(True, 4.440892098500626e-16)),
     "classify-sqrt3-q3": (["classify", "--model", "sqrt3_q3.json"], 0, sqrt3_lattice),
     "rejected-classify-underscore-digits": (["classify", "--model", "underscore.json"], 3, rejected),
+    "solve-fields-potts-q2-bjp0.3": (["solve-fields", "--model", "potts_q2_bjp03.json"], 0,
+                                     potts_q2_fields(0.3, 1)),
+    "solve-fields-potts-q2-bjp0.6": (["solve-fields", "--model", "potts_q2_bjp06.json"], 0,
+                                     potts_q2_fields(0.6, 3)),
 }
 
 
