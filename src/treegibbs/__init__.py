@@ -41,7 +41,6 @@ from .measures import (
 from .classifier import (
     Classification,
     classify,
-    commensurability_exact,
     commensurability_float,
     commensurability_multiplicative,
     difference_set,
@@ -58,7 +57,6 @@ __all__ = [
     "recursion_map", "ti_fixed_points", "zero_fields",
     "FiniteVolumeMeasure", "consistency_residual", "correlation_decay", "finite_volume_measure",
     "marginalize", "markov_property_residual", "two_point_correlation",
-    "Classification", "classify", "commensurability_exact", "commensurability_float",
-    "commensurability_multiplicative", "difference_set", "finite_volume_spectrum", "potts_theta",
-    "spectrum_lattice_check",
+    "Classification", "classify", "commensurability_float", "commensurability_multiplicative",
+    "difference_set", "finite_volume_spectrum", "potts_theta", "spectrum_lattice_check",
 ]

@@ -5,7 +5,8 @@ beta-scaled pairwise differences of coupling-table entries, which generate
 the same Z-module as the q^2 base differences beta*(lam_ij - lam_00).  The
 state is tracial exactly when they are all 0; otherwise the factor type is
 read off from whether they fit a one-generator lattice m * g, m integer.
-``classify`` alone picks a route (markov-check reads its result), each in ints:
+``classify`` gives the verdict (markov-check reads its result) on one of
+three routes (``LambdaModel._kind``), each in ints:
 
   * exact-rational tables: the gcd of the base differences over the lcm of
     their denominators (always succeeds);
@@ -15,6 +16,8 @@ read off from whether they fit a one-generator lattice m * g, m integer.
   * floating tables: continued-fraction reconstruction of the ratios of
     the q^4 ``difference_set``, each ratio taken as its exact n/d.
 
+The exact routes read only the model, which builds their lattice once
+(``LambdaModel._lattice``); the float route reads ``tol`` and ``max_den``.
 Every route witnesses its lattice with one q x q integer table m,
 beta*(lam_ij - lam_00) = m_ij * g, so entries (i,j) and (k,l) differ by
 (m_ij - m_kl) * g.  A positive generator g gives gamma = e^{-g} in (0, 1):
@@ -31,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import measures
-from .model import LambdaModel, _check_tol, _kind
+from .model import LambdaModel, MultiplicativeWitness, _check_tol, commensurability_multiplicative
 from .topology import Ball, _family
 
 DEFAULT_MAX_DEN = 10**6
@@ -54,7 +57,7 @@ def difference_set(model: LambdaModel) -> tuple:
     r of rational stochastic matrices, and floats otherwise.  The set always
     contains 0 and equals its own negation.
     """
-    kind = _kind(model)
+    kind = model._kind
     if kind == "symbolic-log-rational":
         entries = [v for row in model.P for v in row]
         # delta = -log p + log p' = log(p'/p), one per distinct rational ratio
@@ -78,114 +81,6 @@ def _float_differences(model: LambdaModel) -> np.ndarray:
         if not deltas or abs(d - deltas[-1]) > 1e-12:
             deltas.append(d)
     return np.array(deltas)
-
-
-def _rational_lattice(values: Sequence[Fraction]) -> Optional[tuple[int, int, list[int]]]:
-    """(G, L, m) with values[i] - values[0] = m_i * G / L, G / L the largest such step.
-
-    In integers: L is the lcm of the denominators, N_i = values[i] * L and
-    G = gcd(N_i - N_0), so m_i = (N_i - N_0) / G.  None when all values are equal.
-    """
-    lcm = math.lcm(*[v.denominator for v in values])
-    first = values[0].numerator * (lcm // values[0].denominator)
-    diffs = [v.numerator * (lcm // v.denominator) - first for v in values]
-    step = math.gcd(*diffs)
-    if step == 0:
-        return None
-    return step, lcm, [d // step for d in diffs]
-
-
-def commensurability_exact(deltas: Sequence[Fraction]) -> Optional[Fraction]:
-    """Largest rational g with every delta an integer multiple of g.
-
-    For rational inputs this always exists unless the set is {0}.
-    """
-    if any(not isinstance(d, Fraction) for d in deltas):
-        raise TypeError("exact commensurability needs rational deltas")
-    lattice = _rational_lattice([Fraction(0), *deltas])
-    return None if lattice is None else Fraction(lattice[0], lattice[1])
-
-
-def _coprime_base(numbers) -> list[int]:
-    """Pairwise coprime integers > 1 of which each of ``numbers`` is a product of powers.
-
-    Naive gcd refinement, enough for a few dozen numbers; Bernstein, J. Algorithms 54 (2005).
-    """
-    base: list[int] = []
-    todo = [n for n in set(numbers) if n > 1]
-    while todo:
-        n = todo.pop()
-        b = next((b for b in base if math.gcd(n, b) > 1), None)
-        if b is None:
-            base.append(n)
-        else:
-            base.remove(b)
-            g = math.gcd(n, b)
-            todo += [x for x in (g, b // g, n // g) if x > 1]
-    return base
-
-
-def _base_exponents(r: tuple[int, int], base: Sequence[int]) -> dict[int, int]:
-    """Exponents of r = (numerator, denominator) over a coprime base whose powers make up both."""
-    vec: dict[int, int] = {}
-    for b in base:
-        for n, sign in ((r[0], 1), (r[1], -1)):
-            while n % b == 0:
-                n, vec[b] = n // b, vec.get(b, 0) + sign
-    return vec
-
-
-@dataclass(frozen=True)
-class MultiplicativeWitness:
-    """Evidence that all ratios p_00/p_ij lie on one geometric lattice alpha^Z: alpha is rational
-    in (0, 1) and p_00 / p_ij = alpha ** exponents[i][j], or None when every ratio is 1."""
-
-    alpha: Optional[Fraction]
-    exponents: tuple[tuple[int, ...], ...]
-
-
-def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
-    """Decide condition p_00/p_ij = alpha^{m_ij} for a rational stochastic matrix.
-
-    Each distinct entry p is valued once over a coprime base of the entries'
-    numerators and denominators.  For each base element b the integer column
-    c_b[p] = v_b(p_00) - v_b(p) holds the exponents of b in the ratios;
-    the condition holds exactly when all columns are multiples of one
-    primitive column m, c_b = t_b * m, and then alpha = prod b^{t_b}.  (A
-    prime p divides one b only, with column v_p(b) * c_b, so prime columns
-    give the same m and alpha.)  Returns None when the columns span a
-    lattice of rank two or more.
-    """
-    rows = [list(r) for r in P]
-    if any(not isinstance(v, Fraction) for row in rows for v in row):
-        raise TypeError("multiplicative commensurability needs rational matrix entries")
-    q = len(rows)
-    pairs = [(v.numerator, v.denominator) for row in rows for v in row]
-    distinct = list(dict.fromkeys(pairs))      # p_00 first; the columns are read on these
-    base = _coprime_base([n for r in distinct for n in r])
-    vecs = [_base_exponents(r, base) for r in distinct]
-    cols = {b: [vecs[0].get(b, 0) - vec.get(b, 0) for vec in vecs] for b in set().union(*vecs)}
-    first = next((c for c in cols.values() if any(c)), None)
-    if first is None:
-        return MultiplicativeWitness(alpha=None, exponents=((0,) * q,) * q)
-    g = math.gcd(*first)
-    m = [e // g for e in first]
-    lead = next(i for i, e in enumerate(m) if e)
-    num = den = 1      # alpha = num/den, in lowest terms because the base is coprime
-    for b, c in cols.items():
-        t = c[lead] // m[lead]
-        if c != [t * e for e in m]:
-            return None
-        if t > 0:
-            num *= b**t
-        else:
-            den *= b**-t
-    if num > den:
-        num, den, m = den, num, [-e for e in m]
-    at = dict(zip(distinct, m))
-    m = [at[r] for r in pairs]
-    return MultiplicativeWitness(alpha=Fraction(num, den),
-                                 exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
 
 
 @dataclass(frozen=True)
@@ -291,29 +186,17 @@ def classify(
     """
     _check_tol(tol, max_den)
     q = model.q
-    kind = _kind(model)
+    kind = model._kind
     confidence, lattice = "exact", None     # lattice: (generator, gamma, exponents)
-    if kind == "exact-rational":
-        found = _rational_lattice([v for row in model.lam for v in row])
-        constant = found is None
-        evidence = {"route": "rational-gcd", "kind": kind}
-        if not constant:
-            # beta*(lam_ij - lam_00) = m_ij * beta*G/L
-            step, lcm, m = found
-            g = Fraction(model.beta.numerator * step, model.beta.denominator * lcm)
-            lattice = g, math.exp(-float(g)), tuple(tuple(m[i:i + q]) for i in range(0, q * q, q))
-    elif kind == "symbolic-log-rational":
-        witness = commensurability_multiplicative(model.P)
-        constant = witness is not None and witness.alpha is None
-        evidence = {"route": "prime-exponent-rank", "kind": kind}
-        if witness is not None and not constant:
-            # p_00/p_ij = alpha^e_ij with alpha in (0, 1), so beta*(lam_ij - lam_00)
-            # = -e_ij * log(1/alpha).  The witness is primitive (gcd of e is 1,
-            # e_00 = 0), so the lattice step over alpha is always 1.
-            alpha = witness.alpha
-            lattice = (-math.log(float(alpha)), float(alpha),
-                       tuple(tuple(-e for e in row) for row in witness.exponents))
-            evidence.update(alpha=alpha, lattice_step=1)
+    if kind != "float":
+        found = model._lattice                   # (g, alpha, m), built once per model
+        constant = found is not None and found[0] is None
+        evidence = {"route": "rational-gcd" if kind == "exact-rational" else "prime-exponent-rank", "kind": kind}
+        if found is not None and not constant:
+            g, alpha, m = found
+            lattice = g, math.exp(-float(g)) if alpha is None else float(alpha), m
+            if alpha is not None:
+                evidence.update(alpha=alpha, lattice_step=1)
     else:
         deltas = _float_differences(model)
         constant = not deltas.any()
@@ -364,7 +247,7 @@ def finite_volume_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct configuration energy levels beta*H over a ball, ascending, and their multiplicities.
 
-    On the exact routes with a lattice (``classify``'s exponent table m) the
+    On the exact routes with a lattice (the model's exponent table m) the
     energies are sums of the integers t = m - m_a over the edges, a an entry
     where m is least (``_lattice_sums``): equal energies have equal sums, so
     there is one level per distinct sum s, formed once as
@@ -492,17 +375,18 @@ def _grouped_sums(table: np.ndarray, ball: Ball) -> tuple[np.ndarray, np.ndarray
 
 
 def _lattice_sums(model: LambdaModel, edges: int):
-    """(t, level) on an exact route with a lattice: the int64 table t = m - m_a, a an entry
-    where the exponent table m is least, and the map from a sum s of t over ``edges`` edges
-    to its level edges*beta*lam_a + g*s, as (num + step*s)/den in integers on an exact
-    table.  None on the float route, and where s or those integers could pass 2^53."""
-    if _kind(model) == "float" or (c := classify(model)).exponents is None:
+    """(t, level) from the model's lattice (g, alpha, m): the int64 table t = m - m_a, a an entry
+    where m is least, and the map from a sum s of t over ``edges`` edges to its level
+    edges*beta*lam_a + g*s, as (num + step*s)/den in integers on an exact table.  None
+    without a lattice (the float route too), and where s or those integers could pass 2^53."""
+    if (lattice := model._lattice) is None:
         return None
-    flat = [e for row in c.exponents for e in row]
+    g, _, m = lattice
+    flat = [e for row in m for e in row]
     low = min(flat)
     top = edges * (max(flat) - low)              # the largest sum
     at = flat.index(low)
-    base, g = edges * model.beta * model.lam[at // model.q][at % model.q], c.generator or 0
+    base, g = edges * model.beta * model.lam[at // model.q][at % model.q], g or 0
     if model.is_exact:                           # in integers over a common denominator
         den = math.lcm(base.denominator, g.denominator)
         num, step = base.numerator * (den // base.denominator), g.numerator * (den // g.denominator)
@@ -529,7 +413,8 @@ def spectrum_lattice_check(
     """Verify every spectrum self-difference is an integer multiple of the classify generator.
 
     ``levels`` are the ascending unique levels of ``finite_volume_spectrum``;
-    g is the generator of ``classify(model, max_den=max_den)``.  Every pairwise
+    g is the generator of ``classify(model, max_den=max_den)`` (the model's
+    lattice on the exact routes).  Every pairwise
     difference is a multiple of g exactly when every level minus the lowest
     one is, so only those L differences are measured.  Returns (ok, g, max
     deviation of a level minus the lowest from gZ); without a generator the

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LambdaModel, _check_tol, _kind
+from .model import LambdaModel, _check_tol
 from .topology import Ball, _columnwise, sweep_up
 
 DAMPING = 0.5   # d in the fixed-point search's damped step h <- (1-d)*h + d*k*F(h)
@@ -108,7 +108,7 @@ def check_unordered(model: LambdaModel, tol: float = 1e-12) -> tuple[bool, float
     """
     _check_tol(tol)
     residual = float(np.max(np.abs(recursion_map(model, np.zeros(model.q - 1)))))
-    kind = _kind(model)
+    kind = model._kind
     if kind == "exact-rational":
         return all(sorted(row) == sorted(model.lam[0]) for row in model.lam), residual
     return kind == "symbolic-log-rational" or residual <= tol, residual

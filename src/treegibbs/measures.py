@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .fields import ReducedFieldAssignment, _extend, _log_transfer
-from .model import LambdaModel, _kind
+from .model import LambdaModel
 from .topology import Ball, _family, _meet, build_ball
 
 DEFAULT_CAP = 2**20
@@ -262,7 +262,7 @@ def _root_path(model: LambdaModel, n: int) -> tuple[np.ndarray, list[np.ndarray]
     weights.  No ball is built.
     """
     kernels, val, root = [], np.zeros(model.q), np.zeros(model.q)
-    if _kind(model) == "symbolic-log-rational":
+    if model._kind == "symbolic-log-rational":
         # every val is 0: no subtree weights to recur
         kernels = [np.array(model.P, dtype=float)] * n
     for _ in range(n - len(kernels)):           # shells n down to 1

@@ -1,12 +1,13 @@
-"""Nearest-neighbor lambda-models on trees: coupling tables, log-weights, model files.
+"""Nearest-neighbor lambda-models on trees: coupling tables, log-weights, exact lattices, model files.
 
 A model is a q x q table lam[i][j] of pair couplings between the spin
 values 0..q-1 (the paper's simplex spin vectors), together with a tree
 order k and an inverse temperature beta.  The table may be exact (all
-entries Fraction) or floating; exact tables enable exact commensurability
-analysis downstream.  Edge terms are oriented parent -> child, i.e. an edge
-<x, y> with x closer to the root contributes lam[sigma(x)][sigma(y)]; for
-symmetric tables the orientation is immaterial.
+entries Fraction) or floating; an exact table, or a stochastic matrix of
+Fractions, builds its exact lattice once (``LambdaModel._lattice``).  Edge
+terms are oriented parent -> child, i.e. an edge <x, y> with x closer to the
+root contributes lam[sigma(x)][sigma(y)]; for symmetric tables the
+orientation is immaterial.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,14 +88,130 @@ class LambdaModel:
         a.flags.writeable = False
         return a
 
+    @cached_property
+    def _kind(self) -> str:
+        """The kind of the coupling differences: the classifier route and ``evidence["kind"]``.
+        ``markov_model`` keeps P all-Fraction or all-float, so its first entry decides."""
+        if self.is_exact:
+            return "exact-rational"
+        if self.provenance == "markov" and isinstance(self.P[0][0], Fraction):
+            return "symbolic-log-rational"
+        return "float"
 
-def _kind(model: LambdaModel) -> str:
-    """The kind of a model's coupling differences: its classifier route and ``evidence["kind"]``."""
-    if model.is_exact:
-        return "exact-rational"
-    if model.provenance == "markov" and all(isinstance(v, Fraction) for row in model.P for v in row):
-        return "symbolic-log-rational"
-    return "float"
+    @cached_property
+    def _lattice(self) -> Optional[tuple]:
+        """(g, alpha, m), the exact lattice beta*(lam_ij - lam_00) = m_ij * g with m a q x q int
+        table, built on first read, which ``classify`` and the spectrum read: g a Fraction and
+        alpha None on an exact table; on a rational stochastic matrix p_00/p_ij = alpha^{-m_ij}
+        with alpha a Fraction in (0, 1) and g = log(1/alpha).  g is None and m all zeros on a
+        constant table.  None where the ratios span a lattice of rank >= 2, and on the float
+        route, whose lattice depends on a tolerance."""
+        q, kind = self.q, self._kind
+        if kind == "exact-rational":
+            step, lcm, m = _rational_lattice([v for row in self.lam for v in row])
+            g = Fraction(self.beta.numerator * step, self.beta.denominator * lcm) if step else None
+            return g, None, tuple(tuple(m[i:i + q]) for i in range(0, q * q, q))
+        w = commensurability_multiplicative(self.P) if kind == "symbolic-log-rational" else None
+        if w is None:
+            return None
+        # the witness e = -m is primitive (gcd 1, e_00 = 0), so the lattice step over alpha is 1
+        g = None if w.alpha is None else -math.log(float(w.alpha))
+        return g, w.alpha, tuple(tuple(-e for e in row) for row in w.exponents)
+
+
+def _rational_lattice(values: Sequence[Fraction]) -> tuple[int, int, list[int]]:
+    """(G, L, m) with values[i] - values[0] = m_i * G / L, G / L the largest such step.
+
+    In integers: L is the lcm of the denominators, N_i = values[i] * L and
+    G = gcd(N_i - N_0), so m_i = (N_i - N_0) / G.  G = 0 and m all zeros when
+    all values are equal.
+    """
+    lcm = math.lcm(*[v.denominator for v in values])
+    first = values[0].numerator * (lcm // values[0].denominator)
+    diffs = [v.numerator * (lcm // v.denominator) - first for v in values]
+    step = math.gcd(*diffs)
+    return step, lcm, [d // (step or 1) for d in diffs]
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which each of ``numbers`` is a product of powers.
+
+    Naive gcd refinement, enough for a few dozen numbers; Bernstein, J. Algorithms 54 (2005).
+    """
+    base: list[int] = []
+    todo = [n for n in set(numbers) if n > 1]
+    while todo:
+        n = todo.pop()
+        b = next((b for b in base if math.gcd(n, b) > 1), None)
+        if b is None:
+            base.append(n)
+        else:
+            base.remove(b)
+            g = math.gcd(n, b)
+            todo += [x for x in (g, b // g, n // g) if x > 1]
+    return base
+
+
+def _base_exponents(r: tuple[int, int], base: Sequence[int]) -> dict[int, int]:
+    """Exponents of r = (numerator, denominator) over a coprime base whose powers make up both."""
+    vec: dict[int, int] = {}
+    for b in base:
+        for n, sign in ((r[0], 1), (r[1], -1)):
+            while n % b == 0:
+                n, vec[b] = n // b, vec.get(b, 0) + sign
+    return vec
+
+
+@dataclass(frozen=True)
+class MultiplicativeWitness:
+    """Evidence that all ratios p_00/p_ij lie on one geometric lattice alpha^Z: alpha is rational
+    in (0, 1) and p_00 / p_ij = alpha ** exponents[i][j], or None when every ratio is 1."""
+
+    alpha: Optional[Fraction]
+    exponents: tuple[tuple[int, ...], ...]
+
+
+def commensurability_multiplicative(P) -> Optional[MultiplicativeWitness]:
+    """Decide condition p_00/p_ij = alpha^{m_ij} for a rational stochastic matrix.
+
+    Each distinct entry p is valued once over a coprime base of the entries'
+    numerators and denominators.  For each base element b the integer column
+    c_b[p] = v_b(p_00) - v_b(p) holds the exponents of b in the ratios;
+    the condition holds exactly when all columns are multiples of one
+    primitive column m, c_b = t_b * m, and then alpha = prod b^{t_b}.  (A
+    prime p divides one b only, with column v_p(b) * c_b, so prime columns
+    give the same m and alpha.)  Returns None when the columns span a
+    lattice of rank two or more.
+    """
+    if any(not isinstance(v, Fraction) for row in P for v in row):
+        raise TypeError("multiplicative commensurability needs rational matrix entries")
+    q = len(P)
+    pairs = [(v.numerator, v.denominator) for row in P for v in row]
+    distinct = list(dict.fromkeys(pairs))      # p_00 first; the columns are read on these
+    base = _coprime_base([n for r in distinct for n in r])
+    vecs = [_base_exponents(r, base) for r in distinct]
+    cols = {b: [vecs[0].get(b, 0) - vec.get(b, 0) for vec in vecs] for b in set().union(*vecs)}
+    first = next((c for c in cols.values() if any(c)), None)
+    if first is None:
+        return MultiplicativeWitness(alpha=None, exponents=((0,) * q,) * q)
+    g = math.gcd(*first)
+    m = [e // g for e in first]
+    lead = next(i for i, e in enumerate(m) if e)
+    num = den = 1      # alpha = num/den, in lowest terms because the base is coprime
+    for b, c in cols.items():
+        t = c[lead] // m[lead]
+        if c != [t * e for e in m]:
+            return None
+        if t > 0:
+            num *= b**t
+        else:
+            den *= b**-t
+    if num > den:
+        num, den, m = den, num, [-e for e in m]
+    at = dict(zip(distinct, m))
+    m = [at[r] for r in pairs]
+    return MultiplicativeWitness(alpha=Fraction(num, den),
+                                 exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
 
 
 def _coerce(x) -> tuple[Number, float]:

@@ -7,9 +7,9 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from treegibbs import classify, generic_model
+from treegibbs import classify, commensurability_multiplicative, generic_model
 from treegibbs.classifier import (
-    DEFAULT_FLOAT_TOL, DEFAULT_MAX_DEN, FloatLattice, MultiplicativeWitness, _coprime_base, _kind,
+    CAVEAT_III_FAMILY, CAVEAT_INCOMMENSURABLE, DEFAULT_FLOAT_TOL, DEFAULT_MAX_DEN, Classification, FloatLattice,
 )
 from treegibbs.fields import (
     DAMPING, FixedPointResult, ReducedFieldAssignment, _extend, _log_transfer, recursion_map, zero_fields,
@@ -18,7 +18,9 @@ from treegibbs.measures import (
     DEFAULT_CAP, _edge_energies, _logsumexp, _tv_to_first_column, finite_volume_measure,
     marginalize,
 )
-from treegibbs.model import ROW_SUM_TOL, LambdaModel, ModelError, Number
+from treegibbs.model import (
+    ROW_SUM_TOL, LambdaModel, ModelError, MultiplicativeWitness, Number, _coprime_base,
+)
 from treegibbs.topology import Ball, sweep_up
 
 
@@ -258,7 +260,7 @@ def mp_correlation_decay(model: LambdaModel, n: int, dps: int = 50) -> list:
     with mpmath.workdps(dps):
         beta = as_mpf(model.beta)
         e = [[mpmath.exp(-beta * as_mpf(v)) for v in row] for row in model.lam]
-        if _kind(model) == "symbolic-log-rational":
+        if model._kind == "symbolic-log-rational":
             e = [[as_mpf(p) for p in row] for row in model.P]
         w, kernels = [mpmath.mpf(1)] * q, []
         for _ in range(n):
@@ -577,10 +579,70 @@ def fraction_multiplicative_witness(P):
     return MultiplicativeWitness(alpha=alpha, exponents=tuple(tuple(m[i:i + q]) for i in range(0, q * q, q)))
 
 
+def fraction_set_gcd(values) -> Fraction | None:
+    """The largest rational g of which every value is an integer multiple: a ``reduce`` of
+    Fraction gcds over the sorted nonzero magnitudes.  None when every value is 0."""
+    mags = sorted({abs(v) for v in values if v != 0})
+    return reduce(_frac_gcd, mags) if mags else None
+
+
+# Oracle for the exact routes of ``classify``: its exact-rational and prime-exponent-rank
+# branches as written when each call built its own lattice, with the integer gcd helper
+# they called then (None on a constant table).  The model now builds that lattice once.
+
+def _per_call_rational_lattice(values: Sequence[Fraction]):
+    lcm = math.lcm(*[v.denominator for v in values])
+    first = values[0].numerator * (lcm // values[0].denominator)
+    diffs = [v.numerator * (lcm // v.denominator) - first for v in values]
+    step = math.gcd(*diffs)
+    if step == 0:
+        return None
+    return step, lcm, [d // step for d in diffs]
+
+
+def per_call_classify(model: LambdaModel) -> Classification:
+    """``classify`` on an exact-rational or rational-Markov model, as each call computed it."""
+    q = model.q
+    kind = model._kind
+    assert kind != "float"
+    confidence, lattice = "exact", None     # lattice: (generator, gamma, exponents)
+    if kind == "exact-rational":
+        found = _per_call_rational_lattice([v for row in model.lam for v in row])
+        constant = found is None
+        evidence = {"route": "rational-gcd", "kind": kind}
+        if not constant:
+            # beta*(lam_ij - lam_00) = m_ij * beta*G/L
+            step, lcm, m = found
+            g = Fraction(model.beta.numerator * step, model.beta.denominator * lcm)
+            lattice = g, math.exp(-float(g)), tuple(tuple(m[i:i + q]) for i in range(0, q * q, q))
+    else:
+        witness = commensurability_multiplicative(model.P)
+        constant = witness is not None and witness.alpha is None
+        evidence = {"route": "prime-exponent-rank", "kind": kind}
+        if witness is not None and not constant:
+            alpha = witness.alpha
+            lattice = (-math.log(float(alpha)), float(alpha),
+                       tuple(tuple(-e for e in row) for row in witness.exponents))
+            evidence.update(alpha=alpha, lattice_step=1)
+    if constant:
+        return Classification(
+            verdict="II1", generator=None, gamma=None, exponents=((0,) * q,) * q,
+            caveat="constant coupling table: the state is a trace", confidence="exact",
+            evidence={"route": "degenerate", "kind": kind},
+        )
+    if lattice is None:
+        return Classification(
+            verdict="incommensurable", generator=None, gamma=None, exponents=None,
+            caveat=CAVEAT_INCOMMENSURABLE, confidence=confidence, evidence=evidence,
+        )
+    return Classification("III_family", *lattice, caveat=CAVEAT_III_FAMILY,
+                          confidence=confidence, evidence=evidence)
+
+
 def set_difference_set(model: LambdaModel) -> tuple:
     """``difference_set`` of a float table: a Python set of the q^4 products beta*(a - b),
     sorted, then merged left to right where a value is within 1e-12 of the last kept one."""
-    assert _kind(model) == "float"
+    assert model._kind == "float"
     vals = [float(v) for row in model.lam for v in row]
     beta = model.beta_float
     raw = sorted({beta * (a - b) for a in vals for b in vals})

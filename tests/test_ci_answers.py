@@ -16,6 +16,7 @@ import pytest
 from treegibbs.cli import main
 
 FILES = {
+    "markov.json": {"kind": "markov", "q": 2, "k": 2, "P": [["1/4", "3/4"], ["3/4", "1/4"]]},
     "potts.json": {"kind": "potts", "q": 3, "k": 2, "beta": "1/1", "J": "1/1"},
     "potts_q4.json": {"kind": "potts", "q": 4, "k": 2, "beta": 1, "J": "5/4"},
     "potts_q2.json": {"kind": "potts", "q": 2, "k": 2, "beta": 1, "J": 1},
@@ -80,6 +81,16 @@ def levels_q2_n4(report):
     assert got == [(j - 22.5, 2 * math.comb(45, j)) for j in range(46)] and report["lattice_ok"] is True
 
 
+def markov_levels_q2_n2(report):
+    # with j of the 9 edges between unequal spins (p = 3/4), beta*H = 9 log 4 - j log 3,
+    # multiplicity 2*C(9, j): 10 levels on the lattice log(3) Z
+    want = [(9 * math.log(4) - j * math.log(3), 2 * math.comb(9, j)) for j in range(9, -1, -1)]
+    got = [(l["value"], l["multiplicity"]) for l in report["levels"]]
+    assert report["lattice_ok"] is True and report["generator"] == math.log(3)
+    assert [m for _, m in got] == [m for _, m in want]
+    assert all(abs(v / w - 1) <= 1e-15 for (v, _), (w, _) in zip(got, want)), got
+
+
 def markov_residual(report):
     assert report["residual"] == 0.016151817808324864 and report["passed"] is False
 
@@ -136,6 +147,7 @@ ANSWERS = {
                              0, multiplicities_q2),
     "spectrum-potts-q2-n4": (["spectrum", "--model", "potts_q2.json", "--n", "4", "--cap", "70368744177664"],
                              0, levels_q2_n4),
+    "spectrum-markov-q2-n2": (["spectrum", "--model", "markov.json", "--n", "2"], 0, markov_levels_q2_n2),
     "verify-markov-k3-wrong-shell1": (["verify-consistency", "--model", "markov_k3.json", "--n", "2",
                                        "--fields", "shell1_q2.json"], 2, markov_residual),
     "classify-exact-q8": (["classify", "--model", "exact_q8.json"], 0, lattice_q8),

@@ -7,11 +7,10 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from treegibbs import classifier
+from treegibbs import classifier, model as model_mod
 from treegibbs import (
     build_ball,
     classify,
-    commensurability_exact,
     commensurability_float,
     commensurability_multiplicative,
     difference_set,
@@ -27,9 +26,9 @@ from treegibbs.fields import check_unordered, ti_fixed_points, zero_fields
 from treegibbs.measures import DEFAULT_CAP, EnumerationCapError, finite_volume_measure
 
 from conftest import (
-    enumerated_spectrum, fraction_gcd_lattice, fraction_multiplicative_witness, pairwise_lattice_check,
-    random_rational_model, regrouped_spectrum, relabeled, set_commensurability_float, set_difference_set,
-    shifted,
+    enumerated_spectrum, fraction_gcd_lattice, fraction_multiplicative_witness, fraction_set_gcd,
+    pairwise_lattice_check, per_call_classify, random_rational_model, regrouped_spectrum, relabeled,
+    set_commensurability_float, set_difference_set, shifted,
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -72,19 +71,28 @@ def test_difference_set_symmetric_and_contains_zero(seed, q):
     assert len(ds) <= q**4
 
 
+def rational_gcd(values):
+    """The generator ``classify`` finds for an exact table at beta = 1 whose entry 00 is 0 and
+    whose other entries are ``values``, padded with 0 to a square: the largest rational g with
+    every value an integer multiple of g."""
+    q = math.isqrt(len(values)) + 1
+    flat = [Fraction(0), *values] + [Fraction(0)] * (q * q - 1 - len(values))
+    return classify(generic_model([flat[i:i + q] for i in range(0, q * q, q)], 2, 1)).generator
+
+
 def test_gcd_of_rationals():
-    assert commensurability_exact([Fraction(0), Fraction(1), Fraction(-1)]) == 1
-    got = commensurability_exact([Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(-3, 4)])
+    assert rational_gcd([Fraction(1), Fraction(-1)]) == 1
+    got = rational_gcd([Fraction(1, 2), Fraction(3, 4), Fraction(-3, 4)])
     assert got == Fraction(1, 4)
     assert got == divisor_search_gcd([Fraction(1, 2), Fraction(3, 4)])
-    assert commensurability_exact([Fraction(0)]) is None
+    assert rational_gcd([Fraction(0)]) is None
 
 
 def test_gcd_matches_divisor_search_oracle():
     rng = np.random.default_rng(1)
     for _ in range(30):
         mags = [Fraction(int(rng.integers(1, 17)), int(rng.integers(1, 9))) for _ in range(4)]
-        assert commensurability_exact(mags) == divisor_search_gcd(mags)
+        assert rational_gcd(mags) == divisor_search_gcd(mags)
 
 
 def test_multiplicative_uniform_matrix_is_degenerate():
@@ -120,12 +128,19 @@ def test_multiplicative_lattice_found():
 def test_multiplicative_factors_each_distinct_entry_once(monkeypatch):
     # a q=4 lattice matrix: 16 positions, 4 distinct entries
     calls = []
-    real = classifier._base_exponents
-    monkeypatch.setattr(classifier, "_base_exponents", lambda r, base: calls.append(r) or real(r, base))
+    real = model_mod._base_exponents
+    monkeypatch.setattr(model_mod, "_base_exponents", lambda r, base: calls.append(r) or real(r, base))
     w = [Fraction(2, 3) ** e for e in (0, 1, 3, 4)]
     P = [[w[p] / sum(w) for p in perm] for perm in ((0, 1, 2, 3), (1, 2, 3, 0), (3, 0, 2, 1), (2, 3, 1, 0))]
     assert commensurability_multiplicative(P).alpha == Fraction(2, 3)
     assert 0 < len(calls) <= len({v for row in P for v in row})
+
+
+def test_multiplicative_needs_rational_entries():
+    # a model's P is checked once, by its kind; a direct call checks every entry
+    for P in ([[0.25, 0.75], [0.75, 0.25]], [[Fraction(1, 4), Fraction(3, 4)], [Fraction(3, 4), 0.25]]):
+        with pytest.raises(TypeError, match="needs rational matrix entries"):
+            commensurability_multiplicative(P)
 
 
 @st.composite
@@ -217,7 +232,7 @@ def test_coprime_base_witness_matches_prime_factorization(P):
 
 def test_coprime_base_is_pairwise_coprime_and_generates_its_numbers():
     numbers = [12, 18, 2**5 * 3, 35, 49, 10**12 + 39, 1, 75]
-    base = classifier._coprime_base(numbers)
+    base = model_mod._coprime_base(numbers)
     assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
     for n in numbers:
         for b in base:
@@ -915,7 +930,7 @@ def test_exact_generator_from_base_differences(table, beta):
     # the q^2 base differences beta*(lam_ij - lam_00) and all q^4 pairwise
     # differences generate the same Z-module, hence the same rational gcd
     m = generic_model(table, 2, beta)
-    want = commensurability_exact(difference_set(m))
+    want = fraction_set_gcd(difference_set(m))
     c = classify(m)
     assert c.generator == want
     assert c.verdict == ("II1" if want is None else "III_family")
@@ -1016,7 +1031,7 @@ def test_exact_route_matches_fraction_oracle(table, beta):
         g, e = want
         assert (c.verdict, c.generator, c.gamma, c.exponents) == ("III_family", g, math.exp(-float(g)), e)
         assert type(c.generator) is Fraction
-    assert commensurability_exact(difference_set(m)) == (None if want is None else want[0])
+    assert fraction_set_gcd(difference_set(m)) == (None if want is None else want[0])
 
 
 def test_exact_exponents_past_2_63_are_python_ints():
@@ -1065,6 +1080,40 @@ def test_multiplicative_route_matches_fraction_oracle(P):
         assert (c.verdict, c.generator, c.gamma, c.exponents) == (
             "III_family", -math.log(float(w.alpha)), float(w.alpha), negated)
         assert c.evidence["alpha"] == w.alpha and type(w.alpha) is Fraction
+
+
+@st.composite
+def exact_route_models(draw):
+    """Models on the two exact routes: exact tables (constant ones and entries up to 2**80
+    among them), and rational stochastic matrices with a lattice, uniform, of rank two or free."""
+    if draw(st.booleans()):
+        beta = draw(st.fractions(Fraction(1, 6), Fraction(4), max_denominator=6))
+        return generic_model(draw(wide_exact_tables()), 2, beta)
+    return markov_model(draw(stochastic_matrices_q8()), 2)
+
+
+def assert_same_classification(got, want):
+    """Equal field by field, with the generator's type, gamma's bits and the evidence key order."""
+    assert got == want
+    assert type(got.generator) is type(want.generator)
+    assert (got.gamma is None and want.gamma is None) or got.gamma.hex() == want.gamma.hex()
+    assert list(got.evidence.items()) == list(want.evidence.items())
+    assert [type(v) for v in got.evidence.values()] == [type(v) for v in want.evidence.values()]
+    assert got.exponents is None or all(type(v) is int for row in got.exponents for v in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_route_models())
+@example(generic_model([[Fraction(0), Fraction(1, 7)], [Fraction(2**70), Fraction(-2**70, 3)]], 2, 1))
+@example(generic_model([[Fraction(2, 3)] * 3] * 3, 2, Fraction(3, 2)))
+@example(markov_model([[Fraction(1, 4), Fraction(3, 4)], [Fraction(3, 4), Fraction(1, 4)]], 2))
+@example(markov_model([[Fraction(1, 8)] * 8] * 8, 2))
+@example(markov_model([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]] * 3, 2))
+def test_exact_routes_match_the_per_call_oracle(model):
+    # the first classify builds the model's lattice, the second reads it
+    want = per_call_classify(model)
+    for _ in range(2):
+        assert_same_classification(classify(model), want)
 
 
 @st.composite

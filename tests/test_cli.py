@@ -14,7 +14,7 @@ import pytest
 import sympy
 
 import treegibbs
-from treegibbs import measures, topology
+from treegibbs import classify, measures, model as model_mod, topology
 from treegibbs.cli import (
     COMMANDS, _ball_exceeds, _encode, _json_default, _load_field_assignment, _rendered_levels,
     _rendered_multipliers, main, parse_model,
@@ -778,3 +778,31 @@ def test_markov_check_semiprime_denominator(tmp_path):
     assert report["condition_holds"] is True
     assert report["alpha"] == f"1/{N - 1}"
     assert report["exponents"] == [[0, 1], [1, 0]]
+
+
+LATTICE_MODELS = {
+    "potts-q3": ({"kind": "potts", "q": 3, "k": 2, "beta": "1/1", "J": "1/1"}, ("spectrum", "classify")),
+    "markov-q2": ({"kind": "markov", "q": 2, "k": 2, "P": [["1/4", "3/4"], ["3/4", "1/4"]]},
+                  ("spectrum", "classify", "markov-check")),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_MODELS)
+def test_one_exact_lattice_build_per_command(tmp_path, monkeypatch, name):
+    spec, commands = LATTICE_MODELS[name]
+    builds = []
+    for helper in ("_rational_lattice", "commensurability_multiplicative"):
+        real = getattr(model_mod, helper)
+        monkeypatch.setattr(model_mod, helper,
+                            lambda arg, real=real, helper=helper: builds.append(helper) or real(arg))
+    path = write(tmp_path, "model.json", spec)
+    for command in commands:
+        builds.clear()
+        radius = ["--n", "2"] if command == "spectrum" else []
+        assert main([command, "--model", str(path), *radius, "--out", str(tmp_path / "report.json")]) == 0
+        assert len(builds) == 1, (command, builds)
+    # a second classify of one model reads the lattice the first one built
+    model = parse_model(str(path))
+    builds.clear()
+    assert classify(model) == classify(model)
+    assert len(builds) == 1

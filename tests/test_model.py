@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,9 @@ from treegibbs import (
 from treegibbs.model import LambdaModel, ModelError
 
 from conftest import (
-    OVERFLOWING_MODELS, UNREAD_KEY_MODELS, ball_edges, boundary_energy, energy, fraction_row_errors,
-    shifted, two_pass_generic_model, two_pass_markov_model, two_pass_model_from_dict,
-    two_pass_potts_model,
+    OVERFLOWING_MODELS, UNREAD_KEY_MODELS, ball_edges, boundary_energy, energy, fraction_gcd_lattice,
+    fraction_row_errors, relabeled, shifted, two_pass_generic_model, two_pass_markov_model,
+    two_pass_model_from_dict, two_pass_potts_model,
 )
 
 
@@ -181,6 +182,23 @@ def test_equal_models_are_equal_values_and_classify_builds_no_spin_set():
     a, b = potts_model(3, 1, 1, 2), potts_model(3, 1, 1, 2)
     classify(a)     # a's first-use caches enter neither equality nor the hash
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "float-first"])
+def test_exact_lattice_is_cached_per_model_not_per_value(exact_first):
+    exact = generic_model([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], 2, 1)
+    floating = generic_model([[0, 0.5], [0.5, 0]], 2, 1)
+    assert exact == floating and hash(exact) == hash(floating)
+    first, second = (exact, floating) if exact_first else (floating, exact)
+    results = {id(m): classify(m) for m in (first, second)}
+    e, f = results[id(exact)], results[id(floating)]
+    assert (e.confidence, type(e.generator), e.generator) == ("exact", Fraction, Fraction(1, 2))
+    assert (f.confidence, type(f.generator), f.generator) == ("float", float, 0.5)
+    # a model made from a classified one builds its own lattice from its own table
+    for derived in (replace(exact, beta=Fraction(3)), relabeled(exact, [1, 0]), shifted(exact, Fraction(1, 3))):
+        assert "_lattice" not in vars(derived)
+        g, m = fraction_gcd_lattice(derived)
+        assert classify(derived).generator == g and vars(derived)["_lattice"] == (g, None, m)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
